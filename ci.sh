@@ -27,6 +27,18 @@ cargo build --release
 echo "== test =="
 cargo test -q
 
+echo "== benchmark harness (perfbench/: build, tests, bit-identity gate) =="
+# perfbench/ is a workspace of its own that mirrors `Prepared::build`
+# stage by stage through the crates' public API, so a library change
+# that breaks the mirror fails here, not in the benchmark run: its
+# tiny-scale harness_smoke runs every workload traced and untraced and
+# gates stage_sum_ratio. `golden` re-derives every default-seed output
+# (~70 s) and exits 1 unless all equal perfbench/golden.json — the
+# standing bit-identity gate for speed-only changes.
+cargo build --release --manifest-path perfbench/Cargo.toml
+cargo test --release --manifest-path perfbench/Cargo.toml
+cargo run --release -q --manifest-path perfbench/Cargo.toml --bin d3t-bench -- golden
+
 echo "== repro smoke =="
 cargo run --release -p d3t-experiments --bin repro -- fig4 --tiny > /dev/null
 # One timed base-config run per scheduler backend, emitting both tracked

@@ -1,13 +1,14 @@
 //! Old vs new experiment-setup path: full Floyd–Warshall APSP against the
-//! overlay-targeted multi-source Dijkstra, at the paper's network sizes
+//! overlay-targeted multi-source search, at the paper's network sizes
 //! (700 base, 2100 scalability study, 1500 in between).
 //!
 //! The overlay only needs delays among the source + ~100 repositories, so
-//! the `O(V³)` Floyd–Warshall construction is replaced by `m` CSR
-//! Dijkstras fanned out over threads (`O(m · E log V)`). The acceptance
-//! bar for the switch: `Prepared::build` at 2100 physical nodes / 100
-//! repositories must be ≥ 10× faster than the Floyd–Warshall path — in
-//! practice the gap is orders of magnitude at every size.
+//! the `O(V³)` Floyd–Warshall construction is replaced by `m` bucket-queue
+//! searches over the CSR fanned out over threads (`O(m · (V + E))` time,
+//! `O(m² + threads · V)` memory). The acceptance bar for the switch:
+//! `Prepared::build` at 2100 physical nodes / 100 repositories must be
+//! ≥ 10× faster than the Floyd–Warshall path — in practice the gap is
+//! orders of magnitude at every size.
 //!
 //! Note: the Floyd–Warshall side runs the cubic algorithm to completion
 //! once per sample; expect the 2100-node group to take minutes of wall

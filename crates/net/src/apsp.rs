@@ -8,18 +8,51 @@
 //! so materializing the full `V × V` matrix in `O(V³)` is wasted work.
 //!
 //! [`OverlayApsp`] computes exactly the `m × m` sub-matrix the overlay
-//! needs by running one Dijkstra per overlay node over a CSR view of the
-//! graph (`O(m · E log V)`), fanning the sources out over a rayon-style
-//! thread pool. Results are bit-identical regardless of thread count: each
-//! source's single-source problem is solved independently and written to
-//! its own row.
+//! needs: one single-source search per overlay node over a CSR view of
+//! the graph, the sources fanned out over a rayon-style thread pool in
+//! fixed-size tasks. Nothing `V`-wide outlives a source and no source
+//! allocates:
+//!
+//! * a task owns one workspace — the `V`-wide `(delay, hops)` label
+//!   arrays and the queue — refilled per source, and itself copies the
+//!   `m` overlay columns of each finished search into that source's row
+//!   of the result, so memory is `O(m² + threads · V)`;
+//! * pendant trees that hold no overlay node are stripped first
+//!   ([`Csr::strip_pendant_trees`]): no path between two other nodes
+//!   enters one;
+//! * the queue is a circular array of buckets keyed on
+//!   `floor(delay / width)`, drained in increasing order — `O(V + E)`
+//!   bucket operations per source, `O(m · (V + E))` in all, in place of
+//!   a binary heap's `O(m · E log V)`.
+//!
+//! Results are bit-identical regardless of thread count (each source is
+//! solved independently and written to its own row) and to the
+//! binary-heap Dijkstra this engine replaced, which the tests keep as
+//! the reference. A node's label is the lexicographic minimum of
+//! (left-to-right `f64` sum of link delays, hop count) over its
+//! neighbors' final labels; the queue only decides in which order labels
+//! are tried. With buckets as wide as the smallest link — every paper
+//! configuration — no relaxation lands in the bucket being drained (bar
+//! a last-place rounding at its upper edge), so nodes are relaxed from
+//! final labels only, exactly as under the heap. Otherwise (link delays
+//! spanning more than `MAX_BUCKET_SPAN`) a node can also be relaxed
+//! from a label its neighbor later improves, and the drain relaxes it
+//! again; the outcome can differ from the heap's only where two
+//! different path sums round to the same `f64` after one more link, and
+//! then only in the hop count.
+//!
+//! Two cheaper-looking routes would change bits and are not taken.
+//! `D[i][j]` and `D[j][i]` add the same links in opposite orders and
+//! differ in their last bits, and callers read the directed cell, so the
+//! matrix is not filled by symmetry. Contracting chains of degree-2
+//! routers into single links re-associates the sums.
 //!
 //! [`Apsp::floyd_warshall`] is kept as the independent oracle the property
 //! tests compare against (and it remains the reference implementation of
 //! the paper's routing construction).
 //!
 //! Tie-breaking: among equal-delay paths, [`OverlayApsp`] prefers fewer
-//! hops (lexicographic `(delay, hops)` Dijkstra). Floyd–Warshall keeps the
+//! hops (lexicographic `(delay, hops)` labels). Floyd–Warshall keeps the
 //! first strictly-shorter path it encounters, so on graphs with exact
 //! equal-delay alternatives its hop counts can exceed the overlay engine's;
 //! with continuously distributed link delays the two agree.
@@ -153,9 +186,9 @@ pub struct OverlayApsp {
 }
 
 impl OverlayApsp {
-    /// Runs one `(delay, hops)`-lexicographic Dijkstra per overlay node
-    /// over a CSR view of `topo`, in parallel, and gathers the overlay
-    /// columns of each row.
+    /// Runs one `(delay, hops)`-lexicographic shortest-path search per
+    /// overlay node over a CSR view of `topo`, in parallel, keeping only
+    /// the overlay columns of each row.
     ///
     /// # Panics
     /// Panics if `overlay` contains an out-of-range node id.
@@ -171,19 +204,31 @@ impl OverlayApsp {
             assert!(node < n, "overlay node {node} out of range");
         }
         let m = overlay.len();
-        // One independent single-source problem per overlay node; the
-        // parallel map keeps row order equal to `overlay` order, so the
-        // result is identical to the serial loop.
-        let rows: Vec<(Vec<f64>, Vec<u32>)> =
-            overlay.par_iter().map(|&src| dijkstra_with_hops_csr(csr, src)).collect();
-        let mut delay = vec![f64::INFINITY; m * m];
-        let mut hops = vec![u32::MAX; m * m];
-        for (i, (dist_row, hop_row)) in rows.iter().enumerate() {
-            for (j, &dst) in overlay.iter().enumerate() {
-                delay[i * m + j] = dist_row[dst];
-                hops[i * m + j] = hop_row[dst];
+        let graph = csr.strip_pendant_trees(overlay);
+        let queue = BucketLayout::of(&graph);
+        // Zero pages, first touched by the worker that fills them: the
+        // gather below overwrites every cell.
+        let mut delay = vec![0.0; m * m];
+        let mut hops = vec![0u32; m * m];
+        // One independent single-source problem per overlay node, each
+        // written to its own row: any pool width gives the serial result.
+        let row_block = (SOURCES_PER_TASK * m).max(1);
+        let tasks: Vec<_> = overlay
+            .chunks(SOURCES_PER_TASK)
+            .zip(delay.chunks_mut(row_block))
+            .zip(hops.chunks_mut(row_block))
+            .collect();
+        tasks.into_par_iter().for_each(|((sources, delay_rows), hop_rows)| {
+            let mut search = Search::new(n, queue);
+            let rows = delay_rows.chunks_mut(m).zip(hop_rows.chunks_mut(m));
+            for (&src, (delay_row, hop_row)) in sources.iter().zip(rows) {
+                search.run(&graph, src);
+                for ((d, h), &dst) in delay_row.iter_mut().zip(hop_row).zip(overlay) {
+                    *d = search.dist[dst];
+                    *h = search.hops[dst];
+                }
             }
-        }
+        });
         Self { nodes: overlay.to_vec(), delay, hops }
     }
 
@@ -218,62 +263,116 @@ impl OverlayApsp {
     }
 }
 
-/// Single-source Dijkstra over a CSR graph, minimizing `(delay, hops)`
-/// lexicographically; ties beyond that break toward lower node ids, making
-/// the scan order — and therefore the output — fully deterministic.
-pub fn dijkstra_with_hops_csr(csr: &Csr, src: NodeId) -> (Vec<f64>, Vec<u32>) {
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
+/// Overlay sources handed to the pool as one task. The task owns one
+/// [`Search`], refilled rather than reallocated between its sources.
+const SOURCES_PER_TASK: usize = 8;
 
-    #[derive(PartialEq)]
-    struct Entry {
-        dist: f64,
-        hops: u32,
-        node: u32,
+/// Bound on `max link delay / bucket width`, and so on the bucket count
+/// of a search, when link delays span more than this ratio.
+const MAX_BUCKET_SPAN: f64 = 32.0;
+
+/// How label delays map onto the circular bucket array of a [`Search`].
+#[derive(Debug, Clone, Copy)]
+struct BucketLayout {
+    /// Reciprocal of the bucket width, 1/ms.
+    inv_width: f64,
+    /// Buckets in the circular array, a power of two.
+    n_buckets: usize,
+}
+
+impl BucketLayout {
+    /// `width = max(min link delay, max link delay / MAX_BUCKET_SPAN)`. A
+    /// relaxation moves a label forward by at most `max / width` buckets
+    /// (plus one for rounding), so `ceil(max / width) + 2` buckets never
+    /// wrap onto the one being drained. When the width is the minimum
+    /// link delay — the paper's 2 ms floor under a 60 ms cap — no
+    /// relaxation lands in the bucket being drained either.
+    fn of(csr: &Csr) -> Self {
+        let weights = (0..csr.n_nodes()).flat_map(|u| csr.neighbors(u).1);
+        let (min, max) =
+            weights.fold((f64::INFINITY, 0.0f64), |(lo, hi), &w| (lo.min(w), hi.max(w)));
+        // A graph without links has one label, the source's: bucket 0.
+        let width = min.max(max / MAX_BUCKET_SPAN);
+        let n_buckets = ((max / width).ceil() as usize + 2).next_power_of_two();
+        Self { inv_width: 1.0 / width, n_buckets }
     }
-    impl Eq for Entry {}
-    impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // Min-heap: reversed comparisons.
-            other
-                .dist
-                .partial_cmp(&self.dist)
-                .unwrap_or(Ordering::Equal)
-                .then_with(|| other.hops.cmp(&self.hops))
-                .then_with(|| other.node.cmp(&self.node))
-        }
-    }
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
+}
+
+/// A queued label: `node` reached at `(dist, hops)`.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    dist: f64,
+    hops: u32,
+    node: u32,
+}
+
+/// The per-task workspace of the single-source search: the `V`-wide label
+/// arrays and a monotone bucket queue keyed on `floor(dist / width)`.
+struct Search {
+    dist: Vec<f64>,
+    hops: Vec<u32>,
+    buckets: Vec<Vec<Entry>>,
+    inv_width: f64,
+}
+
+impl Search {
+    fn new(n_nodes: usize, queue: BucketLayout) -> Self {
+        Self {
+            dist: vec![f64::INFINITY; n_nodes],
+            hops: vec![u32::MAX; n_nodes],
+            buckets: vec![Vec::new(); queue.n_buckets],
+            inv_width: queue.inv_width,
         }
     }
 
-    let n = csr.n_nodes();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut hops = vec![u32::MAX; n];
-    dist[src] = 0.0;
-    hops[src] = 0;
-    let mut heap = BinaryHeap::with_capacity(n / 4);
-    heap.push(Entry { dist: 0.0, hops: 0, node: src as u32 });
-    while let Some(Entry { dist: d, hops: h, node: u }) = heap.pop() {
-        let u = u as usize;
-        if d > dist[u] || (d == dist[u] && h > hops[u]) {
-            continue;
-        }
-        let (targets, weights) = csr.neighbors(u);
-        for (&v, &w) in targets.iter().zip(weights) {
-            let vu = v as usize;
-            let alt = d + w;
-            let alt_h = h + 1;
-            if alt < dist[vu] || (alt == dist[vu] && alt_h < hops[vu]) {
-                dist[vu] = alt;
-                hops[vu] = alt_h;
-                heap.push(Entry { dist: alt, hops: alt_h, node: v });
+    /// Labels every node reachable from `src` with its lexicographically
+    /// minimal `(delay, hops)`; the rest keep `(INFINITY, u32::MAX)`.
+    ///
+    /// Buckets are drained in increasing order. A label only ever moves
+    /// forward (`d + w >= d`, and the bucket index is monotone in the
+    /// delay), so when a bucket is reached every label that can improve
+    /// one of its nodes is either final or inside it; an improvement that
+    /// lands inside it is appended and relaxed again in the same drain.
+    fn run(&mut self, csr: &Csr, src: NodeId) {
+        let Self { dist, hops, buckets, inv_width } = self;
+        dist.fill(f64::INFINITY);
+        hops.fill(u32::MAX);
+        dist[src] = 0.0;
+        hops[src] = 0;
+        let mask = buckets.len() - 1;
+        buckets[0].push(Entry { dist: 0.0, hops: 0, node: src as u32 });
+        let (mut current, mut last) = (0usize, 0usize);
+        while current <= last {
+            let slot = current & mask;
+            let mut next = 0;
+            while let Some(&Entry { dist: d, hops: h, node: u }) = buckets[slot].get(next) {
+                next += 1;
+                let u = u as usize;
+                // Labels only improve, so a superseded entry differs.
+                if d != dist[u] || h != hops[u] {
+                    continue;
+                }
+                let (targets, weights) = csr.neighbors(u);
+                for (&v, &w) in targets.iter().zip(weights) {
+                    let vu = v as usize;
+                    let alt = d + w;
+                    let alt_h = h + 1;
+                    // A sum that overflowed to infinity is no path: only
+                    // finite labels are stored, so `bucket` is in range.
+                    if alt < dist[vu] || (alt == dist[vu] && alt_h < hops[vu] && alt.is_finite()) {
+                        dist[vu] = alt;
+                        hops[vu] = alt_h;
+                        let bucket = (alt * *inv_width) as usize;
+                        debug_assert!(bucket >= current && bucket - current <= mask);
+                        last = last.max(bucket);
+                        buckets[bucket & mask].push(Entry { dist: alt, hops: alt_h, node: v });
+                    }
+                }
             }
+            buckets[slot].clear();
+            current += 1;
         }
     }
-    (dist, hops)
 }
 
 /// Single-source Dijkstra over link delays — the independent oracle used by
@@ -329,6 +428,87 @@ pub fn dijkstra(topo: &Topology, src: NodeId) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::topology::Link;
+
+    /// The engine [`OverlayApsp`] replaced, kept as its bit-for-bit
+    /// reference: single-source binary-heap Dijkstra over a CSR graph,
+    /// minimizing `(delay, hops)` lexicographically, ties beyond that toward
+    /// lower node ids.
+    fn dijkstra_with_hops_csr(csr: &Csr, src: NodeId) -> (Vec<f64>, Vec<u32>) {
+        use std::cmp::Ordering;
+        use std::collections::BinaryHeap;
+
+        #[derive(PartialEq)]
+        struct Entry {
+            dist: f64,
+            hops: u32,
+            node: u32,
+        }
+        impl Eq for Entry {}
+        impl Ord for Entry {
+            fn cmp(&self, other: &Self) -> Ordering {
+                // Min-heap: reversed comparisons.
+                other
+                    .dist
+                    .partial_cmp(&self.dist)
+                    .unwrap_or(Ordering::Equal)
+                    .then_with(|| other.hops.cmp(&self.hops))
+                    .then_with(|| other.node.cmp(&self.node))
+            }
+        }
+        impl PartialOrd for Entry {
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        let n = csr.n_nodes();
+        let mut dist = vec![f64::INFINITY; n];
+        let mut hops = vec![u32::MAX; n];
+        dist[src] = 0.0;
+        hops[src] = 0;
+        let mut heap = BinaryHeap::with_capacity(n / 4);
+        heap.push(Entry { dist: 0.0, hops: 0, node: src as u32 });
+        while let Some(Entry { dist: d, hops: h, node: u }) = heap.pop() {
+            let u = u as usize;
+            if d > dist[u] || (d == dist[u] && h > hops[u]) {
+                continue;
+            }
+            let (targets, weights) = csr.neighbors(u);
+            for (&v, &w) in targets.iter().zip(weights) {
+                let vu = v as usize;
+                let alt = d + w;
+                let alt_h = h + 1;
+                if alt < dist[vu] || (alt == dist[vu] && alt_h < hops[vu]) {
+                    dist[vu] = alt;
+                    hops[vu] = alt_h;
+                    heap.push(Entry { dist: alt, hops: alt_h, node: v });
+                }
+            }
+        }
+        (dist, hops)
+    }
+
+    /// What `OverlayApsp::compute` returned before the bucket-queue
+    /// engine: one heap Dijkstra per overlay node, overlay columns kept.
+    fn heap_reference(topo: &Topology, overlay: &[NodeId]) -> (Vec<f64>, Vec<u32>) {
+        let csr = topo.csr();
+        let (mut delay, mut hops) = (Vec::new(), Vec::new());
+        for &src in overlay {
+            let (dist_row, hop_row) = dijkstra_with_hops_csr(&csr, src);
+            delay.extend(overlay.iter().map(|&dst| dist_row[dst]));
+            hops.extend(overlay.iter().map(|&dst| hop_row[dst]));
+        }
+        (delay, hops)
+    }
+
+    /// `==` on both matrices: every delay bit and every hop count.
+    fn assert_equals_heap_reference(topo: &Topology, overlay: &[NodeId], what: &str) {
+        let (nodes, delay, hops) = OverlayApsp::compute(topo, overlay).into_parts();
+        let (ref_delay, ref_hops) = heap_reference(topo, overlay);
+        assert_eq!(nodes, overlay, "{what}: node order");
+        assert!(delay == ref_delay, "{what}: delays differ from the heap reference");
+        assert!(hops == ref_hops, "{what}: hops differ from the heap reference");
+    }
 
     fn line_graph(n: usize) -> Topology {
         let links = (0..n - 1).map(|i| Link { a: i, b: i + 1, delay_ms: (i + 1) as f64 }).collect();
@@ -483,5 +663,127 @@ mod tests {
         assert!((apsp.mean_delay_among(&nodes) - 20.0 / 6.0).abs() < 1e-9);
         // hops: 1,2,3,1,2,1 → mean 10/6
         assert!((apsp.mean_hops_among(&nodes) - 10.0 / 6.0).abs() < 1e-9);
+    }
+
+    /// The link-delay families of the bit-equality suite. The last two
+    /// span more than `MAX_BUCKET_SPAN`, so buckets are wider than the
+    /// smallest link and labels improve inside the bucket being drained.
+    fn link_delay(family: usize, rng: &mut rand::rngs::StdRng) -> f64 {
+        use rand::Rng;
+        match family {
+            0 => rng.gen_range(1.0..30.0),
+            // Equal-delay alternatives everywhere: the hop tie-break.
+            1 => 5.0,
+            2 => [1.0, 2.0, 3.0][rng.gen_range(0..3usize)],
+            3 => 10f64.powf(rng.gen_range(-3.0..3.0)),
+            _ => rng.gen_range(1e-6..1e3),
+        }
+    }
+
+    /// Property: the bucket-queue engine returns the heap reference's
+    /// matrices bit for bit — over five link-delay families, average
+    /// degrees 2.0–4.5 (2.0 is a pure tree, nearly all of it pruned),
+    /// overlay densities 1/2–1/8 with sizes off the task size, and pool
+    /// widths 1, 2 and 7.
+    #[test]
+    fn overlay_apsp_equals_heap_reference_bit_for_bit() {
+        let mut wide_layouts = 0;
+        for seed in 0..40u64 {
+            let family = (seed % 5) as usize;
+            let n = 60 + (seed as usize * 37) % 240;
+            let avg_degree = 2.0 + (seed % 6) as f64 * 0.5;
+            let topo = Topology::random(n, avg_degree, seed, |rng| link_delay(family, rng));
+            let (lo, hi) = topo.links().iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), l| {
+                (lo.min(l.delay_ms), hi.max(l.delay_ms))
+            });
+            wide_layouts += usize::from(hi / lo > MAX_BUCKET_SPAN);
+            let stride = 2 + (seed as usize / 5) % 7;
+            let overlay: Vec<NodeId> =
+                (0..n).filter(|v| (v + seed as usize).is_multiple_of(stride)).collect();
+            let what = format!("seed {seed} family {family} degree {avg_degree} 1/{stride}");
+            let width = [1usize, 2, 7][(seed % 3) as usize];
+            rayon::with_num_threads(width, || assert_equals_heap_reference(&topo, &overlay, &what));
+        }
+        assert!(wide_layouts >= 8, "the wide-bucket path went untested");
+        // Sizes around the task size, on one graph.
+        let topo = Topology::random(90, 3.0, 99, |rng| link_delay(0, rng));
+        for m in
+            [SOURCES_PER_TASK - 1, SOURCES_PER_TASK, SOURCES_PER_TASK + 1, 3 * SOURCES_PER_TASK + 5]
+        {
+            let overlay: Vec<NodeId> = (0..m).map(|i| i * 90 / m).collect();
+            for width in [1usize, 2, 7] {
+                let what = format!("{m} sources, width {width}");
+                rayon::with_num_threads(width, || {
+                    assert_equals_heap_reference(&topo, &overlay, &what)
+                });
+            }
+        }
+    }
+
+    /// The queue and the pruning assume neither connectivity nor a
+    /// non-trivial overlay.
+    #[test]
+    fn overlay_apsp_degenerate_inputs() {
+        // Two components, {0,1,2} and {3,4}, and an isolated node 5.
+        let split = Topology::new(
+            6,
+            vec![
+                Link { a: 0, b: 1, delay_ms: 1.5 },
+                Link { a: 1, b: 2, delay_ms: 2.5 },
+                Link { a: 3, b: 4, delay_ms: 4.0 },
+            ],
+        );
+        let ov = OverlayApsp::compute(&split, &[0, 2, 4, 5]);
+        assert_eq!((ov.delay_ms_at(0, 1), ov.hops_at(0, 1)), (4.0, 2));
+        assert_eq!((ov.delay_ms_at(1, 0), ov.hops_at(1, 0)), (4.0, 2));
+        for (i, j) in [(0, 2), (2, 0), (1, 2), (0, 3), (3, 0), (2, 3), (3, 2)] {
+            assert_eq!(ov.delay_ms_at(i, j), f64::INFINITY, "({i},{j})");
+            assert_eq!(ov.hops_at(i, j), u32::MAX, "({i},{j})");
+        }
+        for i in 0..4 {
+            assert_eq!((ov.delay_ms_at(i, i), ov.hops_at(i, i)), (0.0, 0));
+        }
+        assert_equals_heap_reference(&split, &[0, 2, 4, 5], "disconnected");
+
+        let topo = Topology::random(50, 3.0, 17, |rng| link_delay(0, rng));
+        let empty = OverlayApsp::compute(&topo, &[]);
+        assert!(empty.is_empty());
+        assert_eq!(empty.into_parts(), (vec![], vec![], vec![]));
+        assert_eq!(OverlayApsp::compute(&topo, &[7]).into_parts(), (vec![7], vec![0.0], vec![0]));
+
+        let dup = OverlayApsp::compute(&topo, &[3, 9, 3]);
+        assert_eq!((dup.delay_ms_at(0, 2), dup.hops_at(0, 2)), (0.0, 0));
+        assert_eq!(dup.delay_ms_at(0, 1), dup.delay_ms_at(2, 1));
+        assert_eq!(dup.delay_ms_at(1, 0), dup.delay_ms_at(1, 2));
+        assert_equals_heap_reference(&topo, &[3, 9, 3], "duplicate ids");
+
+        // Nothing to prune; almost everything to prune.
+        assert_equals_heap_reference(&topo, &(0..50).collect::<Vec<_>>(), "every node");
+        let tree = Topology::random(200, 2.0, 23, |rng| link_delay(0, rng));
+        let few: Vec<NodeId> = (0..200).step_by(40).collect();
+        assert!(tree.csr().strip_pendant_trees(&few).n_edges() < tree.csr().n_edges() / 2);
+        assert_equals_heap_reference(&tree, &few, "spanning tree plus one link");
+
+        // Parallel links: the cheaper one counts, whichever comes first.
+        let parallel = Topology::new(
+            3,
+            vec![
+                Link { a: 0, b: 1, delay_ms: 9.0 },
+                Link { a: 0, b: 1, delay_ms: 2.0 },
+                Link { a: 1, b: 2, delay_ms: 1.0 },
+                Link { a: 1, b: 2, delay_ms: 6.0 },
+            ],
+        );
+        let ov = OverlayApsp::compute(&parallel, &[0, 2]);
+        assert_eq!((ov.delay_ms_at(0, 1), ov.hops_at(0, 1)), (3.0, 2));
+        assert_equals_heap_reference(&parallel, &[0, 1, 2], "parallel links");
+
+        // A path sum that overflows f64 is no path, not a label.
+        let huge = Topology::new(
+            3,
+            vec![Link { a: 0, b: 1, delay_ms: 1e308 }, Link { a: 1, b: 2, delay_ms: 1e308 }],
+        );
+        let ov = OverlayApsp::compute(&huge, &[0, 2]);
+        assert_eq!((ov.delay_ms_at(0, 1), ov.hops_at(0, 1)), (f64::INFINITY, u32::MAX));
     }
 }

@@ -11,9 +11,13 @@
 //!   with a CSR adjacency view ([`topology::Csr`]) for traversal;
 //! * [`pareto`] — the bounded Pareto link-delay sampler;
 //! * [`apsp`] — the overlay-targeted shortest-path engine
-//!   ([`apsp::OverlayApsp`]: parallel per-source Dijkstra over CSR,
-//!   computing only the rows the overlay queries), with Floyd–Warshall
-//!   kept as the property-test oracle;
+//!   ([`apsp::OverlayApsp`]: one bucket-queue search per overlay node
+//!   over the CSR stripped of pendant router trees, in parallel, keeping
+//!   only the `m × m` cells the overlay queries — `O(m · (V + E))` time,
+//!   `O(m² + threads · V)` memory), with Floyd–Warshall kept as the
+//!   property-test oracle. Each directed cell is summed on its own:
+//!   filling by symmetry or contracting degree-2 router chains would
+//!   change the last bits;
 //! * [`partition`] — deterministic weighted partitioning over CSR
 //!   (seeded BFS region growth + label-propagation refinement),
 //!   the cut-minimizer behind the simulator's sharded engine;

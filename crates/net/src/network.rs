@@ -91,9 +91,9 @@ pub struct PhysicalNetwork {
 impl PhysicalNetwork {
     /// Generates the topology, places roles, and computes overlay delays.
     ///
-    /// Shortest paths from each overlay node are found with Dijkstra over
-    /// link delays (equivalent to the paper's Floyd–Warshall routing tables
-    /// but only materializing the rows the overlay needs).
+    /// Shortest paths from each overlay node are found by [`OverlayApsp`]
+    /// over link delays (equivalent to the paper's Floyd–Warshall routing
+    /// tables but only materializing the cells the overlay needs).
     pub fn generate(cfg: &NetworkConfig, seed: u64) -> Self {
         let pareto = Pareto::with_mean(cfg.link_delay_min_ms, cfg.link_delay_mean_ms);
         let cap = cfg.link_delay_cap_ms;
@@ -107,7 +107,7 @@ impl PhysicalNetwork {
     /// Builds the overlay matrices from an explicit topology + placement
     /// (used by tests that need hand-crafted networks).
     ///
-    /// Delegates to [`OverlayApsp`]: one Dijkstra per overlay node over a
+    /// Delegates to [`OverlayApsp`]: one search per overlay node over a
     /// CSR view of the graph, fanned out across threads, instead of the
     /// paper's full `O(V³)` Floyd–Warshall routing tables.
     pub fn from_parts(topo: &Topology, placement: Placement) -> Self {
@@ -228,6 +228,15 @@ impl PhysicalNetwork {
     pub fn delay_scale(&self) -> f64 {
         self.delay_scale
     }
+
+    /// Consumes the network into its row-major delay matrix (ms, scaled)
+    /// over `[source, repositories...]`, releasing the hop matrix — for
+    /// callers that keep only the delays and would otherwise copy them
+    /// cell by cell through [`Self::delay_ms`].
+    pub fn into_overlay_delays(self) -> Vec<f64> {
+        debug_assert_eq!(self.overlay, self.placement.overlay_nodes());
+        self.delay
+    }
 }
 
 #[cfg(test)]
@@ -290,6 +299,20 @@ mod tests {
         assert!((net.mean_overlay_delay_ms() - 75.0).abs() < 1e-6);
         assert!(f > 0.0);
         assert!((net.delay_scale() - f).abs() < 1e-12);
+    }
+
+    #[test]
+    fn into_overlay_delays_is_the_scaled_matrix_in_placement_order() {
+        let mut net = PhysicalNetwork::generate(&NetworkConfig::small(90, 12), 21);
+        net.scale_to_mean_delay(40.0);
+        let mut order = vec![net.source()];
+        order.extend_from_slice(net.repositories());
+        let cells: Vec<f64> = order
+            .iter()
+            .flat_map(|&a| order.iter().map(move |&b| (a, b)))
+            .map(|(a, b)| net.delay_ms(a, b))
+            .collect();
+        assert_eq!(net.into_overlay_delays(), cells);
     }
 
     #[test]

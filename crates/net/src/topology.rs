@@ -165,7 +165,7 @@ impl Topology {
 /// Compressed-sparse-row adjacency: all neighbor lists in two flat arrays,
 /// indexed by a per-node offset table. Traversing a node's neighborhood is
 /// one contiguous scan instead of a pointer chase through per-node `Vec`s,
-/// which is what the multi-source Dijkstra in [`crate::apsp`] spends its
+/// which is what the multi-source search in [`crate::apsp`] spends its
 /// time doing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
@@ -209,6 +209,53 @@ impl Csr {
     /// Number of directed edges (twice the link count).
     pub fn n_edges(&self) -> usize {
         self.targets.len()
+    }
+
+    /// The graph without its pendant trees: nodes left with a single link
+    /// are dropped, repeatedly, unless listed in `keep`. Node ids, and the
+    /// order of every surviving neighbor list, are unchanged.
+    ///
+    /// A dropped tree hangs off the rest by one node, so no simple path
+    /// between two surviving nodes enters it: shortest paths among the
+    /// survivors — every path from a `keep` node to a `keep` node — are
+    /// the same link sequences as in `self`.
+    pub fn strip_pendant_trees(&self, keep: &[NodeId]) -> Csr {
+        let n = self.n_nodes();
+        let mut kept = vec![false; n];
+        for &node in keep {
+            kept[node] = true;
+        }
+        // Links to nodes still present; 0 once a node is dropped.
+        let mut degree: Vec<u32> = self.offsets.windows(2).map(|w| w[1] - w[0]).collect();
+        let mut leaves: Vec<usize> = (0..n).filter(|&u| degree[u] == 1 && !kept[u]).collect();
+        while let Some(u) = leaves.pop() {
+            degree[u] = 0;
+            // Absent when the other end of a two-node component went first.
+            if let Some(&v) = self.neighbors(u).0.iter().find(|&&v| degree[v as usize] > 0) {
+                let v = v as usize;
+                degree[v] -= 1;
+                if degree[v] == 1 && !kept[v] {
+                    leaves.push(v);
+                }
+            }
+        }
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(self.targets.len());
+        let mut weights_ms = Vec::with_capacity(self.targets.len());
+        offsets.push(0u32);
+        for u in 0..n {
+            if degree[u] > 0 {
+                let (ts, ws) = self.neighbors(u);
+                for (&v, &w) in ts.iter().zip(ws) {
+                    if degree[v as usize] > 0 {
+                        targets.push(v);
+                        weights_ms.push(w);
+                    }
+                }
+            }
+            offsets.push(targets.len() as u32);
+        }
+        Csr { offsets, targets, weights_ms }
     }
 
     /// `(neighbor, delay_ms)` pairs of `node`, as parallel slices.
@@ -280,6 +327,33 @@ mod tests {
         let t = Topology::random(2, 2.0, 0, fixed_delay);
         assert!(t.is_connected());
         assert!(!t.links().is_empty());
+    }
+
+    #[test]
+    fn strip_pendant_trees_keeps_cycles_and_kept_nodes() {
+        // Triangle 0-1-2 with the tail 2-3-4-5 and the spur 3-6.
+        let link = |a, b| Link { a, b, delay_ms: (a + b) as f64 };
+        let links = vec![
+            link(0, 1),
+            link(1, 2),
+            link(2, 0),
+            link(2, 3),
+            link(3, 4),
+            link(4, 5),
+            link(3, 6),
+        ];
+        let csr = Topology::new(7, links).csr();
+        // Keeping 4: 5 and 6 go, the path to 4 stays.
+        let stripped = csr.strip_pendant_trees(&[4]);
+        assert_eq!(stripped.n_nodes(), 7);
+        assert_eq!(stripped.neighbors(3), (&[2u32, 4][..], &[5.0, 7.0][..]));
+        assert_eq!(stripped.neighbors(4), (&[3u32][..], &[7.0][..]));
+        assert_eq!(stripped.neighbors(5).0.len() + stripped.neighbors(6).0.len(), 0);
+        assert_eq!(stripped.neighbors(2), csr.neighbors(2));
+        // Keeping nothing: only the triangle survives.
+        assert_eq!(csr.strip_pendant_trees(&[]).n_edges(), 6);
+        // Keeping the tips of both branches: nothing to strip.
+        assert_eq!(csr.strip_pendant_trees(&[5, 6]), csr);
     }
 
     #[test]

@@ -290,18 +290,9 @@ fn build_delays(cfg: &SimConfig) -> (DelayMatrix, f64) {
         net.scale_to_mean_delay(target);
     }
     let mean = net.mean_overlay_delay_ms();
-    // Overlay index 0 = source, i+1 = i-th repository (sorted node ids).
-    let mut physical: Vec<usize> = Vec::with_capacity(cfg.n_repos + 1);
-    physical.push(net.source());
-    physical.extend_from_slice(net.repositories());
-    let n = physical.len();
-    let mut m = vec![0.0; n * n];
-    for (i, &a) in physical.iter().enumerate() {
-        for (j, &b) in physical.iter().enumerate() {
-            m[i * n + j] = if i == j { 0.0 } else { net.delay_ms(a, b) };
-        }
-    }
-    (DelayMatrix::new(n, m), mean)
+    // Overlay index 0 = source, i+1 = i-th repository (sorted node ids):
+    // the order the network already keeps its matrix in.
+    (DelayMatrix::new(cfg.n_repos + 1, net.into_overlay_delays()), mean)
 }
 
 fn effective_degree(cfg: &SimConfig, mean_comm_ms: f64) -> usize {
