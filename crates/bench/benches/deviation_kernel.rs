@@ -10,11 +10,6 @@
 //!   (`on_source_update_into`) against the allocating scalar oracle
 //!   (`on_source_update`), on a 600-dependent fanout row and on a
 //!   128-class centralized tolerance list;
-//! * **run-batched rows** — whole staged runs through
-//!   `Disseminator::on_run_into` (item-grouped and pop-order staging)
-//!   against the same touches driven one `on_source_update_into` call at
-//!   a time, on a multi-item d3g where grouping actually makes items
-//!   repeat within a run;
 //! * **paper-scale components** — the per-source-change costs that
 //!   dominate the protocol+fidelity half of a whole run: the fidelity
 //!   tracker's per-item pair scan and the disseminator's source decision,
@@ -28,9 +23,7 @@ use std::time::Instant;
 
 use criterion::{black_box, Criterion};
 use d3t_core::coherency::Coherency;
-use d3t_core::dissemination::{
-    kernel, Disseminator, EdgeState, ForwardScratch, Protocol, RunDecisions, RunTouch,
-};
+use d3t_core::dissemination::{kernel, Disseminator, EdgeState, ForwardScratch, Protocol};
 use d3t_core::fidelity::FidelityTracker;
 use d3t_core::graph::D3g;
 use d3t_core::item::ItemId;
@@ -162,114 +155,6 @@ fn disseminator_rows(c: &mut Criterion) {
     group.finish();
 }
 
-/// Whole staged runs through the run-level sweep vs the same touches
-/// driven one per-event call at a time. The d3g makes grouping matter:
-/// 16 items × 64 dependents each, and a 128-touch run visits every item
-/// 8 times — the regime where the item-grouped sweep walks each CSR row
-/// region 8 touches in a row instead of bouncing between items. (At
-/// paper scale runs average ~33 touches over ~100 items, which is why
-/// the session only sorts long runs; this case pins the shape where the
-/// grouping is designed to win.)
-fn run_batched_rows(c: &mut Criterion) {
-    const N_ITEMS: usize = 16;
-    const N_REPOS: usize = 64;
-    const RUN: usize = 128;
-    let mut g = D3g::new(N_REPOS, N_ITEMS);
-    for i in 0..N_ITEMS {
-        for r in 0..N_REPOS {
-            let tol = Coherency::new(0.05 + ((r * 7 + i) % 97) as f64 / 100.0);
-            g.add_edge(SOURCE, NodeIdx::repo(r), ItemId(i as u32), tol);
-        }
-    }
-    let initial = vec![10.0; N_ITEMS];
-    let values = walk(4096);
-
-    // One run: 128 source ticks round-robin across the 16 items, staged
-    // both item-grouped (stable by original index) and in pop order.
-    let touches_for = |base: usize, grouped: bool| -> Vec<RunTouch> {
-        let mut touches: Vec<RunTouch> = (0..RUN)
-            .map(|k| RunTouch {
-                idx: k as u32,
-                node: SOURCE,
-                item: ItemId((k % N_ITEMS) as u32),
-                at_us: (base + k) as u64,
-                value: values[(base + k) % values.len()],
-                tag: f64::NAN,
-            })
-            .collect();
-        if grouped {
-            touches.sort_unstable_by_key(RunTouch::group_key);
-        }
-        touches
-    };
-
-    let reps = 2_000usize;
-    let mut rates = Vec::new();
-    for (name, grouped) in [("grouped", true), ("pop_order", false)] {
-        let mut d = Disseminator::new(Protocol::Distributed, &g, &initial);
-        let mut dec = RunDecisions::new();
-        let mut checks = 0u64;
-        let start = Instant::now();
-        for rep in 0..reps {
-            let touches = touches_for(rep * RUN, grouped);
-            d.on_run_into(&touches, &mut dec);
-            checks += dec.source_checks + dec.repo_checks;
-        }
-        let wall = start.elapsed().as_secs_f64();
-        rates.push((name, checks, checks as f64 / wall));
-    }
-    // The same touch stream one per-event call at a time — what a cap-1
-    // scalar drain would issue.
-    let mut d = Disseminator::new(Protocol::Distributed, &g, &initial);
-    let mut scratch = ForwardScratch::new();
-    let mut per_event_checks = 0u64;
-    let start = Instant::now();
-    for rep in 0..reps {
-        for t in touches_for(rep * RUN, false) {
-            d.on_source_update_into(t.item, t.value, &mut scratch);
-            per_event_checks += scratch.checks();
-        }
-    }
-    let per_event_rate = per_event_checks as f64 / start.elapsed().as_secs_f64();
-    for &(name, checks, rate) in &rates {
-        assert_eq!(checks, per_event_checks, "{name} run sweep must count like per-event calls");
-        println!(
-            "KERNEL shape=run128x16items_{name} checks={checks} checks_per_sec={rate:.0} \
-             per_event_checks_per_sec={per_event_rate:.0}"
-        );
-    }
-
-    let mut group = c.benchmark_group("deviation_kernel/run128x16items");
-    let grouped_touches = touches_for(0, true);
-    let pop_touches = touches_for(0, false);
-    let mut d = Disseminator::new(Protocol::Distributed, &g, &initial);
-    let mut dec = RunDecisions::new();
-    group.bench_function("on_run_into_grouped", |b| {
-        b.iter(|| {
-            d.on_run_into(black_box(&grouped_touches), &mut dec);
-            black_box(dec.source_checks + dec.repo_checks)
-        })
-    });
-    group.bench_function("on_run_into_pop_order", |b| {
-        b.iter(|| {
-            d.on_run_into(black_box(&pop_touches), &mut dec);
-            black_box(dec.source_checks + dec.repo_checks)
-        })
-    });
-    let mut scratch = ForwardScratch::new();
-    group.bench_function("per_event_into", |b| {
-        b.iter(|| {
-            let mut checks = 0u64;
-            for t in &pop_touches {
-                d.on_source_update_into(t.item, t.value, &mut scratch);
-                checks += scratch.checks();
-            }
-            black_box(checks)
-        })
-    });
-    group.finish();
-}
-
 /// Per-source-change component costs over a real paper-scale change
 /// stream: fidelity pair scan and disseminator source decision.
 fn paper_scale_components(_c: &mut Criterion) {
@@ -312,6 +197,6 @@ fn config() -> Criterion {
 criterion::criterion_group! {
     name = benches;
     config = config();
-    targets = raw_scans, disseminator_rows, run_batched_rows, paper_scale_components
+    targets = raw_scans, disseminator_rows, paper_scale_components
 }
 criterion::criterion_main!(benches);

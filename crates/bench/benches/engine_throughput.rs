@@ -21,7 +21,11 @@
 //!   the machine — the relative form measures the code). With the
 //!   seeded backlog gone the heap is competitive on this
 //!   shallow-pending shape; the `event_queue` micro bench covers the
-//!   deep-pending regime where the calendar's O(1) wins.
+//!   deep-pending regime where the calendar's O(1) wins. The
+//!   `session_step_loop` line drives the same session one `step()` at a
+//!   time — no runs, no prefetch — which is what the run drain has to
+//!   beat to keep its place (the comparison that retired the five-pass
+//!   batched pipeline).
 //!
 //! `(FidelityReport, Metrics)` are asserted bit-identical across the
 //! slim-slot calendar, the heap backend, and the scalar-oracle
@@ -34,7 +38,7 @@ use std::time::Instant;
 use criterion::{black_box, Criterion};
 use d3t_sim::engine::EventKind;
 use d3t_sim::queue::{CalendarQueue, EventQueue, HeapQueue};
-use d3t_sim::{Prepared, QueueBackend, SimConfig};
+use d3t_sim::{NoopObserver, Prepared, QueueBackend, SimConfig};
 
 /// ≥600 repos, ≥100 items, 10k-tick traces — the acceptance-bar scale.
 fn paper_scale_config(queue: QueueBackend) -> SimConfig {
@@ -212,13 +216,31 @@ fn engine_throughput(c: &mut Criterion) {
         "kernel session and scalar-oracle engine must agree bit-for-bit at paper scale"
     );
 
+    let step_loop = || {
+        let mut s = prepared.session_with::<CalendarQueue<EventKind>, _>(NoopObserver);
+        while s.step().is_some() {}
+        s.run_to_end()
+    };
+    let start = Instant::now();
+    let by_step = step_loop();
+    let step_rate = by_step.1.events as f64 / start.elapsed().as_secs_f64() / 1e6;
+    println!(
+        "whole_run/session_step_loop: {step_rate:.2} M events/sec (run drain {:.2}x)",
+        calendar_best_rate / step_rate
+    );
+    assert_eq!(
+        by_step,
+        (reports[0].fidelity.clone(), reports[0].metrics),
+        "step loop and run drain must agree bit-for-bit at paper scale"
+    );
+
     // The whole-run throughput gate, re-anchored (PR 6): absolute
     // events/s on this shared 1-core container drift ~20% between PRs
     // (PR 5 recorded 9.25 M events/s; the same code measures ~7.4 M
     // today), so the old fixed 8.6 M bar gated the host, not the code.
     // Two parts, both waived by D3T_SKIP_PERF_GATE=1 on a known-busy
     // host:
-    //  * a **relative** guard — the batched session drain must stay
+    //  * a **relative** guard — the session's run drain must stay
     //    within 15% of the scalar-oracle engine timed in the same
     //    process moments earlier (measured today: session 7.4-7.7 vs
     //    oracle ~7.6 M events/s, parity within host noise; a real
@@ -254,7 +276,7 @@ fn engine_throughput(c: &mut Criterion) {
         );
         assert!(
             gate_rate >= 0.85 * oracle_rate,
-            "batched session drain regressed against the same-process scalar oracle: \
+            "session run drain regressed against the same-process scalar oracle: \
              {gate_rate:.2} vs {oracle_rate:.2} M events/sec (the drain should be at or above \
              oracle parity; set D3T_SKIP_PERF_GATE=1 only if the host load is visibly erratic)"
         );
@@ -286,6 +308,9 @@ fn engine_throughput(c: &mut Criterion) {
     });
     group.bench_function("whole_run/heap", |b| {
         b.iter(|| black_box(prepared.run_with::<HeapQueue<EventKind>>()));
+    });
+    group.bench_function("whole_run/session_step_loop", |b| {
+        b.iter(|| black_box(step_loop()));
     });
     group.finish();
 }

@@ -55,27 +55,13 @@
 //!   not, no early exit) — so Figure 11's check counts compare protocols
 //!   apples-to-apples. The invariant is pinned by
 //!   `checks_count_one_evaluation_per_candidate` below.
-//! * **Run-level sweeps:** above the per-event sinks sits
-//!   [`Disseminator::on_run_into`], which takes one staged drain run as
-//!   a flat [`RunTouch`] slice and emits every decision into a reusable
-//!   span-indexed [`RunDecisions`] (`spans[k]..spans[k+1]` slices the
-//!   recipients of touch `k`). The sweep visits touches in caller order
-//!   — the session groups a run by item only when it is long enough for
-//!   items to repeat — and prefetches the CSR row of the touch four
-//!   positions ahead. Distance matters: issuing a whole run's prefetches
-//!   up front at gather time floods the core's line-fill buffers and
-//!   most of them are dropped (measured ~8% whole-run regression), while
-//!   an in-pass distance-4 stream keeps the row table one access ahead
-//!   of the scan.
 //! * Measured (1-core container, `deviation_kernel` bench): ~1.0 G
 //!   checks/s on a hot 600-wide fanout row (raw scan; ~0.59 G driven
 //!   through `on_source_update_into`, vs ~0.33 G for the scalar oracle)
-//!   and ~1.4 G class-checks/s on a 128-class tag scan. At the
-//!   whole-run level, paper-scale drain runs average ~33 events over
-//!   ~100 items (≈1.3 touches per touched item), so item grouping buys
-//!   no locality there — run batching's wins come from bulk queue ops
-//!   and per-run (not per-event) telemetry stamping; see
-//!   `d3t-sim::session` for the per-phase cycle split.
+//!   and ~1.4 G class-checks/s on a 128-class tag scan. The row table is
+//!   tens of MB at scale, so an event loop that knows its next few
+//!   deliveries hints them with [`Disseminator::prefetch_row`] a short
+//!   distance ahead (see `d3t-sim::session` for the measured distance).
 
 pub mod centralized;
 pub mod distributed;
@@ -131,106 +117,6 @@ pub struct Forwarding {
     /// Number of filter evaluations performed making this decision —
     /// the "checks" metric of Figure 11.
     pub checks: u64,
-}
-
-/// Flag bit a sharded caller sets in [`RunTouch::idx`] to mark a
-/// **mirror** touch: a delivery replayed on a replica that does not own
-/// the receiving node. [`Disseminator::on_run_into`] then applies only
-/// the state write ([`Disseminator::record_at`]'s row + parent-edge
-/// update — what a later decision *at an ancestor the replica does own*
-/// reads) and makes no forwarding decision for it. The bit lives in the
-/// staging index, so mirror-carrying runs must be staged in pop order,
-/// never sorted by [`RunTouch::group_key`].
-pub const MIRROR_TOUCH_BIT: u32 = 1 << 31;
-
-/// One staged event of a reorder-free run — the unit
-/// [`Disseminator::on_run_into`] and the fidelity tracker's
-/// run sink consume. A touch is either a source tick (`node ==
-/// SOURCE`) or a delivered arrival, flattened so a whole run can be
-/// staged structure-of-arrays style, sorted by `(item, idx)` and swept
-/// per item.
-#[derive(Debug, Clone, Copy)]
-pub struct RunTouch {
-    /// Position of the event in the run's original (pop) order — what
-    /// the caller scatters results back through. The top bit is
-    /// reserved: [`MIRROR_TOUCH_BIT`].
-    pub idx: u32,
-    /// Receiving node; [`SOURCE`] marks a source tick.
-    pub node: NodeIdx,
-    /// The item touched.
-    pub item: ItemId,
-    /// Event time, µs (runs may span several distinct timestamps).
-    pub at_us: u64,
-    /// The new value.
-    pub value: f64,
-    /// Centralized tag carried by an arrival (raw tolerance value);
-    /// NaN = untagged.
-    pub tag: f64,
-}
-
-impl RunTouch {
-    /// The touch's payload as an [`Update`] (tag re-boxed).
-    #[inline]
-    pub fn update(&self) -> Update {
-        let tag = if self.tag.is_nan() { None } else { Some(Coherency::new(self.tag)) };
-        Update { item: self.item, value: self.value, tag }
-    }
-
-    /// Sort key grouping a run by item while keeping original event
-    /// order within an item (the order protocol state updates must
-    /// replay in).
-    #[inline]
-    pub fn group_key(&self) -> u64 {
-        (u64::from(self.item.0) << 32) | u64::from(self.idx)
-    }
-}
-
-/// The forwarding decisions for one staged run, flat and reusable: per
-/// touch (in staged order) one outgoing [`Update`] plus a span into the
-/// shared `to` buffer. The run-level [`ForwardScratch`] — grows to the
-/// widest run seen, then the deliver path never allocates.
-#[derive(Debug, Clone, Default)]
-pub struct RunDecisions {
-    /// Forwarding targets of every touch, concatenated in staged order.
-    to: Vec<NodeIdx>,
-    /// Span starts into `to`, one per touch plus a final sentinel:
-    /// touch `k` forwards to `to[spans[k]..spans[k + 1]]`.
-    spans: Vec<u32>,
-    /// The outgoing update per touch (source ticks may gain a tag).
-    updates: Vec<Update>,
-    /// Filter evaluations performed for source-tick touches.
-    pub source_checks: u64,
-    /// Filter evaluations performed for arrival touches.
-    pub repo_checks: u64,
-}
-
-impl RunDecisions {
-    /// An empty decision buffer; reuse one instance across runs.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Clears the buffer for a new run, keeping capacity.
-    pub fn clear(&mut self) {
-        self.to.clear();
-        self.spans.clear();
-        self.updates.clear();
-        self.source_checks = 0;
-        self.repo_checks = 0;
-    }
-
-    /// The forwarding targets decided for staged touch `k`, in CSR row
-    /// order.
-    #[inline]
-    pub fn to_of(&self, k: usize) -> &[NodeIdx] {
-        &self.to[self.spans[k] as usize..self.spans[k + 1] as usize]
-    }
-
-    /// The update staged touch `k` forwards.
-    #[inline]
-    pub fn update_of(&self, k: usize) -> Update {
-        self.updates[k]
-    }
 }
 
 /// Centralized-only per-item source state: the sorted, deduplicated
@@ -456,7 +342,7 @@ impl Disseminator {
 
     /// Replays a delivery's state write on a **replica** disseminator
     /// that did not process the delivery itself — the sharded engine's
-    /// barrier-time reconciliation primitive (value logs, and source
+    /// reconciliation primitive (mirror arrivals, value logs, and source
     /// ticks on non-owning shards). Identical to what processing the
     /// delivery would have written: the receiver-indexed row record and
     /// the per-edge `last_sent` mirror in the parent's CSR run. Makes
@@ -629,133 +515,6 @@ impl Disseminator {
             Protocol::FloodAll => kernel::flood(&self.child_edges[r], &mut out.to),
         };
         out.checks += self.adopted_into(node, update, &mut out.to);
-    }
-
-    /// Decides a whole reorder-free run of staged touches in one call —
-    /// the run-level counterpart of [`Disseminator::on_source_update_into`]
-    /// / [`Disseminator::on_repo_update_into`], sharing their scan kernels
-    /// ([`kernel::deviation_scan`] / [`kernel::tag_scan`] /
-    /// [`kernel::tag_filter`] / [`kernel::flood`]) decision for decision.
-    ///
-    /// The caller may stage the run in any order that keeps same-item
-    /// touches in their original relative order: all protocol state is
-    /// strictly per item — `rows` / `child_edges` rows, the centralized
-    /// `SourceList` — so reordering decisions across *different* items
-    /// cannot change any decision. Pop order qualifies trivially; a
-    /// stable sort by `(item, idx)` additionally makes the sweep walk
-    /// the CSR check table contiguously, which pays once items repeat
-    /// within the run (long runs) and not before. Results land in `out`
-    /// **in the staged order**; callers scatter them back to original
-    /// event order via [`RunTouch::idx`].
-    ///
-    /// Dropped arrivals (inactive node) must be filtered out by the
-    /// caller before staging: the liveness mask cannot change inside a
-    /// reorder-free run, so gather-time filtering is exact.
-    pub fn on_run_into(&mut self, touches: &[RunTouch], out: &mut RunDecisions) {
-        out.clear();
-        out.spans.reserve(touches.len() + 1);
-        out.updates.reserve(touches.len());
-        // Prefetch a few touches ahead (not the whole run at once): the
-        // row table is tens of MB, and a deeper-than-LFB burst of
-        // prefetches just drops most of them.
-        const AHEAD: usize = 4;
-        for t in touches.iter().take(AHEAD) {
-            if !t.node.is_source() {
-                self.prefetch_row(t.node, t.item);
-            }
-        }
-        for (k, t) in touches.iter().enumerate() {
-            if let Some(next) = touches.get(k + AHEAD) {
-                if !next.node.is_source() {
-                    self.prefetch_row(next.node, next.item);
-                }
-            }
-            out.spans.push(out.to.len() as u32);
-            if t.node.is_source() {
-                // Mirror of `on_source_update_into`, appending into the
-                // shared flat target buffer.
-                self.record(t.item, SOURCE, t.value);
-                match self.protocol {
-                    Protocol::Centralized => {
-                        let list = &mut self.source_lists[t.item.index()];
-                        let (hit, checks) = kernel::tag_scan(t.value, &list.c, &mut list.last);
-                        out.source_checks += checks;
-                        let tag = match hit {
-                            None => None,
-                            Some(j) => {
-                                let tag = list.c[j];
-                                let r = self.row_range(SOURCE, t.item);
-                                out.source_checks +=
-                                    kernel::tag_filter(tag, &self.child_edges[r], &mut out.to);
-                                Some(Coherency::new(tag))
-                            }
-                        };
-                        out.updates.push(Update { item: t.item, value: t.value, tag });
-                    }
-                    Protocol::Naive | Protocol::Distributed => {
-                        let bias = match self.protocol {
-                            Protocol::Distributed => self.eff_of(SOURCE, t.item).value(),
-                            _ => 0.0,
-                        };
-                        let r = self.row_range(SOURCE, t.item);
-                        out.source_checks += kernel::deviation_scan(
-                            t.value,
-                            bias,
-                            &self.child_edges[r],
-                            &mut out.to,
-                        );
-                        out.updates.push(Update { item: t.item, value: t.value, tag: None });
-                    }
-                    Protocol::FloodAll => {
-                        let r = self.row_range(SOURCE, t.item);
-                        out.source_checks += kernel::flood(&self.child_edges[r], &mut out.to);
-                        out.updates.push(Update { item: t.item, value: t.value, tag: None });
-                    }
-                }
-                // d3t-lint: allow(P001) -- this branch pushed into out.updates a few lines above
-                let u = *out.updates.last().expect("source arm pushed its update");
-                out.source_checks += self.adopted_into(SOURCE, u, &mut out.to);
-            } else if t.idx & MIRROR_TOUCH_BIT != 0 {
-                // A mirror delivery: replay only the state write, so
-                // this replica's row and parent-edge copy of the
-                // receiver match the owning shard's (what a later
-                // decision at an owned ancestor reads). The owning
-                // shard already made and routed the forwarding
-                // decision, so nothing is decided here: the span pushed
-                // above stays empty, and the adoption sweep is skipped.
-                let row = t.item.index() * self.n_nodes + t.node.index();
-                let meta = self.rows[row];
-                self.record_at(row, meta.parent_edge, t.value);
-                out.updates.push(t.update());
-            } else {
-                // Mirror of `on_repo_update_into` minus the liveness
-                // branch (filtered at gather, see above).
-                debug_assert!(
-                    self.active[t.node.index()],
-                    "dropped arrivals must not be staged as touches"
-                );
-                let row = t.item.index() * self.n_nodes + t.node.index();
-                let meta = self.rows[row];
-                self.record_at(row, meta.parent_edge, t.value);
-                let r = meta.start as usize..(meta.start + meta.len) as usize;
-                out.repo_checks += match self.protocol {
-                    Protocol::Centralized => {
-                        debug_assert!(!t.tag.is_nan(), "centralized updates always carry a tag");
-                        kernel::tag_filter(t.tag, &self.child_edges[r], &mut out.to)
-                    }
-                    Protocol::Naive => {
-                        kernel::deviation_scan(t.value, 0.0, &self.child_edges[r], &mut out.to)
-                    }
-                    Protocol::Distributed => {
-                        kernel::deviation_scan(t.value, meta.eff, &self.child_edges[r], &mut out.to)
-                    }
-                    Protocol::FloodAll => kernel::flood(&self.child_edges[r], &mut out.to),
-                };
-                out.repo_checks += self.adopted_into(t.node, t.update(), &mut out.to);
-                out.updates.push(t.update());
-            }
-        }
-        out.spans.push(out.to.len() as u32);
     }
 
     /// Handles a raw source tick through the branchy **scalar oracle**,

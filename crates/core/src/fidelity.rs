@@ -209,59 +209,6 @@ impl FidelityTracker {
         }
     }
 
-    /// Applies a whole reorder-free run of staged touches — source ticks
-    /// and delivered arrivals, in the same staging order
-    /// [`Disseminator::on_run_into`](crate::dissemination::Disseminator::on_run_into)
-    /// takes them (any order preserving same-item relative order) —
-    /// reporting every violation-interval transition as
-    /// `(touch idx, repo, item, opened)`.
-    ///
-    /// Fidelity state is strictly per `(item, node)` slot, and within one
-    /// item the staged order **is** the event order, so replaying the
-    /// staged run transitions exactly as the scalar per-event calls
-    /// would. When the caller groups a long run by item, the source-tick
-    /// slice scans and per-arrival slot touches of one item additionally
-    /// stay adjacent in the pair table instead of interleaving across
-    /// items. Transitions arrive grouped by staged touch (ascending slot
-    /// order within a source tick, same as
-    /// [`FidelityTracker::source_update_sink`]); the caller re-orders by
-    /// `idx` when it needs original event order.
-    pub fn on_run_sink<F: FnMut(u32, usize, ItemId, bool)>(
-        &mut self,
-        touches: &[crate::dissemination::RunTouch],
-        sink: &mut F,
-    ) {
-        // Short-lead prefetch (a few touches of distance covers the
-        // pair-table latency without flooding the fill buffers). The
-        // source hole (slot 0) shares the row with slot 1, so it is a
-        // safe warm-up target for source ticks too.
-        const AHEAD: usize = 4;
-        for t in touches.iter().take(AHEAD) {
-            let nx = if t.node.is_source() { 0 } else { t.node.index() };
-            crate::prefetch::read(&self.pairs[self.slot(t.item, nx)]);
-        }
-        for (k, t) in touches.iter().enumerate() {
-            if let Some(next) = touches.get(k + AHEAD) {
-                let nx = if next.node.is_source() { 0 } else { next.node.index() };
-                crate::prefetch::read(&self.pairs[self.slot(next.item, nx)]);
-            }
-            let idx = t.idx;
-            if t.node.is_source() {
-                self.source_update_sink(t.at_us, t.item, t.value, &mut |repo, item, opened| {
-                    sink(idx, repo, item, opened)
-                });
-            } else {
-                self.repo_update_sink(
-                    t.at_us,
-                    t.node,
-                    t.item,
-                    t.value,
-                    &mut |repo, item, opened| sink(idx, repo, item, opened),
-                );
-            }
-        }
-    }
-
     /// Renegotiates the tolerance of one measured `(repo, item)` pair at
     /// time `at_us` (µs) — the incremental mutation entry point mid-run
     /// dynamics use. The pair's open-violation state is re-evaluated **at

@@ -41,10 +41,11 @@
 //! RESILIENCE burst=4 loss_rate=0.10 policy=reparent loss_pct=… mttr_ms=… retransmits=… reparented=… lost=…
 //! ```
 //!
-//! `phases` runs one batched-drain cell and splits its wall clock across
-//! the session's four drain phases from the always-on cycle counters —
-//! one `PHASE` line per phase (they sum to the run's wall time) plus a
-//! JSON document `ci.sh` lands in `BENCH_phases.json`:
+//! `phases` runs one base-config cell and splits its wall clock across
+//! the session's four drain phases from the always-on cycle counters
+//! (exact per-run totals, split by the one run in 64 that is stamped per
+//! event) — one `PHASE` line per phase (they sum to the run's wall time)
+//! plus a JSON document `ci.sh` lands in `BENCH_phases.json`:
 //!
 //! ```text
 //! PHASE name=process events=243210 wall_us=93011
@@ -190,9 +191,9 @@ fn queue_json(scale: &Scale) {
     println!("}}");
 }
 
-/// One timed base-config run through the batched drain, attributing
-/// wall time to the session's four drain phases (queue / process /
-/// fidelity / transmit) from its always-on cycle counters. Emits one
+/// One timed base-config run through the session's drain, attributing
+/// wall time to its four phases (queue / process / fidelity /
+/// transmit) from the always-on cycle counters. Emits one
 /// greppable `PHASE` line per phase plus one JSON document — `ci.sh`
 /// splits the two and lands the JSON in `BENCH_phases.json`, so the
 /// drain's per-phase cost structure is a tracked artifact across PRs.
@@ -200,8 +201,9 @@ fn queue_json(scale: &Scale) {
 /// Cycle counters are relative (the TSC is never converted to time on
 /// its own); each phase's `wall_us` is its cycle share of the measured
 /// whole-run wall clock, so the four values sum to the run's wall time
-/// by construction — asserted within 5% here so an attribution gap in
-/// the session's stamping shows up as a CI failure, not a silent skew.
+/// by construction (asserted within 5%: only flooring is lost). What
+/// can silently break is a phase losing its stamps — the timed runs'
+/// split feeds three of the four — so every share must be non-zero.
 fn phases(scale: &Scale) {
     use d3t_sim::{CalendarQueue, EventKind, HeapQueue, NoopObserver, PhaseStats};
     let prepared = scale.prepared();
@@ -229,13 +231,15 @@ fn phases(scale: &Scale) {
         })
         .collect();
     let attributed: u64 = parts.iter().map(|p| p.2).sum();
-    // Proportional flooring loses at most 4 µs total; anything larger
-    // means the drain stopped stamping a pass boundary.
+    // Proportional flooring loses at most 4 µs total.
     if stats.total_cycles() > 0 {
         assert!(
             (attributed as f64 - wall_us as f64).abs() <= 0.05 * wall_us as f64,
             "phase wall attribution drifted: {attributed} of {wall_us} µs"
         );
+        for (name, _, w, _) in &parts {
+            assert!(*w > 0, "phase `{name}` was attributed no wall time of {wall_us} µs");
+        }
     }
     for (name, ops, w, _) in &parts {
         println!("PHASE name={name} events={ops} wall_us={w}");
@@ -501,10 +505,6 @@ fn main() {
             "--seed" => {
                 let v = iter.next().expect("--seed needs a value");
                 scale.seed = v.parse().expect("--seed must be an integer");
-            }
-            "--batch" => {
-                let v = iter.next().expect("--batch needs a value");
-                scale.batch_events = Some(v.parse().expect("--batch must be an integer"));
             }
             "--repos" => {
                 let v = iter.next().expect("--repos needs a value");

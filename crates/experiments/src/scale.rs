@@ -21,9 +21,6 @@ pub struct Scale {
     /// Scheduler backend every experiment cell runs with (`repro --queue
     /// heap` forces the fallback; results are backend independent).
     pub queue: QueueBackend,
-    /// Per-run drain staging cap (`repro --batch N` overrides; `None`
-    /// keeps the simulator default; results are cap independent).
-    pub batch_events: Option<usize>,
 }
 
 impl Scale {
@@ -36,7 +33,6 @@ impl Scale {
             n_network_nodes: 700,
             seed: 0x5EED,
             queue: QueueBackend::default(),
-            batch_events: None,
         }
     }
 
@@ -66,7 +62,6 @@ impl Scale {
             },
             seed: self.seed,
             queue: self.queue,
-            batch_events: self.batch_events.unwrap_or(defaults.batch_events),
             ..defaults
         }
     }

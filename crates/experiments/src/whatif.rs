@@ -122,7 +122,7 @@ pub struct WhatIfReport {
     /// Captured snapshot size (bytes, from the session's
     /// `PhaseStats::snapshot` telemetry).
     pub snapshot_bytes: u64,
-    /// Events pending in the snapshot at the fork.
+    /// Arrivals in flight in the snapshot at the fork.
     pub pending_events: usize,
     /// `state_digest` of the restored fork state — the O(1) divergence
     /// oracle for anyone re-deriving this fork.
@@ -405,7 +405,6 @@ mod tests {
     fn snapshot_telemetry_is_populated() {
         let rep = report();
         assert!(rep.snapshot_bytes > 0);
-        assert!(rep.pending_events > 0, "half-run fork must have events in flight");
         assert!(rep.state_digest != 0);
         assert!(rep.capture_us >= 1 && rep.restore_us >= 1);
         let line = rep.snapshot_line();

@@ -65,11 +65,6 @@ pub struct SimConfig {
     /// Scheduler backend for the event loop. Results are backend
     /// independent; this only trades wall clock.
     pub queue: QueueBackend,
-    /// Upper bound on the events a session's drain stages per batched
-    /// run (clamped to ≥ 1; 1 disables batching). Results are
-    /// cap-independent — batching never reorders observable work; this
-    /// only trades staging-buffer footprint against amortization.
-    pub batch_events: usize,
     /// Number of engine shards the run loop may spread across cores
     /// (clamped to the repository count). `1` — the default — is the
     /// sealed sequential engine. `> 1` drives the conservative
@@ -112,7 +107,6 @@ impl Default for SimConfig {
             network: NetworkConfig::default(),
             ensemble: EnsembleConfig::default(),
             queue: QueueBackend::default(),
-            batch_events: crate::session::DEFAULT_BATCH_EVENTS,
             n_shards: 1,
             fault: crate::fault::FaultPlan::default(),
             seed: 0x5EED,

@@ -83,8 +83,9 @@
 //!   [`push_batch`](crate::queue::EventQueue::push_batch), and its
 //!   drain pops reorder-free runs with one
 //!   [`pop_run`](crate::queue::EventQueue::pop_run) inside the
-//!   `comp_delay + min link delay` safety window, prefetching the
-//!   per-event state the run will touch. See [`crate::queue`] for the
+//!   `comp_delay + min link delay` safety window, then processes the
+//!   run one event at a time while prefetching the row and pair state
+//!   of the arrival four events ahead. See [`crate::queue`] for the
 //!   bucket math and the stability argument behind the seq drop.
 //! * The per-event protocol and accounting state is laid out flat and
 //!   hot/cold split: the disseminator walks one 32-byte row record plus
@@ -97,23 +98,23 @@
 //!   in absolute events/s: the shared CI host drifts ~20% between PRs
 //!   (PR 5 recorded ~9 M events/s for code that measured ~7.4 M one PR
 //!   later), so since the PR 6 re-anchor the `engine_throughput` gate
-//!   is "batched session within 15% of the sealed `Engine::run` timed
-//!   in the same process" (parity today) plus a coarse 5.0 M events/s
-//!   floor, at 600 repositories / 100 items / 10k ticks (~13.65 M
-//!   events). Structural facts that don't drift: ~47.6 hot-tier slot
-//!   bytes moved per event (PR 4's 40-byte slots: ~80), results
+//!   is "session within 15% of the sealed `Engine::run` timed in the
+//!   same process" plus a coarse 5.0 M events/s floor, at 600
+//!   repositories / 100 items / 10k ticks (~13.65 M events). Structural
+//!   facts that don't drift: ~47.6 hot-tier slot bytes moved per event
+//!   (PR 4's 40-byte slots: ~80), results
 //!   bit-identical to this loop and across both backends (asserted in
 //!   the bench). With the seeded backlog gone the *heap* backend is
 //!   competitive at this scale too (its pending set is a few thousand
 //!   arrivals, so `log n` is short and cache-hot); the calendar stays a
 //!   few percent ahead and keeps its structural lead when the pending
 //!   set is deep, so it remains the default.
-//! * **Scaling past one core is spatial, not per-event.** The PR 6
-//!   drain is compute-bound at roughly 140 ns/event with no
-//!   single-thread lever left, so [`crate::shard`] partitions the
-//!   overlay into per-core shards (tolerance-weighted cut minimization
-//!   over the d3g CSR) and runs this same run-staged drain once per
-//!   shard inside the conservative-PDES lookahead bound: with
+//! * **Scaling past one core is spatial, not per-event.** The drain is
+//!   compute-bound at roughly 100 ns/event, so [`crate::shard`]
+//!   partitions the overlay into per-core shards (tolerance-weighted
+//!   cut minimization over the d3g CSR) and runs the same per-event
+//!   kernels over popped runs once per shard inside the
+//!   conservative-PDES lookahead bound: with
 //!   `W = comp_delay + min_offdiag_link` (exactly
 //!   `Session::batch_window_us`), an event at time `t` can only cause
 //!   events at `t + W` or later, so every event strictly below
@@ -297,6 +298,13 @@ impl EventKind {
     #[inline]
     pub fn arrival(node: NodeIdx, update: Update, tags: &mut TagTable) -> Self {
         Self::arrival_template(update, None, tags).at_node(node)
+    }
+
+    /// The `(node, item)` an arrival touches — all a prefetch needs, with
+    /// no tag-table read; `None` for a source change.
+    #[inline]
+    pub(crate) fn arrival_target(self) -> Option<(NodeIdx, ItemId)> {
+        (self.node != SOURCE_EVENT).then_some((NodeIdx(self.node), ItemId(self.item)))
     }
 
     /// Unpacks into the ergonomic [`Event`] view. `tags` must be the

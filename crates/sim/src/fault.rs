@@ -11,12 +11,12 @@
 //! Installing a plan into a `Session` *compiles* it against the compiled
 //! d3g into a time-sorted control timeline, merged into the drive loop
 //! exactly like the pre-seeded source-change stream: control events apply
-//! **before** any simulation event at the same timestamp, and batched
-//! drain runs never cross a control instant, so liveness and loss state
+//! **before** any simulation event at the same timestamp, and drain
+//! runs never cross a control instant, so liveness and loss state
 //! are constant within a run. That, plus a single seeded RNG advanced
 //! once per send decision in original event order, is the whole
 //! determinism argument: for a fixed `(seed, plan)` a faulted run is
-//! bit-identical across queue backends and batch caps, and an inert plan
+//! bit-identical across queue backends and drive splits, and an inert plan
 //! never draws from the RNG at all, keeping fault-free runs bit-identical
 //! to the sealed scalar oracle.
 //!

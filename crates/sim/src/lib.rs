@@ -86,7 +86,7 @@
 //! Installing a plan *compiles* it against the built overlay into a
 //! time-sorted control timeline merged into the drive loop exactly like
 //! the pre-seeded source-change stream: controls apply **before** any
-//! simulation event at the same timestamp, and batched drain runs never
+//! simulation event at the same timestamp, and drain runs never
 //! cross a control instant, so liveness and loss state are constant
 //! within a run.
 //!
@@ -106,7 +106,7 @@
 //! Determinism survives all of it: loss and degradation consume a single
 //! plan-seeded RNG advanced once per decision in original event order,
 //! so for a fixed `(seed, plan)` a faulted run is bit-identical across
-//! queue backends and batch caps, and an inert plan draws nothing at all
+//! queue backends and drive splits, and an inert plan draws nothing at all
 //! — fault-free runs stay bit-identical to the sealed reference engine
 //! (`tests/fault_properties.rs` holds both ends).
 //!

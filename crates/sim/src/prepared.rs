@@ -165,7 +165,6 @@ impl Prepared {
         observer: O,
     ) -> Session<Q, O> {
         let mut session = Session::from_engine(self.engine(), observer);
-        session.set_batch_events(self.cfg.batch_events);
         if !self.cfg.fault.is_inert() {
             session.install_fault_plan(&self.cfg.fault);
         }
@@ -176,7 +175,7 @@ impl Prepared {
     /// calendar queue — the warm-branch entry point. The resumed
     /// session's run-to-end is **bit-identical** to the captured
     /// session run uninterrupted (property-tested across protocols ×
-    /// seeds × backends × batch caps × fault plans). The snapshot must
+    /// seeds × backends × fault plans). The snapshot must
     /// come from a session of this same prepared run (same overlay,
     /// traces and horizon — debug-asserted), but the queue backend may
     /// differ from the captured session's: capture is backend-neutral.

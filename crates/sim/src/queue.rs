@@ -41,7 +41,9 @@
 //!   deque sweep per run instead of a full pop per event. The session's
 //!   drain loop uses it with the provable `comp_delay + min link delay`
 //!   window (nothing processing a popped run can schedule may land
-//!   inside the run).
+//!   inside the run) and then processes the run one event at a time;
+//!   `run_until` passes its target as one more strict cap, so an event
+//!   past it is never popped.
 //!
 //! # The stability argument (why slots need no `seq`)
 //!
@@ -139,8 +141,8 @@
 //! Absolute rates on the shared CI host drift ~20% between PRs, so
 //! since the PR 6 re-anchor every throughput claim here is *relative to
 //! the same-process scalar oracle* — the form `engine_throughput`
-//! actually gates on (batched calendar within 15% of the sealed
-//! `Engine::run`, plus a coarse absolute floor). At the paper-scale
+//! actually gates on (the calendar-queue session within 15% of the
+//! sealed `Engine::run`, plus a coarse absolute floor). At the paper-scale
 //! whole run the slim-slot calendar holds scalar-oracle parity while
 //! moving ~47.6 hot-tier slot bytes per event (PR 4's seq-carrying
 //! 40-byte slots moved ~80), and replays the recorded arrival trace
@@ -282,7 +284,7 @@ pub trait EventQueue<T: Copy> {
     /// `pop` would have produced. Returns the number of events appended
     /// (0 iff nothing is pending below `cap_us` or `max` is 0).
     ///
-    /// This is the batched drain primitive: a caller that knows nothing
+    /// This is the run drain primitive: a caller that knows nothing
     /// it does with a popped event can schedule anything closer than
     /// `window_us` ahead (the engine's `comp_delay + min link delay`
     /// bound) may take the whole run before processing any of it,

@@ -30,64 +30,65 @@
 //! decisions go through the disseminator's batched check kernel
 //! (`on_source_update_into` / `on_repo_update_into`) into a reusable
 //! [`ForwardScratch`], so the steady-state deliver loop never touches
-//! the heap. Queue traffic is bulk too: each send group is enqueued
-//! with one [`EventQueue::push_batch`], the drain pops reorder-free
-//! runs with [`EventQueue::pop_run`], and the pre-seeded source changes
-//! are merged from a sorted stream instead of transiting the queue at
-//! all (see the engine's performance model). [`Engine::run`]
-//! deliberately keeps driving the allocating scalar-oracle methods over
-//! scalar queue ops — the bit-identity property tests therefore
-//! cross-check both the kernel against the oracle and the bulk queue
-//! contract against scalar push/pop on every full run.
+//! the heap. Queue traffic is bulk: each send group is enqueued with one
+//! [`EventQueue::push_batch`], the drain pops reorder-free runs with
+//! [`EventQueue::pop_run`], and the pre-seeded source changes are merged
+//! from a sorted stream instead of transiting the queue at all (see the
+//! engine's performance model). [`Engine::run`] deliberately keeps
+//! driving the allocating scalar-oracle methods over scalar queue ops —
+//! the bit-identity property tests therefore cross-check both the kernel
+//! against the oracle and the bulk queue contract against scalar
+//! push/pop on every full run.
 //!
-//! # Performance model: the run-batched drain
+//! # Performance model: one scalar run drain
 //!
-//! `drain` stages **reorder-free runs** instead of single events: every
-//! transmission scheduled by processing an event at `t` arrives at or
-//! after `t + comp_delay + min link delay`, so queued events inside
-//! that window are already in final order whatever the batch does. A
-//! run (capped at `SimConfig::batch_events`, default 128; any cap is
-//! bit-identical — property-tested — the cap only trades staging
-//! footprint against amortization) flows through five passes over a
-//! reusable `RunScratch`:
+//! `drain` is the only drive loop (`run_until` is the same loop with a
+//! time limit; [`Session::step`] is the only single-event entry). It pops
+//! a **reorder-free run**: every transmission scheduled by processing an
+//! event at `t` arrives at or after `t + comp_delay + min link delay`,
+//! so queued events inside that window are already in final order. Each
+//! event of the run (at most `RUN_CAP`) then goes through the one scalar
+//! `process` body — decide, fidelity, transmit, `push_batch` — exactly
+//! as `step` would drive it. The run buys two things and nothing else:
+//! one bulk pop per ~8 events at the paper's 100 repositories (~32 at
+//! 600), and knowing the next few events, so the disseminator row and
+//! fidelity pair of the arrival `PREFETCH_AHEAD` events ahead are
+//! prefetched while the current one is processed (without it the
+//! 2 500-repository drive loses 23 %: both tables are tens of MB there).
 //!
-//! 1. **Gather** — decode each event once into a flat [`RunTouch`] SoA
-//!    (node, item, value, original run index); dropped arrivals are
-//!    filtered here and remembered as observer-only slots.
-//! 2. **Group** — runs of ≥ 64 touches are sorted by `(item, idx)` so
-//!    the sweeps below become contiguous per-item passes; shorter runs
-//!    stay in pop order. (Paper-scale runs average ~33 events over ~100
-//!    items — ≈1.3 touches per touched item — so there the sort costs
-//!    ~10% of whole-run throughput and buys no locality. The staging
-//!    order is pipeline-invisible either way: `slot_of` and the
-//!    violation counting sort restore event order at scatter.)
-//! 3. **Decide** — one [`Disseminator::on_run_into`] sweep fills the
-//!    span-indexed [`RunDecisions`].
-//! 4. **Fidelity** — one [`FidelityTracker::on_run_sink`] sweep updates
-//!    violation intervals, staging each transition with the run index
-//!    it belongs to.
-//! 5. **Scatter** — one pass back in **original event order** replays
-//!    observer callbacks exactly as the scalar drain would (head
-//!    callback, then violation transitions, then per-recipient sends),
-//!    stages every transmission, and hands the whole group to one
-//!    [`EventQueue::push_batch`].
+//! Per-phase telemetry ([`PhaseStats`]) is always on. A TSC read costs
+//! ~tens of ns under some hypervisors, so every run is stamped only at
+//! its pop and at its end (chained: the closing stamp opens the next
+//! pop), and one run in `TIMED_RUN_EVERY` is additionally driven with
+//! per-event stamps at the decide → fidelity → transmit → push
+//! boundaries. The exact per-run body cycles are split across `process`
+//! / `fidelity` / `transmit` / queue-push in the timed runs' proportions,
+//! so the four phases still partition the drain's cycles.
 //!
-//! Per-phase telemetry ([`PhaseStats`]) is always on because stamping
-//! is **per run, chained**: one TSC read closes a phase and opens the
-//! next, and the stamp that closes a drain iteration opens the next
-//! iteration's pop. (A TSC read costs ~tens of ns under some
-//! hypervisors — per-event stamping would dwarf the work measured.)
-//! Measured at paper scale on a 1-core container: ~140 ns/event
-//! end-to-end, split ~46 queue / ~41 process / ~31 fidelity /
-//! ~19 transmit.
+//! Three measured dead ends, recorded so they are not re-tried:
 //!
-//! Two measured dead ends, recorded so they are not re-tried: issuing
-//! the whole run's row/pair prefetches up front at gather time (floods
-//! the line-fill buffers; the kernels' in-pass distance-4 streams win
-//! by ~8%), and sorting the staged sends by arrival time before the
-//! bulk push (pop-order invisible but ~15% slower — event-order send
-//! groups already mostly hit `push_batch`'s append path, and the sorted
-//! order degrades the calendar's adaptation signals).
+//! * **Whole-run prefetch at pop time** — floods the line-fill buffers;
+//!   the in-loop distance-4 stream wins by ~8 %.
+//! * **Sorting a run's sends by arrival time before the bulk push** —
+//!   pop-order invisible but ~15 % slower: event-order send groups
+//!   already mostly hit `push_batch`'s append path, and the sorted order
+//!   degrades the calendar's adaptation signals.
+//! * **The five-pass batched pipeline (PR 6, deleted in PR 13)** — gather
+//!   a run into SoA `RunTouch`es, sort by item when ≥ 64 touches, one
+//!   `on_run_into` decision sweep, one `on_run_sink` fidelity sweep,
+//!   then an ordered scatter replaying observer callbacks and staging
+//!   sends (`RunScratch`, a `batch_events` cap knob, a third copy of the
+//!   forwarding decision). Same process, alternating, reports equal: it
+//!   ran at **0.68×** this plain loop *without prefetch* at the paper's
+//!   100 repositories, 0.95× at 600 and 1.10× at 2 500 — and all of the
+//!   2 500 win was the kernels' k+4 row/pair prefetch, not the
+//!   gather/group/scatter staging (a 600-repository run averages ~32
+//!   events over ~100 items, ≈1.3 touches per touched item: nothing to
+//!   group).
+//!   This loop with the same prefetch beat it on every workload:
+//!   `figures-quick` 17.6 → 14.4 s wall and 7.8 → 10.5 M events/s,
+//!   `drive-600r` 8.1 → 9.0 M, `build-2500r` 6.2 → 6.9 M, `whatif-600r`
+//!   4.6 → 4.8 M events/s, in ≈ 750 fewer lines.
 //!
 //! # Performance model: snapshot and resume
 //!
@@ -110,9 +111,7 @@
 
 use std::sync::Arc; // d3t-lint: allow(D003) -- Arc shares immutable prepared inputs by refcount; no locks, no scheduling
 
-use std::collections::VecDeque;
-
-use d3t_core::dissemination::{Disseminator, ForwardScratch, RunDecisions, RunTouch, Update};
+use d3t_core::dissemination::{Disseminator, ForwardScratch, Update};
 use d3t_core::fidelity::{FidelityReport, FidelityTracker};
 use d3t_core::lela::DelayMicros;
 use d3t_core::overlay::{NodeIdx, SOURCE};
@@ -145,19 +144,11 @@ pub struct Session<Q: EventQueue<EventKind> = CalendarQueue<EventKind>, O: Obser
     observer: O,
     /// Simulation time: the latest event processed or `run_until` target.
     now_us: u64,
-    /// Events popped but not yet processed (e.g. past a `run_until`
-    /// boundary), waiting to be re-interleaved — injections may schedule
-    /// ahead of them. Kept in pop order, which is global `(at_us, seq)`
-    /// order; on a time tie a held event always precedes anything still
-    /// in the queue, because everything equal-time in the queue was
-    /// created after it was popped (the queue pops ties in creation
-    /// order and creation stamps only grow).
-    lookahead: VecDeque<(u64, EventKind)>,
     /// Decodes the NaN-boxed tag ids of centralized arrivals.
     tags: TagTable,
     /// The pre-seeded source changes, streamed rather than enqueued (see
     /// the engine's field docs): the stream head outranks equal-time
-    /// queue entries, and a stashed stream event moves to `lookahead`.
+    /// queue entries.
     source_stream: Arc<Vec<(u64, EventKind)>>,
     /// Next unprocessed `source_stream` entry.
     stream_cursor: usize,
@@ -175,26 +166,14 @@ pub struct Session<Q: EventQueue<EventKind> = CalendarQueue<EventKind>, O: Obser
     /// pop a run of events before processing any of them: every
     /// transmission scheduled by processing an event at `t` arrives at
     /// or after `t + comp_delay + min link delay`, so events inside that
-    /// window are already in final order whatever the batch does. `0`
-    /// disables batching (zero-delay configurations).
+    /// window are already in final order. `0` (zero-delay
+    /// configurations) degrades every run to a single event.
     batch_window_us: u64,
-    /// Upper bound on the number of events staged per run — the
-    /// `SimConfig::batch_events` knob. Bit-identity holds for any cap
-    /// (property-tested across {1, 2, 7, 16, 64}); the cap only trades
-    /// staging-buffer footprint against batching amortization. `<= 1`
-    /// falls back to the pure scalar drain.
-    batch_events: usize,
-    /// Reusable staging area for one popped run (the run-level analogue
-    /// of `scratch`): SoA-gathered touches, the sorted-order permutation,
-    /// violation records and the staged send group. See
-    /// [`Session::process_run`] for the pass structure and the
-    /// `RunScratch` doc for the buffer contract.
-    run_scratch: RunScratch,
-    /// Reusable run-level forwarding-decision buffer
-    /// [`Disseminator::on_run_into`] fills.
-    decisions: RunDecisions,
     /// Always-on per-phase cycle/op counters for the drain loop.
     phases: PhaseStats,
+    /// The cycle accumulators `phases`' four `cycles` fields are settled
+    /// from at the end of every drain.
+    clock: PhaseClock,
     /// Runtime of the installed [`FaultPlan`]: the compiled control
     /// timeline (merged into the drive loop like the source stream, with
     /// controls preceding equal-time simulation events), the pending
@@ -204,62 +183,25 @@ pub struct Session<Q: EventQueue<EventKind> = CalendarQueue<EventKind>, O: Obser
     faults: FaultState,
 }
 
-/// Default run cap — also `SimConfig::batch_events`' default. Large
-/// enough that a paper-scale run amortizes its sort/stage overhead and
-/// spans several source ticks, small enough that the staging buffers
-/// stay a few KiB.
-pub(crate) const DEFAULT_BATCH_EVENTS: usize = 128;
+/// Most events one reorder-free run may hold — also the shard drains'
+/// cap. Window-limited runs average ~8 events at 100 repositories and
+/// ~32 at 600, so the cap rarely binds; it keeps the run buffer a few
+/// KiB. Any cap is bit-identical.
+pub(crate) const RUN_CAP: usize = 128;
 
-/// Minimum staged touches before the run is worth sorting into per-item
-/// groups. Below this, runs touch mostly distinct items (paper-scale
-/// runs average ~33 events over ~100 items, ≈1.3 touches per touched
-/// item), so grouping buys no locality and only pays the sort.
-const GROUP_MIN_TOUCHES: usize = 64;
+/// How many events ahead of the one being processed the drain prefetches
+/// an arrival's disseminator row and fidelity pair. Four keeps both
+/// tables one access ahead of the loop; issuing a whole run's prefetches
+/// at pop time floods the line-fill buffers (measured ~8 % slower).
+const PREFETCH_AHEAD: usize = 4;
 
-/// One violation-interval transition staged during a run's fidelity
-/// sweep: which event (original run position) it belongs to, and the
-/// `(repo, item, opened)` triple the observer callback needs.
-#[derive(Debug, Clone, Copy)]
-struct ViolRec {
-    ev: u32,
-    repo: u32,
-    item: d3t_core::item::ItemId,
-    opened: bool,
-}
-
-/// Reusable per-run staging buffers — the session-side `RunScratch`
-/// contract: every vector is cleared (never freed) per run, so once each
-/// has grown to the largest run seen the whole five-pass pipeline in
-/// [`Session::process_run`] performs zero heap allocations.
-#[derive(Debug, Default)]
-struct RunScratch {
-    /// Live touches of the run (dropped arrivals are filtered at
-    /// gather); sorted by `(item, idx)` after the gather pass.
-    touches: Vec<RunTouch>,
-    /// Original event position → position in the sorted `touches`
-    /// (`DROPPED` for arrivals the liveness gate swallowed).
-    slot_of: Vec<u32>,
-    /// Violation transitions as emitted by the item-grouped fidelity
-    /// sweep (grouped by staged touch, not by event).
-    viol: Vec<ViolRec>,
-    /// `viol` counting-sorted back to original event order.
-    viol_sorted: Vec<ViolRec>,
-    /// Per event: start offset of its transitions in `viol_sorted`
-    /// (length `n + 1`; exclusive prefix sums).
-    viol_start: Vec<u32>,
-    /// Scatter cursors for the counting sort (reused, not reallocated).
-    viol_cursor: Vec<u32>,
-    /// The run's deliverable sends, staged for one
-    /// [`EventQueue::push_batch`] after the scatter pass.
-    sends: Vec<(u64, EventKind)>,
-}
-
-/// `slot_of` sentinel: the event was a dropped arrival and staged no
-/// touch.
-const DROPPED: u32 = u32::MAX;
+/// One run in this many is driven with per-event phase stamps (see
+/// [`PhaseStats`]); the first run of a session is one of them, so any
+/// drain that processed an event has a split to report.
+const TIMED_RUN_EVERY: u64 = 64;
 
 /// One phase's always-on telemetry: TSC cycles spent and operations
-/// performed (events, touches, messages or queue ops — see
+/// performed (events, messages or queue ops — see
 /// [`PhaseStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseCounter {
@@ -272,29 +214,30 @@ pub struct PhaseCounter {
 /// Cheap always-on per-phase counters for the drain loop, kept separate
 /// from [`Metrics`] (which is compared bit-for-bit across drive modes —
 /// wall-clock telemetry must never participate in that identity).
-/// Attribution is contiguous: each drain iteration stamps the TSC at
-/// its pass boundaries, so the four phases partition (almost) all of
-/// the drain's cycles and per-phase wall time can be recovered by
-/// scaling each phase's cycle share against a measured wall clock.
+/// `ops` are exact. `cycles` partition the drain's cycles: every run's
+/// pop and body are stamped (two chained TSC reads per run), and the
+/// body total is split across `process` / `fidelity` / `transmit` /
+/// queue-push in the proportions measured on the one run in
+/// `TIMED_RUN_EVERY` that is driven with per-event stamps. Per-phase
+/// wall time is recovered by scaling each phase's cycle share against a
+/// measured wall clock. [`Session::step`] is not instrumented.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseStats {
-    /// Popping runs out of the queue/stream merge plus the per-run bulk
-    /// push (`ops` = events popped + sends pushed).
+    /// Popping runs out of the queue/stream merge (and applying due
+    /// fault controls) plus the per-event bulk push (`ops` = events
+    /// popped + sends pushed).
     pub queue: PhaseCounter,
-    /// Gather/classify, item-grouping and the protocol decision sweeps
-    /// (`ops` = events). Scalar-path events (cap 1, lookahead drains,
-    /// window tails) land here whole — the TSC read is too expensive to
-    /// bracket individual scalar events, so their queue share is not
-    /// split out (`queue.ops` still counts them).
+    /// Classify, liveness gate and the protocol decision, from the end
+    /// of the previous event's push (`ops` = events).
     pub process: PhaseCounter,
-    /// The batched violation-transition sweeps and their re-ordering
-    /// (`ops` = staged touches).
+    /// The violation-interval transitions and their observer callbacks
+    /// (`ops` = events that reached the tracker: all but dropped
+    /// arrivals).
     pub fidelity: PhaseCounter,
-    /// The ordered result scatter: observer callbacks plus send
-    /// arithmetic and assembly (`ops` = messages sent).
+    /// Send arithmetic and assembly, link faults and `on_send` taps
+    /// (`ops` = deliverable messages enqueued).
     pub transmit: PhaseCounter,
-    /// Batched runs staged (`process.ops / runs` is the mean run size;
-    /// scalar-path events never increment this).
+    /// Runs popped (`process.ops / runs` is the mean run size).
     pub runs: u64,
     /// Snapshot-path telemetry (capture/restore cost, captured bytes).
     /// Deliberately **not** one of the [`PhaseStats::named`] drain
@@ -302,6 +245,40 @@ pub struct PhaseStats {
     /// partition the drain — is load-bearing for `repro phases` and
     /// the ci.sh gates.
     pub snapshot: SnapshotStats,
+}
+
+/// Indices into [`PhaseClock::split`].
+const PROCESS: usize = 0;
+const FIDELITY: usize = 1;
+const TRANSMIT: usize = 2;
+const PUSH: usize = 3;
+
+/// The raw cycle accumulators behind [`PhaseStats`]: exact pop and body
+/// totals over every run, and the timed runs' four-way split of their
+/// bodies, which [`PhaseClock::settle`] scales up to the exact total.
+#[derive(Debug, Default)]
+struct PhaseClock {
+    /// The latest stamp: closes one span and opens the next.
+    last: u64,
+    /// Cycles popping runs, all runs.
+    pop: u64,
+    /// Cycles between a run's pop and the next run's, all runs.
+    body: u64,
+    /// Timed runs only: body cycles by [`PROCESS`] / [`FIDELITY`] /
+    /// [`TRANSMIT`] / [`PUSH`].
+    split: [u64; 4],
+}
+
+impl PhaseClock {
+    /// Writes the four `cycles` fields: `body` apportioned by `split`.
+    fn settle(&self, phases: &mut PhaseStats) {
+        let timed = self.split.iter().sum::<u64>().max(1);
+        let share = |k: usize| (self.body as u128 * self.split[k] as u128 / timed as u128) as u64;
+        phases.queue.cycles = self.pop + share(PUSH);
+        phases.process.cycles = share(PROCESS);
+        phases.fidelity.cycles = share(FIDELITY);
+        phases.transmit.cycles = share(TRANSMIT);
+    }
 }
 
 /// Telemetry for the snapshot capture/restore path, accumulated on the
@@ -370,7 +347,7 @@ fn cycles() -> u64 {
 /// so the send paths can call it while `delays_us` is borrowed. Called
 /// once per send decision in original event order on every drive path —
 /// that single discipline is what makes faulted runs bit-identical
-/// across queue backends and batch caps.
+/// across queue backends and drive splits.
 #[inline]
 fn faulty_arrival<O: Observer>(
     faults: &mut FaultState,
@@ -453,17 +430,14 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
             end_us: engine.end_us,
             observer,
             now_us: 0,
-            lookahead: VecDeque::new(),
             tags: engine.tags,
             source_stream: engine.source_stream,
             stream_cursor: engine.stream_cursor,
             scratch: ForwardScratch::new(),
             send_buf: Vec::new(),
             run_buf: Vec::new(),
-            batch_events: DEFAULT_BATCH_EVENTS,
-            run_scratch: RunScratch::default(),
-            decisions: RunDecisions::new(),
             phases: PhaseStats::default(),
+            clock: PhaseClock::default(),
             faults: FaultState::inert(),
         }
     }
@@ -472,8 +446,8 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
     /// into the control timeline the drive loop merges. Control events
     /// apply **before** any simulation event at the same instant
     /// (mirroring the stream-before-queue tie rule: state changes precede
-    /// the traffic that observes them), and batched drain runs never
-    /// cross a control instant. Installing a new plan replaces the
+    /// the traffic that observes them), and drain runs never cross a
+    /// control instant. Installing a new plan replaces the
     /// previous one wholesale; install before driving — controls already
     /// in the past would fire late, clamped to `now_us`.
     pub fn install_fault_plan(&mut self, plan: &FaultPlan) {
@@ -521,7 +495,6 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
             fidelity: self.fidelity.clone(),
             metrics: self.metrics,
             tags: self.tags.clone(),
-            lookahead: self.lookahead.iter().copied().collect(),
             queue_events,
             faults: self.faults.clone(),
         };
@@ -557,8 +530,6 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
         self.faults = snap.faults.clone();
         self.now_us = snap.now_us;
         self.stream_cursor = snap.stream_cursor;
-        self.lookahead.clear();
-        self.lookahead.extend(snap.lookahead.iter().copied());
         let mut queue = Q::with_capacity(snap.queue_events.len());
         queue.push_batch(0, &snap.queue_events);
         self.queue = queue;
@@ -594,10 +565,6 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
             h.write_u64(b);
         }
         h.write_usize(self.stream_cursor);
-        h.write_usize(self.lookahead.len());
-        for &(at_us, kind) in &self.lookahead {
-            digest_event(&mut h, at_us, kind, &self.tags);
-        }
         let mut pending = Vec::with_capacity(self.queue.len());
         self.queue.snapshot_events(&mut pending);
         h.write_usize(pending.len());
@@ -611,32 +578,19 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
         h.finish()
     }
 
-    /// Caps how many events one batched run may stage (the
-    /// `SimConfig::batch_events` knob; clamped to at least 1, where the
-    /// drain degrades to the scalar path). Any cap is bit-identical —
-    /// batching never reorders observable work.
-    pub fn set_batch_events(&mut self, cap: usize) {
-        self.batch_events = cap.max(1);
-    }
-
-    /// The run cap currently in force.
-    pub fn batch_events(&self) -> usize {
-        self.batch_events
-    }
-
     /// Per-phase drain telemetry accumulated so far (zeroes until a
     /// drain has run; see [`PhaseStats`]).
     pub fn phase_stats(&self) -> &PhaseStats {
         &self.phases
     }
 
-    /// Drains every remaining event through the batched hot loop
-    /// **without** consuming the session — what [`Session::finish`] runs
+    /// Drains every remaining event through the hot loop **without**
+    /// consuming the session — what [`Session::finish`] runs
     /// internally, exposed so callers can read [`Session::phase_stats`] /
     /// [`Session::metrics`] after the run before producing the report.
     /// Advances `now_us` to the horizon.
     pub fn drain_to_end(&mut self) {
-        self.drain();
+        self.drain(self.end_us);
         self.now_us = self.now_us.max(self.end_us);
     }
 
@@ -651,10 +605,10 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
         self.end_us
     }
 
-    /// Events still scheduled (including held-back lookahead events and
-    /// unprocessed pre-seeded source changes).
+    /// Events still scheduled (including unprocessed pre-seeded source
+    /// changes).
     pub fn pending(&self) -> usize {
-        self.queue.len() + self.lookahead.len() + (self.source_stream.len() - self.stream_cursor)
+        self.queue.len() + (self.source_stream.len() - self.stream_cursor)
     }
 
     /// Unpacks a scheduled event's payload (e.g. what [`Session::step`]
@@ -687,10 +641,11 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
 
     /// Processes the next scheduled event, returning its `(time µs,
     /// payload)`, or `None` when no events remain. Advances `now_us` to
-    /// the event time.
+    /// the event time. The only single-event entry: everything else
+    /// drives through the run drain.
     pub fn step(&mut self) -> Option<(u64, EventKind)> {
         let (at_us, kind) = self.pop_next_with_faults(self.end_us)?;
-        self.process(at_us, kind, 0);
+        self.process::<false>(at_us, kind, 0);
         Some((at_us, kind))
     }
 
@@ -698,30 +653,13 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
     /// the horizon), then advances `now_us` to the target so injections
     /// happen at exactly the requested instant. Returns the number of
     /// events processed. Asking for a time already passed processes
-    /// nothing.
+    /// nothing. Later events are never popped, so an injection's sends
+    /// interleave with them through the queue like any other arrival.
     pub fn run_until(&mut self, t_us: u64) -> u64 {
         let t_us = t_us.min(self.end_us);
-        let mut processed = 0u64;
-        while let Some(ev) = self.pop_next_with_faults(t_us) {
-            if ev.0 > t_us {
-                self.stash(ev);
-                break;
-            }
-            self.process(ev.0, ev.1, 0);
-            processed += 1;
-        }
+        let processed = self.drain(t_us);
         self.now_us = self.now_us.max(t_us);
         processed
-    }
-
-    /// Returns an un-processed event to the pending set. It came out of
-    /// [`Session::next_event`], so it is the global minimum and belongs
-    /// at the lookahead front; nothing is ever pushed back into the
-    /// queue (a re-push would put it behind newer equal-time events, the
-    /// one thing the queue's creation-order tie-breaking cannot absorb).
-    fn stash(&mut self, ev: (u64, EventKind)) {
-        debug_assert!(self.lookahead.front().is_none_or(|f| ev.0 <= f.0));
-        self.lookahead.push_front(ev);
     }
 
     /// Drains every remaining event and produces the final report — the
@@ -735,14 +673,15 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
     /// [`Session::run_to_end`] returning the observer (and whatever it
     /// collected) alongside the report.
     pub fn finish(mut self) -> (FidelityReport, Metrics, O) {
-        self.drain();
+        self.drain(self.end_us);
         let Self { fidelity, metrics, mut observer, end_us, .. } = self;
         observer.on_end(end_us);
         (fidelity.finish(end_us), metrics, observer)
     }
 
-    /// Drains every remaining event — the hot loop behind
-    /// [`Session::finish`] / [`Session::run_to_end`].
+    /// Processes every event at or before `limit_us` — the one drive
+    /// loop, behind [`Session::finish`] / [`Session::run_to_end`] /
+    /// [`Session::run_until`]. Returns the number of events processed.
     ///
     /// Events are popped in **reorder-free runs** ([`Session::pop_run_mixed`])
     /// inside the safety window (`batch_window_us`): processing an event
@@ -751,94 +690,82 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
     /// already in its final order — nothing processing them can schedule
     /// may interleave. Pre-seeded source-stream events merge into the
     /// same runs (they are known upfront, not generated by the run, so
-    /// the window argument covers them too). Each run then goes through
-    /// the staged pipeline of [`Session::process_run`]; every observable
-    /// — callbacks, metrics, event order — is exactly the one-at-a-time
-    /// order, property-tested against the sealed reference engine.
-    fn drain(&mut self) {
-        // The TSC read is not free (~tens of ns under some hypervisors),
-        // so stamping is **per run, chained**: each iteration's closing
-        // stamp is the next one's opening stamp, and the scalar cap-1
-        // loop brackets the whole drain with two stamps instead of
-        // stamping per event (its cycles all land in `process`).
-        if self.batch_window_us == 0 || self.batch_events <= 1 {
-            // Zero-delay configs (no safety window) and cap 1 take the
-            // pure scalar path.
-            let t0 = cycles();
-            let mut events = 0u64;
-            while let Some((at_us, kind)) = self.pop_next_with_faults(self.end_us) {
-                self.process(at_us, kind, 0);
-                events += 1;
-            }
-            self.phases.process.cycles += cycles().wrapping_sub(t0);
-            self.phases.process.ops += events;
-            self.phases.queue.ops += events;
-            return;
-        }
-        let mut buf = std::mem::take(&mut self.run_buf);
+    /// the window argument covers them too). Each event then goes
+    /// through [`Session::process`] exactly as [`Session::step`] would
+    /// drive it, with the events the run still holds added to the
+    /// `on_event` pending sample.
+    fn drain(&mut self, limit_us: u64) -> u64 {
+        let mut run = std::mem::take(&mut self.run_buf);
+        let mut processed = 0u64;
         let mut t0 = cycles();
         loop {
-            if !self.lookahead.is_empty() {
-                // A held-back event may interleave anywhere; take the
-                // scalar path until the lookahead drains (whole
-                // iteration attributed to `process`).
-                match self.pop_next_with_faults(self.end_us) {
+            run.clear();
+            if self.pop_run_mixed(limit_us, &mut run) == 0 {
+                // Nothing poppable in bulk: a due fault control, a
+                // zero-window stream head, a `u64::MAX` residue arrival,
+                // or done — the scalar merge is the one source of truth
+                // for that precedence.
+                match self.pop_next_with_faults(limit_us) {
+                    Some(ev) => run.push(ev),
                     None => break,
-                    Some((at_us, kind)) => {
-                        self.process(at_us, kind, 0);
-                        let t1 = cycles();
-                        self.phases.process.cycles += t1.wrapping_sub(t0);
-                        self.phases.process.ops += 1;
-                        self.phases.queue.ops += 1;
-                        t0 = t1;
-                    }
                 }
-                continue;
             }
-            buf.clear();
-            let n = self.pop_run_mixed(&mut buf);
             let t1 = cycles();
-            self.phases.queue.cycles += t1.wrapping_sub(t0);
-            self.phases.queue.ops += n as u64;
-            match n {
-                0 => {
-                    // Nothing poppable in bulk: defer to the scalar
-                    // three-way merge for the tail (a `u64::MAX` residue
-                    // arrival, a due fault control, or done) — one source
-                    // of truth for the tie precedence.
-                    match self.pop_next_with_faults(self.end_us) {
-                        Some((at_us, kind)) => {
-                            self.phases.queue.ops += 1;
-                            self.process(at_us, kind, 0);
-                            let t2 = cycles();
-                            self.phases.process.cycles += t2.wrapping_sub(t1);
-                            self.phases.process.ops += 1;
-                            t0 = t2;
-                        }
-                        None => break,
-                    }
-                }
-                1 => {
-                    // Singleton runs skip the staging overhead.
-                    let (at_us, kind) = buf[0];
-                    self.process(at_us, kind, 0);
-                    let t2 = cycles();
-                    self.phases.process.cycles += t2.wrapping_sub(t1);
-                    self.phases.process.ops += 1;
-                    t0 = t2;
-                }
-                _ => t0 = self.process_run(&buf[..n], t1),
+            self.clock.pop += t1.wrapping_sub(t0);
+            let (seq0, dropped0) = (self.next_seq, self.metrics.dropped);
+            if self.phases.runs.is_multiple_of(TIMED_RUN_EVERY) {
+                self.clock.last = t1;
+                self.drive_run::<true>(&run);
+            } else {
+                self.drive_run::<false>(&run);
             }
+            t0 = cycles();
+            self.clock.body += t0.wrapping_sub(t1);
+            let n = run.len() as u64;
+            let sends = self.next_seq - seq0;
+            self.phases.queue.ops += n + sends;
+            self.phases.process.ops += n;
+            self.phases.fidelity.ops += n - (self.metrics.dropped - dropped0);
+            self.phases.transmit.ops += sends;
+            self.phases.runs += 1;
+            processed += n;
         }
-        self.run_buf = buf;
+        self.clock.settle(&mut self.phases);
+        self.run_buf = run;
+        processed
     }
 
-    /// Pops one reorder-free run of up to `batch_events` events into
-    /// `buf`, merging the queue and the pre-seeded source stream —
-    /// events land in exactly the order the scalar three-way merge
-    /// ([`Session::next_event`]) would produce them. Requires an empty
-    /// lookahead (the drain guarantees it). Returns the number popped;
-    /// `0` means only a `u64::MAX`-residue event (or nothing) remains.
+    /// Drives one popped run through [`Session::process`], prefetching
+    /// the per-arrival state [`PREFETCH_AHEAD`] events ahead.
+    fn drive_run<const TIMED: bool>(&mut self, run: &[(u64, EventKind)]) {
+        for (k, &(at_us, kind)) in run.iter().enumerate() {
+            if let Some((node, item)) =
+                run.get(k + PREFETCH_AHEAD).and_then(|&(_, ahead)| ahead.arrival_target())
+            {
+                self.disseminator.prefetch_row(node, item);
+                self.fidelity.prefetch_pair(node, item);
+            }
+            self.process::<TIMED>(at_us, kind, run.len() - 1 - k);
+        }
+    }
+
+    /// On a timed run, closes the span open since the previous stamp
+    /// into `phase`; compiles to nothing otherwise.
+    #[inline]
+    fn lap<const TIMED: bool>(&mut self, phase: usize) {
+        if TIMED {
+            let t = cycles();
+            self.clock.split[phase] += t.wrapping_sub(self.clock.last);
+            self.clock.last = t;
+        }
+    }
+
+    /// Pops one reorder-free run of up to [`RUN_CAP`] events, none later
+    /// than `limit_us`, into `buf`, merging the queue and the pre-seeded
+    /// source stream — events land in exactly the order the scalar merge
+    /// ([`Session::next_event`]) would produce them. Returns the number
+    /// popped; `0` means the next thing due is a fault control, or only
+    /// a `u64::MAX`-residue event (or nothing) remains within the limit.
     ///
     /// Two shapes:
     /// * queue head strictly below the stream head → a pure queue run
@@ -851,39 +778,35 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
     ///   consumption until the window or the cap is exhausted. Stream
     ///   events are pre-seeded — not generated by processing the run —
     ///   so the safety-window argument covers them unchanged.
-    fn pop_run_mixed(&mut self, buf: &mut Vec<(u64, EventKind)>) -> usize {
-        let max = self.batch_events;
+    fn pop_run_mixed(&mut self, limit_us: u64, buf: &mut Vec<(u64, EventKind)>) -> usize {
         // Runs never cross a fault-control instant: liveness, loss and
-        // degradation state stay constant within a run, so the batched
-        // pipeline sees exactly the state the scalar drive would. Idle
-        // fault state caps at `u64::MAX` — no cost, no effect.
-        let f_at = self.faults.next_at();
+        // degradation state stay constant within a run. Idle fault state
+        // caps at `u64::MAX` — no cost, no effect. The time limit is one
+        // more strict cap, so an event past it is never popped.
+        let stop_at = self.faults.next_at().min(limit_us.saturating_add(1));
         let head_at = self.source_stream.get(self.stream_cursor).map(|&(at_us, _)| at_us);
-        let cap0 = head_at.unwrap_or(u64::MAX).min(f_at);
-        let n = self.queue.pop_run(self.batch_window_us, cap0, max, buf);
+        let cap0 = head_at.unwrap_or(u64::MAX).min(stop_at);
+        let n = self.queue.pop_run(self.batch_window_us, cap0, RUN_CAP, buf);
         if n > 0 {
             return n;
         }
         // Queue has nothing strictly below the stream head, so the head
-        // (if any) is the global minimum and anchors the window.
-        let Some(first_at) = head_at else { return 0 };
-        if first_at >= f_at {
-            // The next control fires at or before the stream head; defer
-            // to the scalar merge so the control applies first.
-            return 0;
-        }
-        let limit = first_at.saturating_add(self.batch_window_us).min(f_at);
+        // (if any) is the global minimum and anchors the window — unless
+        // a control fires at or before it or it lies past the limit:
+        // defer to the scalar merge then.
+        let Some(first_at) = head_at.filter(|&at_us| at_us < stop_at) else { return 0 };
+        let limit = first_at.saturating_add(self.batch_window_us).min(stop_at);
         let mut n = 0usize;
-        while n < max {
+        while n < RUN_CAP {
             let s_at = self.source_stream.get(self.stream_cursor).map_or(u64::MAX, |&(a, _)| a);
             let seg_cap = s_at.min(limit);
-            n += self.queue.pop_run(u64::MAX, seg_cap, max - n, buf);
-            if n >= max || s_at >= limit {
+            n += self.queue.pop_run(u64::MAX, seg_cap, RUN_CAP - n, buf);
+            if n >= RUN_CAP || s_at >= limit {
                 break;
             }
             // All stream events at exactly `s_at` precede every
             // equal-time queue arrival; take them greedily.
-            while n < max {
+            while n < RUN_CAP {
                 match self.source_stream.get(self.stream_cursor) {
                     Some(&ev) if ev.0 == s_at => {
                         buf.push(ev);
@@ -895,211 +818,6 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
             }
         }
         n
-    }
-
-    /// One popped run through the staged pipeline — bit-identical to
-    /// processing its events one at a time through [`Session::process`],
-    /// but organized as sequential sweeps instead of per-event scattered
-    /// touches:
-    ///
-    /// 1. **Gather** (original order): classify each event, count it,
-    ///    apply the liveness gate, and stage live events SoA-style as
-    ///    [`RunTouch`]es in the reusable [`RunScratch`].
-    /// 2. **Group**: sort the touches by `(item, idx)` — protocol and
-    ///    fidelity state are strictly per item, so same-item event order
-    ///    is all that must be preserved.
-    /// 3. **Decide**: one [`Disseminator::on_run_into`] call sweeps the
-    ///    CSR check table item-contiguously; then the decided targets'
-    ///    delay cells start prefetching.
-    /// 4. **Fidelity**: one [`FidelityTracker::on_run_sink`] call runs
-    ///    the violation transitions in the same item-grouped order
-    ///    (folding the source-tick slice scans into the sweep); the
-    ///    emitted transitions are counting-sorted back to event order.
-    /// 5. **Scatter** (original order): per event, replay the observer
-    ///    callbacks exactly as the scalar path would — head callback,
-    ///    violations, `on_send` per recipient, `on_event` — while
-    ///    performing the send arithmetic serially (`busy_until`,
-    ///    sequence stamps and tag interning are global state and stay in
-    ///    event order), staging deliverable sends for one final
-    ///    [`EventQueue::push_batch`].
-    ///
-    /// The `on_event` pending sample is reconstructed exactly: all of
-    /// the run was popped upfront, so the scalar-visible count is the
-    /// post-run backlog plus the events the run still holds plus the
-    /// sends this run has delivered so far.
-    fn process_run(&mut self, run: &[(u64, EventKind)], t_start: u64) -> u64 {
-        let n = run.len();
-        let mut st = std::mem::take(&mut self.run_scratch);
-        let mut dec = std::mem::take(&mut self.decisions);
-        st.touches.clear();
-        st.slot_of.clear();
-        st.slot_of.resize(n, DROPPED);
-        self.metrics.events += n as u64;
-        // Pass 1: gather.
-        for (i, &(at_us, kind)) in run.iter().enumerate() {
-            match kind.classify(&self.tags) {
-                Event::SourceChange { item, value } => {
-                    self.metrics.source_updates += 1;
-                    st.touches.push(RunTouch {
-                        idx: i as u32,
-                        node: SOURCE,
-                        item,
-                        at_us,
-                        value,
-                        tag: f64::NAN,
-                    });
-                }
-                Event::Arrival { node, update } => {
-                    if !self.disseminator.is_active(node) {
-                        self.metrics.dropped += 1;
-                    } else {
-                        st.touches.push(RunTouch {
-                            idx: i as u32,
-                            node,
-                            item: update.item,
-                            at_us,
-                            value: update.value,
-                            tag: update.tag.map_or(f64::NAN, |c| c.value()),
-                        });
-                    }
-                }
-            }
-        }
-        // Pass 2: group by item, stably (idx breaks ties). Grouping pays
-        // through pair/row locality once items repeat within the run;
-        // short runs touch mostly distinct items, so they stay in pop
-        // order (the staging order is pipeline-invisible — `slot_of` and
-        // the violation counting sort restore event order either way).
-        if st.touches.len() >= GROUP_MIN_TOUCHES {
-            st.touches.sort_unstable_by_key(RunTouch::group_key);
-        }
-        for (pos, t) in st.touches.iter().enumerate() {
-            st.slot_of[t.idx as usize] = pos as u32;
-        }
-        // Pass 3: protocol decisions in one item-contiguous sweep.
-        self.disseminator.on_run_into(&st.touches, &mut dec);
-        self.metrics.source_checks += dec.source_checks;
-        self.metrics.repo_checks += dec.repo_checks;
-        let t_decided = cycles();
-        // Pass 4: fidelity transitions in the same item-grouped order.
-        st.viol.clear();
-        {
-            let RunScratch { touches, viol, .. } = &mut st;
-            self.fidelity.on_run_sink(touches, &mut |ev, repo, item, opened| {
-                viol.push(ViolRec { ev, repo: repo as u32, item, opened });
-            });
-        }
-        // Counting sort back to event order (stable, so ascending-slot
-        // order within a source tick is preserved).
-        st.viol_start.clear();
-        st.viol_start.resize(n + 1, 0);
-        for v in &st.viol {
-            st.viol_start[v.ev as usize + 1] += 1;
-        }
-        for i in 1..=n {
-            st.viol_start[i] += st.viol_start[i - 1];
-        }
-        st.viol_cursor.clear();
-        st.viol_cursor.extend_from_slice(&st.viol_start[..n]);
-        st.viol_sorted.clear();
-        st.viol_sorted.resize(
-            st.viol.len(),
-            ViolRec { ev: 0, repo: 0, item: d3t_core::item::ItemId(0), opened: false },
-        );
-        for &v in &st.viol {
-            let p = st.viol_cursor[v.ev as usize] as usize;
-            st.viol_cursor[v.ev as usize] += 1;
-            st.viol_sorted[p] = v;
-        }
-        let t_fid = cycles();
-        // Pass 5: ordered scatter.
-        st.sends.clear();
-        let base_pending = self.pending();
-        for (i, &(at_us, kind)) in run.iter().enumerate() {
-            self.now_us = at_us;
-            let pos = st.slot_of[i];
-            if pos == DROPPED {
-                let Event::Arrival { node, update } = kind.classify(&self.tags) else {
-                    unreachable!("only arrivals can be dropped")
-                };
-                self.observer.on_dropped(at_us, node, &update);
-            } else {
-                let t = st.touches[pos as usize];
-                if t.node.is_source() {
-                    self.observer.on_source_change(at_us, t.item, t.value);
-                } else {
-                    self.observer.on_delivery(at_us, t.node, &t.update());
-                }
-            }
-            for v in &st.viol_sorted[st.viol_start[i] as usize..st.viol_start[i + 1] as usize] {
-                if v.opened {
-                    self.observer.on_violation_open(at_us, v.repo as usize, v.item);
-                } else {
-                    self.observer.on_violation_close(at_us, v.repo as usize, v.item);
-                }
-            }
-            if pos != DROPPED {
-                let p = pos as usize;
-                let to = dec.to_of(p);
-                if !to.is_empty() {
-                    let t = st.touches[p];
-                    let update = dec.update_of(p);
-                    let relayed = if t.node.is_source() { None } else { Some(kind) };
-                    let template = EventKind::arrival_template(update, relayed, &mut self.tags);
-                    let delay_row = self.delays_us.row(t.node);
-                    let mut cpu = self.busy_until_us[t.node.index()].max(at_us);
-                    for &child in to {
-                        cpu += self.comp_delay_us;
-                        self.metrics.messages += 1;
-                        let mut arrival_us = cpu + u64::from(delay_row[child.index()]);
-                        if self.faults.link_active() {
-                            match faulty_arrival(
-                                &mut self.faults,
-                                &mut self.metrics,
-                                &mut self.observer,
-                                at_us,
-                                t.node,
-                                child,
-                                arrival_us,
-                            ) {
-                                Some(a) => arrival_us = a,
-                                None => continue,
-                            }
-                        }
-                        self.observer.on_send(at_us, t.node, child, &update, arrival_us);
-                        if arrival_us > self.end_us {
-                            self.metrics.undelivered += 1;
-                            continue;
-                        }
-                        st.sends.push((arrival_us, template.at_node(child)));
-                    }
-                    self.busy_until_us[t.node.index()] = cpu;
-                }
-            }
-            self.observer.on_event(at_us, base_pending + (n - 1 - i) + st.sends.len());
-        }
-        let t_scattered = cycles();
-        // (Measured dead end: stable-sorting the staged sends by arrival
-        // time before the bulk push — pop-order invisible, and it should
-        // maximize push_batch's append fast path — costs ~15% whole-run
-        // throughput here. The event-order batch already appends ~60% of
-        // the time, and the sorted order degrades the calendar's
-        // adaptation signals.)
-        self.queue.push_batch(self.next_seq, &st.sends);
-        self.next_seq += st.sends.len() as u64;
-        let t_end = cycles();
-        self.phases.process.cycles += t_decided.wrapping_sub(t_start);
-        self.phases.process.ops += n as u64;
-        self.phases.fidelity.cycles += t_fid.wrapping_sub(t_decided);
-        self.phases.fidelity.ops += st.touches.len() as u64;
-        self.phases.transmit.cycles += t_scattered.wrapping_sub(t_fid);
-        self.phases.transmit.ops += st.sends.len() as u64;
-        self.phases.queue.cycles += t_end.wrapping_sub(t_scattered);
-        self.phases.queue.ops += st.sends.len() as u64;
-        self.phases.runs += 1;
-        self.run_scratch = st;
-        self.decisions = dec;
-        t_end
     }
 
     /// Applies a [`Dynamic`] at the session's current time. Violation
@@ -1145,7 +863,7 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
                 }
                 self.metrics.source_updates += 1;
                 self.observer.on_source_change(at_us, item, value);
-                self.apply_source_change(at_us, item, value);
+                self.apply_source_change::<false>(at_us, item, value);
             }
         }
         self.metrics.injected += 1;
@@ -1169,67 +887,49 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
         }
     }
 
-    /// The globally minimal scheduled event: the three-way merge of the
-    /// held-back lookahead events, the pre-seeded source stream, and the
-    /// queue of in-flight arrivals. Tie precedence is lookahead → stream
-    /// → queue: a held event predates anything equal-time elsewhere (it
-    /// was popped while it was the global minimum and creation stamps
-    /// only grow), and a stream event predates every equal-time arrival
-    /// (all pre-seeded stamps are below every arrival stamp). The
-    /// strictly-capped queue pop enforces both without ever over-popping,
-    /// so nothing is parked back.
+    /// The globally minimal scheduled event: the two-way merge of the
+    /// pre-seeded source stream and the queue of in-flight arrivals. A
+    /// stream event predates every equal-time arrival (all pre-seeded
+    /// stamps are below every arrival stamp), which the strictly-capped
+    /// queue pop enforces without ever over-popping, so nothing is
+    /// parked back.
     fn next_event(&mut self) -> Option<(u64, EventKind)> {
-        let held_at = self.lookahead.front().map(|e| e.0);
         let head = self.source_stream.get(self.stream_cursor).copied();
-        let cap_us = held_at.unwrap_or(u64::MAX).min(head.map_or(u64::MAX, |(at, _)| at));
+        let cap_us = head.map_or(u64::MAX, |(at_us, _)| at_us);
         if let Some(popped) = self.queue.pop_lt(cap_us) {
             return Some(popped);
         }
-        match (held_at, head) {
-            (Some(h), Some((c, _))) if h > c => {
-                self.stream_cursor += 1;
-                head
-            }
-            (Some(_), _) => self.lookahead.pop_front(),
-            (None, Some(_)) => {
-                self.stream_cursor += 1;
-                head
-            }
-            // Only events at exactly `u64::MAX` remain reachable here.
-            (None, None) => self.queue.pop(),
+        if head.is_some() {
+            self.stream_cursor += 1;
+            return head;
         }
+        // Only events at exactly `u64::MAX` remain reachable here.
+        self.queue.pop()
     }
 
-    /// The drive-loop merge of [`Session::next_event`] with the fault
-    /// timeline: pops the next simulation event, first applying every due
-    /// fault control. A control at `t` applies before any simulation
-    /// event at `t` (state changes precede the traffic that observes
-    /// them), and controls up to `limit_us` apply even when no simulation
-    /// event remains at or before them — so `run_until` leaves the fault
-    /// state current at its target instant. Controls past `limit_us`
-    /// never fire early. The fast path is one `is_idle` check.
+    /// The merge of [`Session::next_event`] with the fault timeline and
+    /// a time limit: pops the next simulation event at or before
+    /// `limit_us`, first applying every due fault control. A control at
+    /// `t` applies before any simulation event at `t` (state changes
+    /// precede the traffic that observes them), and controls up to
+    /// `limit_us` apply even when no simulation event remains at or
+    /// before them — so `run_until` leaves the fault state current at
+    /// its target instant. Neither a control nor an event past
+    /// `limit_us` is ever taken early: the merge peeks before it pops.
     fn pop_next_with_faults(&mut self, limit_us: u64) -> Option<(u64, EventKind)> {
         loop {
-            if self.faults.is_idle() {
-                return self.next_event();
-            }
+            let head_at = self.source_stream.get(self.stream_cursor).map(|&(at_us, _)| at_us);
+            let next_at = match (head_at, self.queue.peek_at()) {
+                (Some(s), Some(q)) => Some(s.min(q)),
+                (s, q) => s.or(q),
+            };
             let f_at = self.faults.next_at();
-            match self.next_event() {
-                Some(ev) => {
-                    if f_at <= ev.0 && f_at <= limit_us {
-                        self.stash(ev);
-                        self.apply_next_control();
-                    } else {
-                        return Some(ev);
-                    }
-                }
-                None => {
-                    if f_at <= limit_us {
-                        self.apply_next_control();
-                    } else {
-                        return None;
-                    }
-                }
+            if !self.faults.is_idle() && f_at <= limit_us && next_at.is_none_or(|at| f_at <= at) {
+                self.apply_next_control();
+            } else if next_at.is_some_and(|at| at <= limit_us) {
+                return self.next_event();
+            } else {
+                return None;
             }
         }
     }
@@ -1326,17 +1026,17 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
 
     /// One event through the full pipeline — the body of the reference
     /// engine's loop, with observer taps and the liveness gate added.
-    /// `held` counts events a batching driver has popped but not yet
-    /// processed, so `on_event`'s pending sample stays identical to a
-    /// one-at-a-time drive.
-    fn process(&mut self, at_us: u64, kind: EventKind, held: usize) {
+    /// `held` counts events the drain has popped but not yet processed,
+    /// so `on_event`'s pending sample stays identical to a one-at-a-time
+    /// drive. `TIMED` stamps the phase boundaries (see [`PhaseStats`]).
+    fn process<const TIMED: bool>(&mut self, at_us: u64, kind: EventKind, held: usize) {
         self.metrics.events += 1;
         self.now_us = at_us;
         match kind.classify(&self.tags) {
             Event::SourceChange { item, value } => {
                 self.metrics.source_updates += 1;
                 self.observer.on_source_change(at_us, item, value);
-                self.apply_source_change(at_us, item, value);
+                self.apply_source_change::<TIMED>(at_us, item, value);
             }
             Event::Arrival { node, update } => {
                 if !self.disseminator.is_active(node) {
@@ -1360,6 +1060,7 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
                     for &child in scratch.to().iter().take(16) {
                         self.delays_us.prefetch(node, child);
                     }
+                    self.lap::<TIMED>(PROCESS);
                     let fidelity = &mut self.fidelity;
                     let observer = &mut self.observer;
                     fidelity.repo_update_sink(
@@ -1375,7 +1076,8 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
                             }
                         },
                     );
-                    self.transmit(node, at_us, scratch.update(), scratch.to(), Some(kind));
+                    self.lap::<TIMED>(FIDELITY);
+                    self.transmit::<TIMED>(node, at_us, scratch.update(), scratch.to(), Some(kind));
                     self.scratch = scratch;
                 }
             }
@@ -1387,13 +1089,19 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
     /// shared by trace ticks and injected hot-swaps. As in the arrival
     /// path, the forwarding decision runs first so the per-send delay
     /// cells can prefetch under the fidelity column scan.
-    fn apply_source_change(&mut self, at_us: u64, item: d3t_core::item::ItemId, value: f64) {
+    fn apply_source_change<const TIMED: bool>(
+        &mut self,
+        at_us: u64,
+        item: d3t_core::item::ItemId,
+        value: f64,
+    ) {
         let mut scratch = std::mem::take(&mut self.scratch);
         self.disseminator.on_source_update_into(item, value, &mut scratch);
         self.metrics.source_checks += scratch.checks();
         for &child in scratch.to().iter().take(16) {
             self.delays_us.prefetch(SOURCE, child);
         }
+        self.lap::<TIMED>(PROCESS);
         let fidelity = &mut self.fidelity;
         let observer = &mut self.observer;
         fidelity.source_update_sink(at_us, item, value, &mut |repo, it, opened| {
@@ -1403,7 +1111,8 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
                 observer.on_violation_close(at_us, repo, it);
             }
         });
-        self.transmit(SOURCE, at_us, scratch.update(), scratch.to(), None);
+        self.lap::<TIMED>(FIDELITY);
+        self.transmit::<TIMED>(SOURCE, at_us, scratch.update(), scratch.to(), None);
         self.scratch = scratch;
     }
 
@@ -1414,7 +1123,7 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
     /// [`EventQueue::push_batch`]; `relayed` is the event being
     /// forwarded, when there is one, so a centralized relay reuses its
     /// interned tag pair instead of growing the side table.
-    fn transmit(
+    fn transmit<const TIMED: bool>(
         &mut self,
         node: NodeIdx,
         now_us: u64,
@@ -1454,9 +1163,11 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
             }
             self.send_buf.push((arrival_us, template.at_node(child)));
         }
+        self.busy_until_us[node.index()] = cpu;
+        self.lap::<TIMED>(TRANSMIT);
         self.queue.push_batch(self.next_seq, &self.send_buf);
         self.next_seq += self.send_buf.len() as u64;
-        self.busy_until_us[node.index()] = cpu;
+        self.lap::<TIMED>(PUSH);
     }
 }
 
@@ -1611,9 +1322,9 @@ mod tests {
 
     #[test]
     fn injection_interleaves_with_held_back_lookahead() {
-        // run_until(500ms) holds the t=1000ms change in the lookahead
-        // slot; a hot-swap at 500ms schedules an arrival at 750ms that
-        // must be processed *before* the held event.
+        // run_until(500ms) leaves the t=1000ms change unpopped in the
+        // source stream; a hot-swap at 500ms schedules an arrival at
+        // 750ms that must be processed *before* it.
         let changes = [(1000u64, ItemId(0), 1.05)];
         let (g, w) = tiny();
         let delays = DelayMatrix::uniform(2, 200.0);
@@ -1639,7 +1350,7 @@ mod tests {
         };
         assert_eq!(times, sorted, "events must replay in global time order: {times:?}");
         assert!(times.contains(&750_000), "injected arrival delivered at 750ms");
-        assert!(times.contains(&1_000_000), "held-back trace change still processed");
+        assert!(times.contains(&1_000_000), "later trace change still processed");
     }
 
     /// S → P (c=0.3) → C (c=0.5): the chain fixture for repair tests.
@@ -1675,20 +1386,21 @@ mod tests {
             }],
             ..Default::default()
         };
-        for cap in [1usize, 64] {
+        for stepped in [true, false] {
             let mut s = tiny_session(&changes, 200.0, 50.0, 10_000.0);
-            s.set_batch_events(cap);
             s.install_fault_plan(&plan);
+            while stepped && s.step().is_some() {}
             let (rep, m) = s.run_to_end();
-            assert_eq!(m.dropped, 1, "cap {cap}");
+            assert_eq!(m.dropped, 1, "stepped {stepped}");
             assert_eq!(m.injected, 0, "plans are not injections");
-            assert!((rep.loss_pct - 22.5).abs() < 1e-6, "cap {cap} loss {}", rep.loss_pct);
+            assert!((rep.loss_pct - 22.5).abs() < 1e-6, "stepped {stepped} loss {}", rep.loss_pct);
         }
     }
 
     #[test]
     fn crash_boundary_is_exact_on_scalar_and_batched_paths() {
-        // Arrivals land at 1250 and 3250 ms. A crash at *exactly* the
+        // On the scalar `step()` loop and on the run drain alike:
+        // arrivals land at 1250 and 3250 ms. A crash at *exactly* the
         // first arrival instant applies before the equal-time arrival
         // (controls precede simulation events), so the violation opened
         // at 1000ms runs to the 3250ms repair: 22.5% loss. One µs later
@@ -1707,15 +1419,15 @@ mod tests {
                 }],
                 ..Default::default()
             };
-            for cap in [1usize, 64] {
+            for stepped in [true, false] {
                 let mut s = tiny_session(&changes, 200.0, 50.0, 10_000.0);
-                s.set_batch_events(cap);
                 s.install_fault_plan(&plan);
+                while stepped && s.step().is_some() {}
                 let (rep, m) = s.run_to_end();
-                assert_eq!(m.dropped, expect_dropped, "crash at {crash_at} cap {cap}");
+                assert_eq!(m.dropped, expect_dropped, "crash at {crash_at} stepped {stepped}");
                 assert!(
                     (rep.loss_pct - expect_loss).abs() < 1e-6,
-                    "crash at {crash_at} cap {cap}: loss {}",
+                    "crash at {crash_at} stepped {stepped}: loss {}",
                     rep.loss_pct
                 );
             }
@@ -1842,19 +1554,18 @@ mod tests {
             seed: 9,
             ..Default::default()
         };
-        let run = |cap: usize| {
+        let run = |stepped: bool| {
             let mut s = tiny_session(&changes, 25.0, 12.5, 10_000.0);
-            s.set_batch_events(cap);
             s.install_fault_plan(&plan);
+            while stepped && s.step().is_some() {}
             s.run_to_end()
         };
-        let (rep1, m1) = run(1);
+        let (rep1, m1) = run(true);
         assert!(m1.lost > 0, "60% loss must destroy some attempts");
         assert!(m1.retransmits > 0, "retransmissions must fire");
         assert!(m1.retransmits <= m1.lost, "every retransmit follows a loss");
-        for cap in [7usize, 64] {
-            assert_eq!(run(cap), (rep1.clone(), m1), "cap {cap} diverged");
-        }
+        assert_eq!(run(false), (rep1.clone(), m1), "the run drain diverged");
+        assert_eq!(run(true), (rep1, m1), "the repeat diverged");
     }
 
     #[test]

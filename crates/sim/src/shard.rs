@@ -1,14 +1,14 @@
 //! Conservative parallel DES: the d3g sharded across cores, with
 //! epoch-batched cross-shard inboxes.
 //!
-//! The sequential engine's run-batched drain already rests on a
+//! The sequential engine's run drain already rests on a
 //! lookahead bound: processing an event at `t` can only schedule
 //! arrivals at or after `t + comp_delay + min off-diagonal link delay`
 //! (the safety window `W`, see the queue module's performance model).
 //! This module turns that *temporal* batching license into a *spatial*
 //! one: partition the overlay into `N` shards ([`d3t_net::partition`]
 //! over the tolerance-weighted d3g edge graph, source pinned to shard
-//! 0), give every shard its own calendar queue, busy-clock and staged
+//! 0), give every shard its own calendar queue, busy-clock and run
 //! drain, and let all of them drain the same epoch `[t_min, T)` —
 //! `T = min(t_min + W, next fault control)` — concurrently. No event
 //! inside an epoch can generate work inside it, so the shards never
@@ -59,11 +59,11 @@
 //! owner of its parent — or, once crashes can re-home orphans, the
 //! owners of every original proper ancestor (fosters never leave that
 //! chain). Mirror arrivals replay the delivery's state write
-//! ([`MIRROR_TOUCH_BIT`]) without counting, measuring or forwarding
-//! anything. The centralized protocol's recovery resync additionally
-//! reads *every* holder's row, so faulted centralized runs keep a value
-//! log per shard, replayed onto the other replicas at each barrier —
-//! before any control can trigger a resync.
+//! ([`Disseminator::record_replica`]) without counting, measuring or
+//! forwarding anything. The centralized protocol's recovery resync
+//! additionally reads *every* holder's row, so faulted centralized runs
+//! keep a value log per shard, replayed onto the other replicas at each
+//! barrier — before any control can trigger a resync.
 //!
 //! # Equivalence and fallbacks
 //!
@@ -79,9 +79,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard};
 
 use d3t_core::coherency::Coherency;
-use d3t_core::dissemination::{
-    Disseminator, ForwardScratch, Protocol, RunDecisions, RunTouch, Update, MIRROR_TOUCH_BIT,
-};
+use d3t_core::dissemination::{Disseminator, ForwardScratch, Protocol, Update};
 use d3t_core::fidelity::{FidelityReport, FidelityTracker, PairLoss};
 use d3t_core::graph::D3g;
 use d3t_core::item::ItemId;
@@ -95,6 +93,7 @@ use crate::metrics::Metrics;
 use crate::prepared::Prepared;
 use crate::queue::{CalendarQueue, EventQueue, HeapQueue, QueueBackend};
 use crate::report::RunReport;
+use crate::session::RUN_CAP;
 use crate::snapshot::Snapshot;
 
 /// One queued event on a shard: the packed payload plus its global
@@ -173,12 +172,9 @@ struct ShardState<Q> {
     value_log: Vec<(ItemId, NodeIdx, f64)>,
     log_values: bool,
     buf: Vec<(u64, ShardEvent)>,
-    touches: Vec<RunTouch>,
-    dec: RunDecisions,
     scratch: ForwardScratch,
     comp_delay_us: u64,
     end_us: u64,
-    batch: usize,
 }
 
 impl<Q: EventQueue<ShardEvent>> ShardState<Q> {
@@ -192,7 +188,7 @@ impl<Q: EventQueue<ShardEvent>> ShardState<Q> {
             let cap = s_at.min(t_end);
             let mut buf = std::mem::take(&mut self.buf);
             buf.clear();
-            let n = self.queue.pop_run(u64::MAX, cap, self.batch, &mut buf);
+            let n = self.queue.pop_run(u64::MAX, cap, RUN_CAP, &mut buf);
             if n > 0 {
                 self.process_run(&buf, ctx);
                 self.buf = buf;
@@ -231,17 +227,15 @@ impl<Q: EventQueue<ShardEvent>> ShardState<Q> {
         }
     }
 
-    /// One popped run of arrivals through the staged pipeline — the
-    /// shard-local sibling of the session's `process_run`. Mirror
-    /// arrivals (owner of the node is another shard) stage a
-    /// [`MIRROR_TOUCH_BIT`] touch: the replica replays the state write,
-    /// but no metrics, no fidelity slot (theirs are unmeasured here)
-    /// and no sends. The staged order is the pop order — never sorted,
-    /// since the mirror bit deliberately corrupts the group-sort key.
+    /// One popped run of arrivals, each through the same scalar kernels
+    /// the session's `process` drives. Mirror arrivals (owner of the
+    /// node is another shard) replay only the state write on this
+    /// replica — what a later decision at an owned ancestor reads: no
+    /// metrics, no fidelity slot (theirs are unmeasured here) and no
+    /// sends, which the owning shard already decided and routed.
     fn process_run(&mut self, run: &[(u64, ShardEvent)], ctx: &EpochCtx<'_>) {
-        let mut touches = std::mem::take(&mut self.touches);
-        touches.clear();
-        for (i, &(at_us, ev)) in run.iter().enumerate() {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        for &(at_us, ev) in run {
             let Event::Arrival { node, update } = ev.kind.classify(&self.tags) else {
                 unreachable!("shard queues hold arrivals only");
             };
@@ -255,40 +249,19 @@ impl<Q: EventQueue<ShardEvent>> ShardState<Q> {
                 }
                 continue;
             }
-            let idx = i as u32 | if owned { 0 } else { MIRROR_TOUCH_BIT };
-            touches.push(RunTouch {
-                idx,
-                node,
-                item: update.item,
-                at_us,
-                value: update.value,
-                tag: update.tag.map_or(f64::NAN, |c| c.value()),
-            });
-        }
-        let mut dec = std::mem::take(&mut self.dec);
-        self.dis.on_run_into(&touches, &mut dec);
-        self.metrics.source_checks += dec.source_checks;
-        self.metrics.repo_checks += dec.repo_checks;
-        // Mirror touches land on unmeasured (NaN-tolerance) slots; the
-        // noop sink keeps the sweep shape identical to the sequential
-        // tracker without observers.
-        self.fid.on_run_sink(&touches, &mut |_, _, _, _| {});
-        for (k, t) in touches.iter().enumerate() {
-            if t.idx & MIRROR_TOUCH_BIT != 0 {
+            if !owned {
+                self.dis.record_replica(update.item, node, update.value);
                 continue;
             }
+            self.dis.on_repo_update_into(node, update, &mut scratch);
+            self.metrics.repo_checks += scratch.checks();
+            self.fid.repo_update(at_us, node, update.item, update.value);
             if self.log_values {
-                self.value_log.push((t.item, t.node, t.value));
+                self.value_log.push((update.item, node, update.value));
             }
-            let to = dec.to_of(k);
-            if to.is_empty() {
-                continue;
-            }
-            let g = run[t.idx as usize].1.g;
-            self.stage_sends(t.node, t.at_us, dec.update_of(k), to, 1, g, ctx);
+            self.stage_sends(node, at_us, scratch.update(), scratch.to(), 1, ev.g, ctx);
         }
-        self.dec = dec;
-        self.touches = touches;
+        self.scratch = scratch;
     }
 
     /// Stages one send group into the outbox — identical arithmetic to
@@ -629,7 +602,6 @@ struct Driven<Q> {
     states: Vec<ShardState<Q>>,
     faults: FaultState,
     reparented: u64,
-    stream: Vec<(u64, EventKind)>,
     owner: Vec<u32>,
 }
 
@@ -679,7 +651,6 @@ fn drive<Q: EventQueue<ShardEvent> + Send>(
     } else {
         FaultState::compile(&cfg.fault, &base, end_us)
     };
-    let batch = cfg.batch_events.max(1);
     let n_items = prepared.workload.n_items();
     let n_repos = prepared.workload.n_repos();
 
@@ -715,12 +686,9 @@ fn drive<Q: EventQueue<ShardEvent> + Send>(
                 value_log: Vec::new(),
                 log_values,
                 buf: Vec::new(),
-                touches: Vec::new(),
-                dec: RunDecisions::default(),
                 scratch: ForwardScratch::default(),
                 comp_delay_us,
                 end_us,
-                batch,
             })
         })
         .collect();
@@ -788,7 +756,7 @@ fn drive<Q: EventQueue<ShardEvent> + Send>(
     });
 
     let states: Vec<ShardState<Q>> = shards.into_iter().map(|m| m.into_inner().unwrap()).collect();
-    Driven { states, faults, reparented, stream, owner }
+    Driven { states, faults, reparented, owner }
 }
 
 fn run_impl<Q: EventQueue<ShardEvent> + Send>(
@@ -904,10 +872,6 @@ pub(crate) fn snapshot_sharded(prepared: &Prepared, t_us: u64) -> Option<Snapsho
 ///   `(at_us, seq)` pop order exactly, and payloads are re-interned
 ///   into one fresh tag table (ids are representation — the digest
 ///   and the restore both decode);
-/// * **lookahead** — the sequential `run_until` parks the next future
-///   event (stream beating the queue on equal times) in its
-///   lookahead; the merge replays that stash so the restored session
-///   is field-identical to the sequential one;
 /// * **metrics, fault runtime, busy clocks** — the run-end merges,
 ///   applied at the barrier (the coordinator's `FaultState` *is* the
 ///   sequential one: same compile, same pops, same repair schedule).
@@ -918,7 +882,7 @@ fn snapshot_impl<Q: EventQueue<ShardEvent> + Send>(
     w: u64,
     t_us: u64,
 ) -> Snapshot {
-    let Driven { states, faults, reparented, stream, owner } =
+    let Driven { states, faults, reparented, owner } =
         drive::<Q>(prepared, delays, n_shards, w, t_us);
     let n_nodes = prepared.d3g.n_nodes();
     let n_repos = prepared.workload.n_repos();
@@ -976,34 +940,20 @@ fn snapshot_impl<Q: EventQueue<ShardEvent> + Send>(
     decoded.sort_unstable_by_key(|&(at_us, g, _, _)| (at_us, g));
 
     let mut tags = TagTable::default();
-    let mut queue_events: Vec<(u64, EventKind)> = decoded
+    let queue_events: Vec<(u64, EventKind)> = decoded
         .iter()
         .map(|&(at_us, _, node, update)| (at_us, EventKind::arrival(node, update, &mut tags)))
         .collect();
 
-    let mut stream_cursor = states[0].cursor;
-    let s_at = stream.get(stream_cursor).map_or(u64::MAX, |e| e.0);
-    let q_at = queue_events.first().map_or(u64::MAX, |e| e.0);
-    let mut lookahead = Vec::new();
-    if s_at <= q_at {
-        if let Some(&ev) = stream.get(stream_cursor) {
-            lookahead.push(ev);
-            stream_cursor += 1;
-        }
-    } else {
-        lookahead.push(queue_events.remove(0));
-    }
-
     Snapshot {
         now_us: t_us,
         end_us: prepared.end_us,
-        stream_cursor,
+        stream_cursor: states[0].cursor,
         busy_until_us,
         disseminator,
         fidelity,
         metrics,
         tags,
-        lookahead,
         queue_events,
         faults,
     }

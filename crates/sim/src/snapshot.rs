@@ -3,7 +3,7 @@
 //! A [`Snapshot`] is a compact owned copy of everything a
 //! [`Session`](crate::Session)'s future depends on, taken at any
 //! quiescent step boundary (between `step` / `run_until` calls, where
-//! no run is half-staged) — or at an epoch barrier of a sharded run,
+//! no popped run is half-processed) — or at an epoch barrier of a sharded run,
 //! where the per-shard queues are quiescent and the per-shard state
 //! merges exactly (see `shard::snapshot_sharded`).
 //!
@@ -18,10 +18,9 @@
 //! ## What is captured, and in what form
 //!
 //! * **Pending events** — the queue's events in exactly pop order
-//!   ([`EventQueue::snapshot_events`](crate::EventQueue::snapshot_events)),
-//!   plus the held-back lookahead events separately (they outrank
-//!   equal-time stream events, so they must not transit the queue on
-//!   restore). Events keep their raw [`EventKind`] payloads; the
+//!   ([`EventQueue::snapshot_events`](crate::EventQueue::snapshot_events));
+//!   no drive entry ever holds a popped event across a step boundary,
+//!   so the queue is all of them. Events keep their raw [`EventKind`] payloads; the
 //!   NaN-boxed tag ids they may carry stay meaningful because the
 //!   [`TagTable`] is captured alongside them. Creation stamps are
 //!   **not** stored: capture order *is* pop order, so restore re-pushes
@@ -42,8 +41,8 @@
 //!
 //! `Prepared::resume(&snapshot)` reconstructs a session whose
 //! run-to-end is bit-identical to the uninterrupted run — same
-//! `FidelityReport`, same `Metrics`, on either queue backend, any
-//! batch cap, with an active fault plan (property-tested at the
+//! `FidelityReport`, same `Metrics`, on either queue backend, with an
+//! active fault plan (property-tested at the
 //! workspace root in `tests/snapshot_properties.rs`). The one
 //! non-semantic difference a resumed session carries is its stamp
 //! counter (restarted at the pending-event count), which is why
@@ -84,9 +83,6 @@ pub struct Snapshot {
     pub(crate) metrics: Metrics,
     /// Tag side table the captured events' NaN-boxed ids resolve in.
     pub(crate) tags: TagTable,
-    /// Held-back lookahead events, in order (restored as lookahead —
-    /// they outrank equal-time stream and queue events).
-    pub(crate) lookahead: Vec<(u64, EventKind)>,
     /// The queue's pending events in exactly pop order.
     pub(crate) queue_events: Vec<(u64, EventKind)>,
     /// Fault-plan runtime: timeline cursor, repair heap, live windows,
@@ -105,9 +101,10 @@ impl Snapshot {
         self.end_us
     }
 
-    /// Events pending at capture (queue + held-back lookahead).
+    /// Arrivals in flight at capture (the unprocessed pre-seeded source
+    /// changes are configuration, not captured).
     pub fn pending_events(&self) -> usize {
-        self.queue_events.len() + self.lookahead.len()
+        self.queue_events.len()
     }
 
     /// Events processed by the captured run so far — how much of the
@@ -126,8 +123,7 @@ impl Snapshot {
             + self.disseminator.state_bytes()
             + self.fidelity.state_bytes()
             + self.tags.state_bytes()
-            + (self.lookahead.len() + self.queue_events.len())
-                * std::mem::size_of::<(u64, EventKind)>()
+            + self.queue_events.len() * std::mem::size_of::<(u64, EventKind)>()
             + self.faults.state_bytes()
     }
 }

@@ -6,22 +6,23 @@
 //!    [`FaultPlan`] (no crashes, zero-probability loss, no degradation,
 //!    `RepairPolicy::None`) is bit-identical to the sealed reference
 //!    [`Engine::run`] loop — across all four protocols, both queue
-//!    backends, and every batch cap. Fault support costs nothing and
-//!    changes nothing until a plan actually does something.
+//!    backends, and every drive ([`Drive`]). Fault support costs nothing
+//!    and changes nothing until a plan actually does something.
 //!
 //! 2. **Faulted runs are bit-deterministic.** For a fixed `(seed, plan)`
 //!    — crashes with and without recovery, a correlated subtree burst,
 //!    a loss window with retransmission, a Pareto degradation window,
-//!    and the `Reparent` repair policy all at once — every backend × cap
-//!    combination produces the `(FidelityReport, Metrics)` of the cap-1
-//!    scalar drive bit-for-bit, and a repeat run reproduces it exactly.
+//!    and the `Reparent` repair policy all at once — every backend ×
+//!    drive combination produces the `(FidelityReport, Metrics)` of the
+//!    `step()` loop bit-for-bit, and a repeat run reproduces it exactly.
 //!
 //! 3. **Injected storms are drive-invariant.** A seeded storm of
 //!    `inject`-driven fail / recover / renegotiate dynamics applied at
-//!    pseudo-random instants is bit-identical across backends × caps
-//!    (the sealed engine has no injection surface, so the cap-1 scalar
-//!    session — itself pinned to the engine by property 1 and
-//!    `tests/session_properties.rs` — is the reference).
+//!    pseudo-random instants is bit-identical across backends × drives
+//!    (the sealed engine has no injection surface, so the session that
+//!    reaches each instant in one `run_until` — itself pinned to the
+//!    engine by property 1 and `tests/session_properties.rs` — is the
+//!    reference).
 
 use d3t::core::coherency::Coherency;
 use d3t::core::dissemination::Protocol;
@@ -29,10 +30,42 @@ use d3t::core::fidelity::FidelityReport;
 use d3t::core::overlay::NodeIdx;
 use d3t::sim::{
     CalendarQueue, CrashSpec, DegradeWindow, Dynamic, EventKind, EventQueue, FaultPlan, HeapQueue,
-    LossWindow, Metrics, NoopObserver, Prepared, RepairPolicy, RepairSpec, SimConfig,
+    LossWindow, Metrics, NoopObserver, Prepared, RepairPolicy, RepairSpec, Session, SimConfig,
 };
 
-const CAPS: [usize; 4] = [1, 7, 16, 64];
+/// One way to drive a session forward — each caps the drain's runs
+/// differently (there is no cap knob; the drive is the cap). The drives
+/// share the per-event body but not the pop: `step()` takes single
+/// events through the peeking scalar merge (runs of one), a hop cuts
+/// runs at its target instant, a whole drive pops full reorder-free
+/// runs.
+#[derive(Debug, Clone, Copy)]
+enum Drive {
+    /// A pure `step()` loop (whole runs only: a step cannot stop at an
+    /// instant).
+    Steps,
+    /// `run_until` hops of this many µs — below the ~12.5 ms safety
+    /// window nearly every run is cut short.
+    Hops(u64),
+    /// One `run_until` / `run_to_end`.
+    Whole,
+}
+
+const DRIVES: [Drive; 4] = [Drive::Steps, Drive::Hops(5_000), Drive::Hops(333_333), Drive::Whole];
+
+/// Advances `s` to `t_us` the way `drive` says.
+fn advance<Q: EventQueue<EventKind>>(s: &mut Session<Q>, t_us: u64, drive: Drive) {
+    match drive {
+        Drive::Steps => unreachable!("a step loop cannot stop at an instant"),
+        Drive::Hops(stride) => {
+            while s.now_us() + stride < t_us {
+                s.run_until(s.now_us() + stride);
+            }
+        }
+        Drive::Whole => {}
+    }
+    s.run_until(t_us);
+}
 const PROTOCOLS: [Protocol; 4] =
     [Protocol::Distributed, Protocol::Centralized, Protocol::Naive, Protocol::FloodAll];
 
@@ -55,11 +88,14 @@ fn xorshift(x: &mut u64) -> u64 {
 fn run_faulted<Q: EventQueue<EventKind>>(
     p: &Prepared,
     plan: &FaultPlan,
-    cap: usize,
+    drive: Drive,
 ) -> (FidelityReport, Metrics) {
     let mut s = p.session_with::<Q, _>(NoopObserver);
-    s.set_batch_events(cap);
     s.install_fault_plan(plan);
+    match drive {
+        Drive::Steps => while s.step().is_some() {},
+        _ => advance(&mut s, p.end_us, drive),
+    }
     s.run_to_end()
 }
 
@@ -89,12 +125,12 @@ fn inert_plan_keeps_bit_identity_with_sealed_oracle() {
         let cfg = small(protocol, 0x5EED);
         let p = Prepared::build(&cfg);
         let sealed = p.engine::<CalendarQueue<EventKind>>().run();
-        for cap in CAPS {
-            let cal = run_faulted::<CalendarQueue<EventKind>>(&p, &inert, cap);
-            let heap = run_faulted::<HeapQueue<EventKind>>(&p, &inert, cap);
-            assert_eq!(cal, sealed, "{protocol:?} cap {cap}: calendar diverged from oracle");
-            assert_eq!(heap, sealed, "{protocol:?} cap {cap}: heap diverged from oracle");
-            assert_eq!(format!("{cal:?}"), format!("{sealed:?}"), "{protocol:?} cap {cap}: repr");
+        for drive in DRIVES {
+            let cal = run_faulted::<CalendarQueue<EventKind>>(&p, &inert, drive);
+            let heap = run_faulted::<HeapQueue<EventKind>>(&p, &inert, drive);
+            assert_eq!(cal, sealed, "{protocol:?} {drive:?}: calendar diverged from oracle");
+            assert_eq!(heap, sealed, "{protocol:?} {drive:?}: heap diverged from oracle");
+            assert_eq!(format!("{cal:?}"), format!("{sealed:?}"), "{protocol:?} {drive:?}: repr");
         }
     }
 }
@@ -137,21 +173,21 @@ fn faulted_runs_are_bit_deterministic_across_backends_and_caps() {
                 seed: seed ^ 0xF00D,
                 ..Default::default()
             };
-            let reference = run_faulted::<CalendarQueue<EventKind>>(&p, &plan, 1);
+            let reference = run_faulted::<CalendarQueue<EventKind>>(&p, &plan, Drive::Steps);
             assert!(reference.1.lost > 0, "{protocol:?}/{seed}: loss window never fired");
             assert!(
                 reference.1.reparented > 0,
                 "{protocol:?}/{seed}: {n_deps} orphans but no reparent"
             );
-            for cap in CAPS {
-                let cal = run_faulted::<CalendarQueue<EventKind>>(&p, &plan, cap);
-                let heap = run_faulted::<HeapQueue<EventKind>>(&p, &plan, cap);
-                assert_eq!(cal, reference, "{protocol:?}/{seed} cap {cap}: calendar diverged");
-                assert_eq!(heap, reference, "{protocol:?}/{seed} cap {cap}: heap diverged");
+            for drive in DRIVES {
+                let cal = run_faulted::<CalendarQueue<EventKind>>(&p, &plan, drive);
+                let heap = run_faulted::<HeapQueue<EventKind>>(&p, &plan, drive);
+                assert_eq!(cal, reference, "{protocol:?}/{seed} {drive:?}: calendar diverged");
+                assert_eq!(heap, reference, "{protocol:?}/{seed} {drive:?}: heap diverged");
             }
             // Same (seed, plan) twice — bit-identical repeat.
             assert_eq!(
-                run_faulted::<CalendarQueue<EventKind>>(&p, &plan, 1),
+                run_faulted::<CalendarQueue<EventKind>>(&p, &plan, Drive::Steps),
                 reference,
                 "{protocol:?}/{seed}: repeat run diverged"
             );
@@ -161,17 +197,16 @@ fn faulted_runs_are_bit_deterministic_across_backends_and_caps() {
 
 fn drive_inject_storm<Q: EventQueue<EventKind>>(
     p: &Prepared,
-    cap: usize,
+    drive: Drive,
     storm_seed: u64,
 ) -> (FidelityReport, Metrics) {
     let mut s = p.session_with::<Q, _>(NoopObserver);
-    s.set_batch_events(cap);
     let n_repos = p.config().n_repos;
     let mut x = storm_seed | 1;
     let mut ts: Vec<u64> = (0..12).map(|_| xorshift(&mut x) % (p.end_us + 1)).collect();
     ts.sort_unstable();
     for t in ts {
-        s.run_until(t);
+        advance(&mut s, t, drive);
         let repo = (xorshift(&mut x) as usize) % n_repos;
         match xorshift(&mut x) % 3 {
             0 => {
@@ -202,13 +237,14 @@ fn inject_storms_are_cap_and_backend_invariant() {
             let cfg = small(protocol, seed);
             let p = Prepared::build(&cfg);
             let storm_seed = seed.rotate_left(17) ^ 0xBAD;
-            let reference = drive_inject_storm::<CalendarQueue<EventKind>>(&p, 1, storm_seed);
+            let reference =
+                drive_inject_storm::<CalendarQueue<EventKind>>(&p, Drive::Whole, storm_seed);
             assert!(reference.1.injected > 0, "{protocol:?}/{seed}: storm injected nothing");
-            for cap in CAPS {
-                let cal = drive_inject_storm::<CalendarQueue<EventKind>>(&p, cap, storm_seed);
-                let heap = drive_inject_storm::<HeapQueue<EventKind>>(&p, cap, storm_seed);
-                assert_eq!(cal, reference, "{protocol:?}/{seed} cap {cap}: calendar diverged");
-                assert_eq!(heap, reference, "{protocol:?}/{seed} cap {cap}: heap diverged");
+            for drive in [Drive::Hops(5_000), Drive::Hops(333_333), Drive::Whole] {
+                let cal = drive_inject_storm::<CalendarQueue<EventKind>>(&p, drive, storm_seed);
+                let heap = drive_inject_storm::<HeapQueue<EventKind>>(&p, drive, storm_seed);
+                assert_eq!(cal, reference, "{protocol:?}/{seed} {drive:?}: calendar diverged");
+                assert_eq!(heap, reference, "{protocol:?}/{seed} {drive:?}: heap diverged");
             }
         }
     }

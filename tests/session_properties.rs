@@ -9,18 +9,29 @@
 //!
 //! Since the allocation-free dissemination kernel landed, this identity
 //! carries extra weight: the session runs the **batched kernel path**
-//! (`on_*_update_into` into a reused scratch, batch-popped drain) while
+//! (`on_*_update_into` into a reused scratch, run-popped drain) while
 //! `Engine::run` still drives the allocating **scalar-oracle** methods —
 //! so every assertion here is also a whole-run cross-check of kernel vs.
 //! oracle, across all four protocols × seeds × both queue backends ×
 //! every drive mode. (`tests/kernel_properties.rs` pins the same
 //! equivalence decision by decision.)
+//!
+//! The three drives share one `process` body but not one pop: `step()`
+//! pops single events through the peeking scalar merge, `run_until`
+//! truncates runs at its target, `run_to_end` pops full reorder-free
+//! runs. `drives_agree_on_reports_digests_and_observer_stream` holds
+//! them to one `(report, metrics)`, one `state_digest()` and one full
+//! observer stream — `on_event` pending samples and fault observations
+//! included — with an active crash/loss/degrade plan installed.
 
 use d3t::core::dissemination::Protocol;
 use d3t::core::fidelity::FidelityReport;
+use d3t::core::item::ItemId;
+use d3t::core::overlay::NodeIdx;
 use d3t::sim::{
-    CalendarQueue, EventKind, EventQueue, EventTrace, HeapQueue, Metrics, NoopObserver, Prepared,
-    SimConfig,
+    CalendarQueue, CrashSpec, DegradeWindow, EventKind, EventQueue, EventTrace, FaultObservation,
+    FaultPlan, HeapQueue, LossWindow, Metrics, NoopObserver, Observer, Prepared, RepairPolicy,
+    RepairSpec, Session, SimConfig,
 };
 
 /// Cheap deterministic split-point stream (xorshift64*).
@@ -170,65 +181,189 @@ fn first_measured_item(p: &Prepared, repo: usize) -> d3t::core::item::ItemId {
     p.workload.items_of(repo).next().expect("repo measures something").0
 }
 
-#[test]
-fn batch_caps_are_bit_identical_across_protocols_and_backends() {
-    // The drain cap (`SimConfig::batch_events`) only trades staging
-    // footprint against batching amortization — any cap must reproduce
-    // the sealed engine bit-for-bit. Cap 1 is the pure scalar drain,
-    // 2 the smallest real batches, 7/16 odd and mid widths, 64 wider
-    // than most windows this horizon produces (so runs stay
-    // window-limited, the production regime).
-    fn run_with_cap<Q: EventQueue<EventKind>>(
-        p: &Prepared,
-        cap: usize,
-    ) -> (FidelityReport, Metrics) {
-        let mut s = p.session_with::<Q, _>(NoopObserver);
-        s.set_batch_events(cap);
-        s.run_to_end()
+/// Records **every** observer callback as one line — what `EventTrace`
+/// keeps plus the `on_event` pending samples and the fault observations
+/// it skips — so two drives can be compared callback for callback.
+#[derive(Default)]
+struct FullTrace(Vec<String>);
+
+impl Observer for FullTrace {
+    fn on_source_change(&mut self, at_us: u64, item: ItemId, value: f64) {
+        self.0.push(format!("{at_us} source {item:?} {value:?}"));
     }
+    fn on_send(
+        &mut self,
+        at_us: u64,
+        from: NodeIdx,
+        to: NodeIdx,
+        update: &d3t::core::dissemination::Update,
+        arrival_us: u64,
+    ) {
+        self.0.push(format!("{at_us} send {from}->{to} {update:?} arrives {arrival_us}"));
+    }
+    fn on_delivery(
+        &mut self,
+        at_us: u64,
+        node: NodeIdx,
+        update: &d3t::core::dissemination::Update,
+    ) {
+        self.0.push(format!("{at_us} delivery {node} {update:?}"));
+    }
+    fn on_dropped(&mut self, at_us: u64, node: NodeIdx, update: &d3t::core::dissemination::Update) {
+        self.0.push(format!("{at_us} dropped {node} {update:?}"));
+    }
+    fn on_violation_open(&mut self, at_us: u64, repo: usize, item: ItemId) {
+        self.0.push(format!("{at_us} open {repo} {item:?}"));
+    }
+    fn on_violation_close(&mut self, at_us: u64, repo: usize, item: ItemId) {
+        self.0.push(format!("{at_us} close {repo} {item:?}"));
+    }
+    fn on_event(&mut self, at_us: u64, pending: usize) {
+        self.0.push(format!("{at_us} event pending {pending}"));
+    }
+    fn on_fault(&mut self, at_us: u64, fault: &FaultObservation) {
+        self.0.push(format!("{at_us} fault {fault:?}"));
+    }
+    fn on_end(&mut self, end_us: u64) {
+        self.0.push(format!("{end_us} end"));
+    }
+}
+
+/// Every fault dimension at once, straddling the middle of the run: a
+/// permanent crash under the re-parenting policy, a recovering subtree
+/// burst, a loss window with retransmission and a degradation window.
+fn active_plan(cfg: &SimConfig, end_us: u64) -> FaultPlan {
+    FaultPlan {
+        crashes: vec![
+            CrashSpec { repo: 0, at_us: end_us / 4, recover_at_us: None, subtree: false },
+            CrashSpec {
+                repo: 1 % cfg.n_repos,
+                at_us: end_us / 3,
+                recover_at_us: Some(end_us * 2 / 3),
+                subtree: true,
+            },
+        ],
+        loss: vec![LossWindow { prob: 0.25, from_us: end_us / 8, to_us: end_us * 3 / 4 }],
+        degrade: vec![DegradeWindow {
+            from_us: end_us / 3,
+            to_us: end_us * 3 / 4,
+            min_extra_ms: 5.0,
+            mean_extra_ms: 25.0,
+        }],
+        repair: RepairSpec {
+            policy: RepairPolicy::Reparent,
+            detect_timeout_us: 150_000,
+            base_backoff_us: 20_000,
+            max_backoff_us: 300_000,
+        },
+        seed: cfg.seed ^ 0xF00D,
+        ..Default::default()
+    }
+}
+
+/// What one complete drive leaves behind: the final state digest, the
+/// report and the full observer stream.
+type Outcome = (u64, (FidelityReport, Metrics), Vec<String>);
+
+/// Builds a faulted, fully observed session, hands it to `drive` (which
+/// must process every event), and collects the [`Outcome`].
+fn outcome<Q: EventQueue<EventKind>>(
+    p: &Prepared,
+    plan: &FaultPlan,
+    drive: impl FnOnce(&mut Session<Q, FullTrace>),
+) -> Outcome {
+    let mut s = p.session_with::<Q, _>(FullTrace::default());
+    s.install_fault_plan(plan);
+    drive(&mut s);
+    assert_eq!(s.pending(), 0, "the drive left events behind");
+    let digest = s.state_digest();
+    let (rep, met, trace) = s.finish();
+    (digest, (rep, met), trace.0)
+}
+
+/// The three drives of one faulted prepared run on one backend; asserts
+/// they agree and returns the common outcome.
+fn assert_drives_agree<Q: EventQueue<EventKind>>(
+    p: &Prepared,
+    plan: &FaultPlan,
+    label: &str,
+) -> Outcome {
+    let by_step = outcome::<Q>(p, plan, |s| while s.step().is_some() {});
+    let by_run = outcome::<Q>(p, plan, |s| s.drain_to_end());
+    let by_split = outcome::<Q>(p, plan, |s| {
+        // Seeded split points plus the plan's own control instants and
+        // their neighbours — the targets where a limit and a control tie.
+        let end = p.end_us;
+        let mut ts = split_points(0x9E37_79B9_7F4A_7C15 ^ end, 9, end);
+        for t in [end / 4, end / 3, end / 8, end * 2 / 3, end * 3 / 4] {
+            ts.extend([t - 1, t, t + 1]);
+        }
+        ts.sort_unstable();
+        for t in ts {
+            s.run_until(t);
+        }
+        s.run_until(end);
+    });
+    for (name, other) in [("run_to_end", &by_run), ("run_until splits", &by_split)] {
+        assert_eq!(other.1, by_step.1, "{label}: {name} report diverged from the step loop");
+        assert_eq!(other.0, by_step.0, "{label}: {name} state digest diverged");
+        assert_eq!(other.2.len(), by_step.2.len(), "{label}: {name} observer stream length");
+        for (i, (a, b)) in other.2.iter().zip(&by_step.2).enumerate() {
+            assert_eq!(a, b, "{label}: {name} observer stream diverged at callback {i}");
+        }
+    }
+    by_step
+}
+
+#[test]
+fn drives_agree_on_reports_digests_and_observer_stream() {
     for protocol in
         [Protocol::Distributed, Protocol::Centralized, Protocol::Naive, Protocol::FloodAll]
     {
         let mut cfg = SimConfig::small_for_tests(10, 5, 400, 50.0);
         cfg.protocol = protocol;
         let p = Prepared::build(&cfg);
+        // Fault-free, the step loop is pinned to the sealed engine (and
+        // with it, by the assertions above, every other drive).
+        let inert = FaultPlan::default();
         let sealed = p.engine::<CalendarQueue<EventKind>>().run();
-        for cap in [1usize, 2, 7, 16, 64] {
-            assert_eq!(
-                run_with_cap::<CalendarQueue<EventKind>>(&p, cap),
-                sealed,
-                "{protocol:?}/calendar/cap {cap}"
-            );
-            assert_eq!(
-                run_with_cap::<HeapQueue<EventKind>>(&p, cap),
-                sealed,
-                "{protocol:?}/heap/cap {cap}"
-            );
-        }
+        let free = assert_drives_agree::<CalendarQueue<EventKind>>(&p, &inert, "inert/calendar");
+        assert_eq!(free.1, sealed, "{protocol:?}: step loop diverged from Engine::run");
+        // Faulted, the engine has no say; the drives and the backends
+        // hold each other.
+        let plan = active_plan(&cfg, p.end_us);
+        let cal = assert_drives_agree::<CalendarQueue<EventKind>>(
+            &p,
+            &plan,
+            &format!("{protocol:?}/calendar"),
+        );
+        let heap =
+            assert_drives_agree::<HeapQueue<EventKind>>(&p, &plan, &format!("{protocol:?}/heap"));
+        assert_eq!(cal, heap, "{protocol:?}: backends diverged");
+        assert!(cal.1 .1.lost > 0 && cal.1 .1.dropped > 0, "{protocol:?}: the plan never bit");
     }
 }
 
 #[test]
 fn batched_drain_preserves_the_scalar_observer_stream() {
-    // Batching stages protocol and fidelity work out of event order but
-    // must scatter every observation back in original order: the full
-    // `TraceEvent` stream of a default-cap batched run is asserted equal
-    // to the cap-1 scalar drain's, element by element — not just the
-    // end-of-run aggregates.
+    // The drain pops events a run at a time but must process them one
+    // at a time: the full `TraceEvent` stream of a `run_to_end` is
+    // asserted equal to a `step()` loop's, element by element — not
+    // just the end-of-run aggregates.
     for protocol in
         [Protocol::Distributed, Protocol::Centralized, Protocol::Naive, Protocol::FloodAll]
     {
         let mut cfg = SimConfig::small_for_tests(10, 5, 400, 50.0);
         cfg.protocol = protocol;
         let p = Prepared::build(&cfg);
-        let run = |cap: usize| {
-            let mut s =
-                p.session_with::<CalendarQueue<EventKind>, _>(EventTrace::with_capacity(1 << 17));
-            s.set_batch_events(cap);
+        let session =
+            || p.session_with::<CalendarQueue<EventKind>, _>(EventTrace::with_capacity(1 << 17));
+        let (rep_batched, met_batched, trace_batched) = session().finish();
+        let (rep_scalar, met_scalar, trace_scalar) = {
+            let mut s = session();
+            while s.step().is_some() {}
             s.finish()
         };
-        let (rep_batched, met_batched, trace_batched) = run(cfg.batch_events);
-        let (rep_scalar, met_scalar, trace_scalar) = run(1);
         assert_eq!((rep_batched, met_batched), (rep_scalar, met_scalar), "{protocol:?}: results");
         assert_eq!(
             trace_batched.events().len(),
@@ -245,18 +380,21 @@ fn batched_drain_preserves_the_scalar_observer_stream() {
 fn dynamics_at_run_boundaries_match_the_scalar_drain() {
     use d3t::sim::Dynamic;
     // Injections interrupt the drain mid-window (`run_until` truncates
-    // the batch at the target), so fire them both exactly on decile
-    // boundaries and at ragged +137 µs offsets; every cap × backend
-    // combination must stay in bit-agreement with the cap-1 scalar
-    // drain.
+    // the run at the target), so fire them both exactly on decile
+    // boundaries and at ragged +137 µs offsets. The reference reaches
+    // each injection instant in one `run_until`; the near-scalar drive
+    // creeps there in `stride`-µs hops, truncating almost every run —
+    // every stride × backend combination must stay in bit-agreement.
     fn run_churned<Q: EventQueue<EventKind>>(
         p: &Prepared,
         schedule: &[(u64, Dynamic)],
-        cap: usize,
+        stride: u64,
     ) -> (FidelityReport, Metrics) {
         let mut s = p.session_with::<Q, _>(NoopObserver);
-        s.set_batch_events(cap);
         for &(t, d) in schedule {
+            while s.now_us() + stride < t {
+                s.run_until(s.now_us() + stride);
+            }
             s.run_until(t);
             s.inject(d).unwrap();
         }
@@ -281,19 +419,19 @@ fn dynamics_at_run_boundaries_match_the_scalar_drain() {
         ),
         (end * 6 / 10 + 137, Dynamic::RecoverRepo { repo: 2 }),
     ];
-    let reference = run_churned::<CalendarQueue<EventKind>>(&p, &schedule, 1);
+    let reference = run_churned::<CalendarQueue<EventKind>>(&p, &schedule, u64::MAX / 2);
     assert_eq!(reference.1.injected, 4);
     assert!(reference.1.dropped > 0, "the failed relay must have dropped arrivals");
-    for cap in [2usize, 16, 64, 128] {
+    for stride in [1_000u64, 7_919, 250_000] {
         assert_eq!(
-            run_churned::<CalendarQueue<EventKind>>(&p, &schedule, cap),
+            run_churned::<CalendarQueue<EventKind>>(&p, &schedule, stride),
             reference,
-            "calendar/cap {cap}"
+            "calendar/stride {stride}"
         );
         assert_eq!(
-            run_churned::<HeapQueue<EventKind>>(&p, &schedule, cap),
+            run_churned::<HeapQueue<EventKind>>(&p, &schedule, stride),
             reference,
-            "heap/cap {cap}"
+            "heap/stride {stride}"
         );
     }
 }

@@ -8,9 +8,10 @@
 //!
 //! 2. **Resume is bit-identical.** `Prepared::resume` reconstructs a
 //!    session whose run-to-end equals the uninterrupted run bit for bit
-//!    — across all four protocols × seeds × both queue backends × batch
-//!    caps {1, 16} × an active fault plan — and the restore is
-//!    backend-neutral: a calendar-queue capture resumes onto the heap
+//!    — across all four protocols × seeds × both queue backends × both
+//!    drives ({one `run_until`, truncated hops} to the fork; {`step()`
+//!    loop, `run_to_end`} after it) × an active fault plan — and the
+//!    restore is backend-neutral: a calendar-queue capture resumes onto the heap
 //!    backend (and vice versa) with the same result.
 //!
 //! 3. **Mid-fault-window snapshots restore exactly.** A snapshot taken
@@ -35,7 +36,13 @@ use d3t::sim::{
 const PROTOCOLS: [Protocol; 4] =
     [Protocol::Distributed, Protocol::Centralized, Protocol::Naive, Protocol::FloodAll];
 const SEEDS: [u64; 3] = [0x5EED, 4242, 9];
-const CAPS: [usize; 2] = [1, 16];
+/// How a drive caps its runs (there is no cap knob; the drive is the
+/// cap): fine-grained — `run_until` hops that cut runs short up to the
+/// fork, a `step()` loop of one-event runs after it — or whole runs.
+const FINE: [bool; 2] = [true, false];
+/// Hop length of the fine prefix drive, µs: below the ~12.5 ms safety
+/// window, so nearly every run is cut short.
+const HOP_US: u64 = 5_000;
 
 fn small(protocol: Protocol, seed: u64) -> SimConfig {
     let mut cfg = SimConfig::small_for_tests(14, 6, 400, 50.0);
@@ -85,12 +92,14 @@ fn active_plan(cfg: &SimConfig, end_us: u64) -> FaultPlan {
 fn capture_and_finish<Q: EventQueue<EventKind>>(
     p: &Prepared,
     plan: &FaultPlan,
-    cap: usize,
+    fine: bool,
     fork_us: u64,
 ) -> (Snapshot, String) {
     let mut s = p.session_with::<Q, _>(NoopObserver);
-    s.set_batch_events(cap);
     s.install_fault_plan(plan);
+    while fine && s.now_us() + HOP_US < fork_us {
+        s.run_until(s.now_us() + HOP_US);
+    }
     s.run_until(fork_us);
     let snap = s.snapshot();
     (snap, format!("{:?}", s.run_to_end()))
@@ -99,10 +108,10 @@ fn capture_and_finish<Q: EventQueue<EventKind>>(
 fn resume_and_finish<Q: EventQueue<EventKind>>(
     p: &Prepared,
     snap: &Snapshot,
-    cap: usize,
+    fine: bool,
 ) -> String {
     let mut s = p.resume_with::<Q, _>(snap, NoopObserver);
-    s.set_batch_events(cap);
+    while fine && s.step().is_some() {}
     format!("{:?}", s.run_to_end())
 }
 
@@ -114,28 +123,29 @@ fn resume_is_bit_identical_across_protocols_seeds_backends_caps() {
             let p = Prepared::build(&cfg);
             let plan = active_plan(&cfg, p.end_us);
             let fork_us = p.end_us / 2;
-            // Uninterrupted reference at cap 1 on the calendar queue.
+            // Uninterrupted reference: a `step()` loop on the calendar
+            // queue.
             let reference = {
                 let mut s = p.session_with::<CalendarQueue<EventKind>, _>(NoopObserver);
-                s.set_batch_events(1);
                 s.install_fault_plan(&plan);
+                while s.step().is_some() {}
                 format!("{:?}", s.run_to_end())
             };
-            for cap in CAPS {
+            for fine in FINE {
                 let (cal_snap, cal_full) =
-                    capture_and_finish::<CalendarQueue<EventKind>>(&p, &plan, cap, fork_us);
+                    capture_and_finish::<CalendarQueue<EventKind>>(&p, &plan, fine, fork_us);
                 let (heap_snap, heap_full) =
-                    capture_and_finish::<HeapQueue<EventKind>>(&p, &plan, cap, fork_us);
+                    capture_and_finish::<HeapQueue<EventKind>>(&p, &plan, fine, fork_us);
                 // Contract 1: capture is invisible.
-                assert_eq!(cal_full, reference, "{protocol:?}/{seed}/{cap}: capture disturbed run");
-                assert_eq!(heap_full, reference, "{protocol:?}/{seed}/{cap}: capture disturbed");
+                assert_eq!(cal_full, reference, "{protocol:?}/{seed}/{fine}: capture disturbed");
+                assert_eq!(heap_full, reference, "{protocol:?}/{seed}/{fine}: capture disturbed");
                 // Contract 2: resume is bit-identical, same and crossed
-                // backends, at every cap.
-                for resume_cap in CAPS {
+                // backends, on either drive.
+                for resume_fine in FINE {
                     for (label, snap) in [("cal", &cal_snap), ("heap", &heap_snap)] {
                         let cal =
-                            resume_and_finish::<CalendarQueue<EventKind>>(&p, snap, resume_cap);
-                        let heap = resume_and_finish::<HeapQueue<EventKind>>(&p, snap, resume_cap);
+                            resume_and_finish::<CalendarQueue<EventKind>>(&p, snap, resume_fine);
+                        let heap = resume_and_finish::<HeapQueue<EventKind>>(&p, snap, resume_fine);
                         assert_eq!(
                             cal, reference,
                             "{protocol:?}/{seed}: {label}-capture → calendar resume diverged"
@@ -153,26 +163,27 @@ fn resume_is_bit_identical_across_protocols_seeds_backends_caps() {
 
 #[test]
 fn mid_fault_window_snapshot_restores_bit_identically() {
-    // Fork at 40% of the run: repo 0 is crashed (and, under Reparent,
-    // its dependents adopted away), the loss window is live (the plan
-    // RNG has been drawn), the degradation window is live (degraded
-    // arrivals and retransmission backoffs are pending in the queue).
+    // Fork 20 ms after the source tick nearest 40% of the run: repo 0
+    // is crashed (and, under Reparent, its dependents adopted away), the
+    // loss window is live (the plan RNG has been drawn), the degradation
+    // window is live, and the tick's degraded arrivals and
+    // retransmission backoffs are still pending in the queue.
     let cfg = small(Protocol::Distributed, 0x5EED);
     let p = Prepared::build(&cfg);
     let plan = active_plan(&cfg, p.end_us);
-    let fork_us = p.end_us * 2 / 5;
+    let fork_us = p.end_us * 2 / 5 / 1_000_000 * 1_000_000 + 20_000;
     let reference = {
         let mut s = p.session();
         s.install_fault_plan(&plan);
         format!("{:?}", s.run_to_end())
     };
-    let (snap, full) = capture_and_finish::<CalendarQueue<EventKind>>(&p, &plan, 16, fork_us);
+    let (snap, full) = capture_and_finish::<CalendarQueue<EventKind>>(&p, &plan, false, fork_us);
     assert_eq!(full, reference);
     // The captured session was mid-window in every dimension.
     assert!(snap.pending_events() > 0, "fork instant has nothing in flight");
-    for cap in CAPS {
-        assert_eq!(resume_and_finish::<CalendarQueue<EventKind>>(&p, &snap, cap), reference);
-        assert_eq!(resume_and_finish::<HeapQueue<EventKind>>(&p, &snap, cap), reference);
+    for fine in FINE {
+        assert_eq!(resume_and_finish::<CalendarQueue<EventKind>>(&p, &snap, fine), reference);
+        assert_eq!(resume_and_finish::<HeapQueue<EventKind>>(&p, &snap, fine), reference);
     }
 }
 
@@ -192,8 +203,10 @@ fn state_digest_is_representation_free_and_splits_divergent_states() {
     };
     let digest_heap = {
         let mut s = p.session_with::<HeapQueue<EventKind>, _>(NoopObserver);
-        s.set_batch_events(1);
         s.install_fault_plan(&plan);
+        while s.now_us() + HOP_US < fork_us {
+            s.run_until(s.now_us() + HOP_US);
+        }
         s.run_until(fork_us);
         s.state_digest()
     };
