@@ -29,11 +29,14 @@ use crate::workload::Workload;
 pub struct D3g {
     n_nodes: usize,
     n_items: usize,
-    /// `effective[node][item]`: the coherency at which the node holds the
-    /// item (its own need, possibly tightened to serve dependents).
-    /// `None` when the node does not hold the item. The source implicitly
-    /// holds everything at [`Coherency::EXACT`] and is stored that way.
-    effective: Vec<Vec<Option<Coherency>>>,
+    /// `effective[node * n_items + item]`: the coherency at which the node
+    /// holds the item (its own need, possibly tightened to serve
+    /// dependents), as a raw tolerance; [`NOT_HELD`] (`+∞`, which
+    /// [`Coherency::new`] rejects) when the node does not hold the item.
+    /// One flat table so LeLA's candidate scan reads a node's items as one
+    /// dense row. The source implicitly holds everything at
+    /// [`Coherency::EXACT`] and is stored that way.
+    effective: Vec<f64>,
     /// `parent[item][node]`: who serves `item` to `node`.
     parent: Vec<Vec<Option<NodeIdx>>>,
     /// `children[item][node]`: whom `node` serves `item` to.
@@ -41,10 +44,19 @@ pub struct D3g {
     /// Distinct dependents per node (one push connection per child,
     /// regardless of how many items flow over it).
     child_set: Vec<BTreeSet<NodeIdx>>,
+    /// Distinct parents per node across items, ascending — the mirror of
+    /// `child_set`, kept as edges are added so the augmentation cascade
+    /// never rescans every item's parent pointer to rebuild it.
+    parent_set: Vec<Vec<NodeIdx>>,
     /// Level of each node in the construction (source = 0); `u32::MAX`
     /// until the node joins.
     level: Vec<u32>,
 }
+
+/// The `effective` cell of an item a node does not hold. Larger than every
+/// tolerance, so "holds it at least as stringently as `c`" is the single
+/// comparison `cell <= c`.
+const NOT_HELD: f64 = f64::INFINITY;
 
 /// Shape statistics of one item's dissemination tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -62,8 +74,8 @@ impl D3g {
     /// has joined yet.
     pub fn new(n_repos: usize, n_items: usize) -> Self {
         let n_nodes = n_repos + 1;
-        let mut effective = vec![vec![None; n_items]; n_nodes];
-        effective[SOURCE.index()] = vec![Some(Coherency::EXACT); n_items];
+        let mut effective = vec![NOT_HELD; n_nodes * n_items];
+        effective[SOURCE.index() * n_items..][..n_items].fill(Coherency::EXACT.value());
         let mut level = vec![u32::MAX; n_nodes];
         level[SOURCE.index()] = 0;
         Self {
@@ -73,6 +85,7 @@ impl D3g {
             parent: vec![vec![None; n_nodes]; n_items],
             children: vec![vec![Vec::new(); n_nodes]; n_items],
             child_set: vec![BTreeSet::new(); n_nodes],
+            parent_set: vec![Vec::new(); n_nodes],
             level,
         }
     }
@@ -113,8 +126,9 @@ impl D3g {
         assert!(!child.is_source(), "the source cannot be a dependent");
         let (pi, ci, ii) = (parent.index(), child.index(), item.index());
         assert!(self.parent[ii][ci].is_none(), "{child} already has a parent for {item}");
+        let held = self.effective(parent, item);
         // d3t-lint: allow(P001) -- documented `# Panics` contract of add_edge (caller misuse, not a run-time path)
-        let pc = self.effective[pi][ii].unwrap_or_else(|| panic!("{parent} does not hold {item}"));
+        let pc = held.unwrap_or_else(|| panic!("{parent} does not hold {item}"));
         assert!(
             pc.at_least_as_stringent_as(c),
             "Eq.(1) violated: parent {parent} holds {item} at {pc}, child needs {c}"
@@ -122,27 +136,34 @@ impl D3g {
         self.parent[ii][ci] = Some(parent);
         self.children[ii][pi].push(child);
         self.child_set[pi].insert(child);
-        let cur = self.effective[ci][ii];
-        self.effective[ci][ii] = Some(match cur {
-            Some(existing) => existing.tighten(c),
-            None => c,
-        });
+        let parents = &mut self.parent_set[ci];
+        if let Err(at) = parents.binary_search(&parent) {
+            parents.insert(at, parent);
+        }
+        self.tighten_effective(child, item, c);
     }
 
     /// Tightens (or establishes) a node's effective coherency for an item
     /// without wiring edges — used by the augmentation cascade before the
     /// upward path exists.
     pub fn tighten_effective(&mut self, node: NodeIdx, item: ItemId, c: Coherency) {
-        let slot = &mut self.effective[node.index()][item.index()];
-        *slot = Some(match *slot {
-            Some(existing) => existing.tighten(c),
-            None => c,
-        });
+        // `NOT_HELD` is +∞, so establishing is tightening.
+        let slot = &mut self.effective[node.index() * self.n_items + item.index()];
+        if c.value() < *slot {
+            *slot = c.value();
+        }
     }
 
     /// The coherency at which `node` holds `item`, if it does.
     pub fn effective(&self, node: NodeIdx, item: ItemId) -> Option<Coherency> {
-        self.effective[node.index()][item.index()]
+        let c = self.effective[node.index() * self.n_items + item.index()];
+        (c != NOT_HELD).then(|| Coherency::new(c))
+    }
+
+    /// `node`'s row of the effective table: one raw tolerance per item,
+    /// [`NOT_HELD`] where the node does not hold it.
+    pub(crate) fn effective_row(&self, node: NodeIdx) -> &[f64] {
+        &self.effective[node.index() * self.n_items..][..self.n_items]
     }
 
     /// Who serves `item` to `node`.
@@ -166,16 +187,10 @@ impl D3g {
         self.child_set[node.index()].len()
     }
 
-    /// All distinct parents of `node` across items (used by the
+    /// All distinct parents of `node` across items, ascending (used by the
     /// augmentation cascade's "ask one of its parents" step).
-    pub fn parents(&self, node: NodeIdx) -> Vec<NodeIdx> {
-        let mut set = BTreeSet::new();
-        for item in 0..self.n_items {
-            if let Some(p) = self.parent[item][node.index()] {
-                set.insert(p);
-            }
-        }
-        set.into_iter().collect()
+    pub fn parents(&self, node: NodeIdx) -> &[NodeIdx] {
+        &self.parent_set[node.index()]
     }
 
     /// Sets a node's construction level.
@@ -191,10 +206,11 @@ impl D3g {
 
     /// Items held by `node`, with their effective coherencies.
     pub fn items_held(&self, node: NodeIdx) -> impl Iterator<Item = (ItemId, Coherency)> + '_ {
-        self.effective[node.index()]
+        self.effective_row(node)
             .iter()
             .enumerate()
-            .filter_map(|(i, c)| c.map(|c| (ItemId(i as u32), c)))
+            .filter(|&(_, &c)| c != NOT_HELD)
+            .map(|(i, &c)| (ItemId(i as u32), Coherency::new(c)))
     }
 
     /// Depth of `node` in `item`'s tree (edges from the source), or `None`
@@ -219,39 +235,63 @@ impl D3g {
 
     /// Shape statistics for one item's tree.
     pub fn d3t_stats(&self, item: ItemId) -> D3tStats {
-        let mut n_nodes = 1usize; // the source
-        let mut depth = 0usize;
-        let mut max_fanout = self.children_of(SOURCE, item).len();
-        for node in 1..self.n_nodes {
-            let node = NodeIdx(node as u32);
-            if self.effective(node, item).is_some() && self.parent_of(node, item).is_some() {
-                n_nodes += 1;
-                if let Some(d) = self.depth_in_item_tree(node, item) {
-                    depth = depth.max(d);
-                }
-                max_fanout = max_fanout.max(self.children_of(node, item).len());
+        self.walk_tree(item, &mut Vec::new(), &mut Vec::new())
+    }
+
+    /// [`D3g::d3t_stats`] from one breadth-first walk down the child lists
+    /// (every holder has one parent, so the walk meets each once and the
+    /// level count is the longest path). `level` and `below` are scratch.
+    fn walk_tree(
+        &self,
+        item: ItemId,
+        level: &mut Vec<NodeIdx>,
+        below: &mut Vec<NodeIdx>,
+    ) -> D3tStats {
+        let mut stats = D3tStats { n_nodes: 1, depth: 0, max_fanout: 0 };
+        level.clear();
+        level.push(SOURCE);
+        loop {
+            below.clear();
+            for &node in level.iter() {
+                let children = self.children_of(node, item);
+                stats.max_fanout = stats.max_fanout.max(children.len());
+                below.extend_from_slice(children);
             }
+            if below.is_empty() {
+                return stats;
+            }
+            stats.n_nodes += below.len();
+            stats.depth += 1;
+            std::mem::swap(level, below);
         }
-        D3tStats { n_nodes, depth, max_fanout }
     }
 
     /// The maximum tree depth over all items — the paper's "diameter of
     /// the repository layout network" measured in overlay hops from the
     /// source (their chain of 100 repositories has diameter ~101).
     pub fn max_depth(&self) -> usize {
-        (0..self.n_items).map(|i| self.d3t_stats(ItemId(i as u32)).depth).max().unwrap_or(0)
+        self.depth_summary().0
     }
 
     /// Mean tree depth over items (counting only items someone holds).
     pub fn mean_depth(&self) -> f64 {
-        let depths: Vec<usize> =
-            (0..self.n_items).map(|i| self.d3t_stats(ItemId(i as u32)).depth).collect();
-        let nonzero: Vec<usize> = depths.into_iter().filter(|&d| d > 0).collect();
-        if nonzero.is_empty() {
-            0.0
-        } else {
-            nonzero.iter().sum::<usize>() as f64 / nonzero.len() as f64
+        self.depth_summary().1
+    }
+
+    /// [`D3g::max_depth`] and [`D3g::mean_depth`] from one sweep over the
+    /// item trees.
+    pub fn depth_summary(&self) -> (usize, f64) {
+        let (mut max, mut sum, mut held) = (0usize, 0usize, 0usize);
+        let (mut level, mut below) = (Vec::new(), Vec::new());
+        for i in 0..self.n_items {
+            let depth = self.walk_tree(ItemId(i as u32), &mut level, &mut below).depth;
+            max = max.max(depth);
+            if depth > 0 {
+                sum += depth;
+                held += 1;
+            }
         }
+        (max, if held == 0 { 0.0 } else { sum as f64 / held as f64 })
     }
 
     /// Checks every structural invariant; returns a description of the
@@ -259,7 +299,7 @@ impl D3g {
     pub fn validate(&self, max_dependents: Option<usize>) -> Result<(), String> {
         // Source holds everything exactly.
         for i in 0..self.n_items {
-            if self.effective[SOURCE.index()][i] != Some(Coherency::EXACT) {
+            if self.effective(SOURCE, ItemId(i as u32)) != Some(Coherency::EXACT) {
                 return Err(format!("source does not hold item#{i} exactly"));
             }
         }
@@ -397,6 +437,48 @@ mod tests {
         assert_eq!(s.max_fanout, 1);
         assert_eq!(g.max_depth(), 3);
         assert_eq!(g.mean_depth(), 3.0);
+    }
+
+    #[test]
+    fn parents_are_distinct_and_ascending() {
+        let mut g = D3g::new(3, 3);
+        let (r0, r1, r2) = (NodeIdx::repo(0), NodeIdx::repo(1), NodeIdx::repo(2));
+        for item in 0..3 {
+            g.add_edge(SOURCE, r0, ItemId(item), c(0.1));
+            g.add_edge(SOURCE, r1, ItemId(item), c(0.1));
+        }
+        assert!(g.parents(r2).is_empty());
+        g.add_edge(r1, r2, ItemId(0), c(0.2));
+        g.add_edge(r0, r2, ItemId(1), c(0.2));
+        g.add_edge(r1, r2, ItemId(2), c(0.2));
+        assert_eq!(g.parents(r2), [r0, r1]);
+        assert_eq!(g.parents(r0), [SOURCE]);
+        assert!(g.parents(SOURCE).is_empty());
+    }
+
+    #[test]
+    fn unheld_items_read_as_none() {
+        let mut g = D3g::new(2, 3);
+        let r0 = NodeIdx::repo(0);
+        assert_eq!(g.effective(SOURCE, ItemId(2)), Some(Coherency::EXACT));
+        assert_eq!(g.effective(r0, ItemId(1)), None);
+        g.add_edge(SOURCE, r0, ItemId(1), c(0.0));
+        assert_eq!(g.effective(r0, ItemId(1)), Some(Coherency::EXACT));
+        assert_eq!(g.items_held(r0).collect::<Vec<_>>(), [(ItemId(1), Coherency::EXACT)]);
+        assert_eq!(g.items_held(NodeIdx::repo(1)).count(), 0);
+    }
+
+    #[test]
+    fn depth_summary_is_max_and_mean_of_the_held_trees() {
+        // Item 0: a chain of three; item 1: one edge; item 2: nobody.
+        let mut g = D3g::new(3, 3);
+        g.add_edge(SOURCE, NodeIdx::repo(0), ItemId(0), c(0.1));
+        g.add_edge(NodeIdx::repo(0), NodeIdx::repo(1), ItemId(0), c(0.2));
+        g.add_edge(NodeIdx::repo(1), NodeIdx::repo(2), ItemId(0), c(0.3));
+        g.add_edge(SOURCE, NodeIdx::repo(2), ItemId(1), c(0.3));
+        assert_eq!(g.depth_summary(), (3, 2.0));
+        assert_eq!((g.max_depth(), g.mean_depth()), (3, 2.0));
+        assert_eq!(D3g::new(2, 2).depth_summary(), (0, 0.0));
     }
 
     #[test]

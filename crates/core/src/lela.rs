@@ -21,6 +21,34 @@
 //! §6.3.3 drops the availability term. Figure 10 shows the choice barely
 //! matters once the degree of cooperation is controlled — which this
 //! implementation reproduces.
+//!
+//! # The scoring kernel
+//!
+//! Scoring is candidates × items per join — the quadratic half of the
+//! build — so it runs over dense rows rather than per-cell lookups:
+//!
+//! * the d3g keeps its effective coherencies as one flat
+//!   `n_nodes × n_items` `f64` table, `+∞` where a node does not hold an
+//!   item; the joiner's needs are scattered once per join into a dense
+//!   `want` row, `−∞` where it wants nothing. Tolerances are finite and
+//!   `≥ 0`, so "candidate holds the item at least as stringently as the
+//!   joiner needs it" is exactly `eff[i] <= want[i]` — false against
+//!   either sentinel — and `navail` is a branch-free count over two
+//!   slices;
+//! * the candidates' communication delays are gathered in a loop of their
+//!   own before any scoring, so the cache misses of that strided read
+//!   overlap instead of serialising behind each candidate's row scan;
+//! * only the band is sorted: the minimum is found in one pass, the
+//!   candidates within `P%` of it are kept, and those few are ordered by
+//!   `(preference, node)` — a total key, so the band and its order are
+//!   what sorting every candidate would give.
+//!
+//! The delay is always read as `delay_ms(candidate, joiner)`, never as
+//! `delay_ms(joiner, candidate)` even though that would be one contiguous
+//! row: a [`DelayMatrix`] is symmetric only to within `1e-9`, the two
+//! cells of a pair routinely differ in their last bits, and a last-bit
+//! difference in a preference factor can reorder the band and so change
+//! the d3g.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,6 +124,13 @@ pub trait OverlayDelays {
 
     /// Mean pairwise delay among all overlay nodes — feeds Eq. (2).
     fn mean_delay_ms(&self) -> f64;
+
+    /// The delays out of `a`, indexed by destination, when the provider
+    /// holds them as one contiguous row — lets a consumer of whole rows
+    /// skip the per-pair call. `None` (the default) when it does not.
+    fn row_ms(&self, _a: NodeIdx) -> Option<&[f64]> {
+        None
+    }
 }
 
 /// A dense symmetric delay matrix over overlay nodes.
@@ -113,6 +148,51 @@ impl DelayMatrix {
     /// zero diagonal.
     pub fn new(n: usize, delays: Vec<f64>) -> Self {
         assert_eq!(delays.len(), n * n, "matrix must be n x n");
+        if !Self::is_valid(n, &delays) {
+            Self::reject(n, &delays);
+        }
+        Self { n, delays }
+    }
+
+    /// Side of the square tiles [`Self::is_valid`] walks the matrix in:
+    /// checking symmetry reads `(i, j)` and `(j, i)` together, and two
+    /// 32 × 32 `f64` tiles (16 KB) stay in L1 where a whole column does not.
+    const TILE: usize = 32;
+
+    /// True when every cell is finite and `>= 0`, the diagonal is zero and
+    /// mirrored cells agree to within `1e-9`. Visits each unordered pair of
+    /// tiles once and accumulates one flag, so the pass has no early exit
+    /// to mispredict and no column walk.
+    fn is_valid(n: usize, delays: &[f64]) -> bool {
+        let mut ok = true;
+        for i0 in (0..n).step_by(Self::TILE) {
+            let i1 = (i0 + Self::TILE).min(n);
+            for j0 in (i0..n).step_by(Self::TILE) {
+                let j1 = (j0 + Self::TILE).min(n);
+                for i in i0..i1 {
+                    let row = &delays[i * n + j0..i * n + j1];
+                    for (j, &d) in (j0..j1).zip(row) {
+                        let mirror = delays[j * n + i];
+                        // No `is_finite`: an infinite cell fails the last
+                        // test against any mirror (`∞ − ∞` is NaN), and
+                        // `x >= 0.0 && x.is_finite()` compiles to a scalar
+                        // bit-pattern class test three times as slow.
+                        ok &= (d >= 0.0) & (mirror >= 0.0) & ((d - mirror).abs() < 1e-9);
+                    }
+                }
+            }
+            for i in i0..i1 {
+                ok &= delays[i * n + i] == 0.0;
+            }
+        }
+        ok
+    }
+
+    /// The cell-by-cell checks behind [`Self::new`]'s panics, run only on
+    /// a matrix [`Self::is_valid`] refused: names the first offence in
+    /// row-major order.
+    #[cold]
+    fn reject(n: usize, delays: &[f64]) -> ! {
         for i in 0..n {
             assert_eq!(delays[i * n + i], 0.0, "diagonal must be zero");
             for j in 0..n {
@@ -121,7 +201,7 @@ impl DelayMatrix {
                 assert!((d - delays[j * n + i]).abs() < 1e-9, "matrix must be symmetric");
             }
         }
-        Self { n, delays }
+        unreachable!("a refused matrix fails one of the cell checks");
     }
 
     /// A uniform matrix where every distinct pair is `d` ms apart.
@@ -160,28 +240,80 @@ pub struct DelayMicros {
     /// is ~71 minutes of one-way delay — far beyond any physical
     /// configuration; construction asserts the fit.
     us: Vec<u32>,
+    /// The smallest off-diagonal cell, recorded while rounding.
+    min_offdiag_us: u64,
 }
 
 impl DelayMicros {
     /// Rounds every pair of `delays` into µs. `n` is the overlay size.
     pub fn from_delays<D: OverlayDelays + ?Sized>(delays: &D, n: usize) -> Self {
         let mut us = vec![0u32; n * n];
-        for a in 0..n {
-            for b in 0..n {
-                let ms = delays.delay_ms(NodeIdx(a as u32), NodeIdx(b as u32));
-                assert!(
-                    ms.is_finite() && ms >= 0.0,
-                    "overlay delay {a}->{b} must be finite and >= 0, got {ms}"
-                );
-                let rounded = (ms * 1000.0).round() as u64;
-                assert!(
-                    rounded <= u32::MAX as u64,
-                    "overlay delay {a}->{b} of {ms} ms exceeds the u32-µs cell (~71 min)"
-                );
-                us[a * n + b] = rounded as u32;
+        let mut min_offdiag_us = u32::MAX;
+        let min_of = |cells: &[u32]| cells.iter().copied().min().unwrap_or(u32::MAX);
+        let mut gathered = Vec::new();
+        for (a, row) in us.chunks_exact_mut(n.max(1)).enumerate() {
+            let from = NodeIdx(a as u32);
+            let ms = match delays.row_ms(from) {
+                Some(ms) => &ms[..n],
+                None => {
+                    gathered.clear();
+                    gathered.extend((0..n).map(|b| delays.delay_ms(from, NodeIdx(b as u32))));
+                    &gathered
+                }
+            };
+            if !Self::round_row(ms, row) {
+                Self::reject_row(ms, a);
             }
+            min_offdiag_us = min_offdiag_us.min(min_of(&row[..a])).min(min_of(&row[a + 1..]));
         }
-        Self { n, us }
+        let min_offdiag_us = if n < 2 { u64::MAX } else { u64::from(min_offdiag_us) };
+        Self { n, us, min_offdiag_us }
+    }
+
+    /// Rounds one row of ms delays into its µs cells; false when some
+    /// delay is not finite, negative or too large for a cell (the cells
+    /// are then garbage). One flag per row instead of two asserts per
+    /// cell keeps the loop free of calls and branches.
+    fn round_row(ms: &[f64], us: &mut [u32]) -> bool {
+        /// `ms * 1000.0` rounds (half away from zero) into a `u32` exactly
+        /// when it is below this.
+        const LIMIT: f64 = u32::MAX as f64 + 0.5;
+        /// 2^52: adding it to `0 <= x < 2^52` rounds `x` to an integer
+        /// (ties to even) held in the sum's low mantissa bits.
+        const TWO_52: f64 = 4_503_599_627_370_496.0;
+        let mut ok = true;
+        for (cell, &ms) in us.iter_mut().zip(ms) {
+            let x = ms * 1000.0;
+            ok &= ms >= 0.0 && x < LIMIT;
+            // `x.round() as u32` for `0 <= x < LIMIT` in plain arithmetic
+            // the compiler vectorises (`round` is a libm call, `as u32` a
+            // scalar conversion): round to even, step up the ties that
+            // went down — `x - even` is exact — and read the integer out
+            // of the mantissa.
+            let even = (x + TWO_52) - TWO_52;
+            let away = even + f64::from(u8::from(x - even >= 0.5));
+            *cell = (away + TWO_52).to_bits() as u32;
+        }
+        ok
+    }
+
+    /// The per-cell checks behind [`Self::from_delays`]'s panics, run only
+    /// on a row (the delays out of node `a`) that [`Self::round_row`]
+    /// refused.
+    #[cold]
+    fn reject_row(ms: &[f64], a: usize) -> ! {
+        for (b, &ms) in ms.iter().enumerate() {
+            assert!(
+                ms.is_finite() && ms >= 0.0,
+                "overlay delay {a}->{b} must be finite and >= 0, got {ms}"
+            );
+            let rounded = (ms * 1000.0).round() as u64;
+            assert!(
+                rounded <= u32::MAX as u64,
+                "overlay delay {a}->{b} of {ms} ms exceeds the u32-µs cell (~71 min)"
+            );
+        }
+        unreachable!("a refused row fails one of the cell checks");
     }
 
     /// One-way delay between two overlay nodes, µs.
@@ -210,15 +342,7 @@ impl DelayMicros {
     /// the future any transmission can land — what lets the simulator
     /// pop a short run of already-ordered events ahead of time.
     pub fn min_offdiag_us(&self) -> u64 {
-        let mut min = u64::MAX;
-        for a in 0..self.n {
-            for b in 0..self.n {
-                if a != b {
-                    min = min.min(u64::from(self.us[a * self.n + b]));
-                }
-            }
-        }
-        min
+        self.min_offdiag_us
     }
 
     /// Number of overlay nodes covered.
@@ -235,6 +359,10 @@ impl DelayMicros {
 impl OverlayDelays for DelayMatrix {
     fn delay_ms(&self, a: NodeIdx, b: NodeIdx) -> f64 {
         self.delays[a.index() * self.n + b.index()]
+    }
+
+    fn row_ms(&self, a: NodeIdx) -> Option<&[f64]> {
+        Some(&self.delays[a.index() * self.n..][..self.n])
     }
 
     fn mean_delay_ms(&self) -> f64 {
@@ -295,7 +423,26 @@ pub struct LelaBuilder<'a, D: OverlayDelays> {
     g: D3g,
     /// `levels[l]` = overlay nodes at level `l` (level 0 = the source).
     levels: Vec<Vec<NodeIdx>>,
+    /// The first level that may still have spare capacity. A node's
+    /// dependent count never falls and a joiner lands one below the first
+    /// level with room, so every level above this one is full for good.
+    open_level: usize,
     rng: StdRng,
+    /// Per-join buffers, owned here so a join allocates nothing:
+    /// the joiner's needs as a list and as a dense row over all items
+    /// (`−∞` = not wanted, see the module docs),
+    wanted: Vec<(ItemId, Coherency)>,
+    want: Vec<f64>,
+    /// the open level's nodes with spare capacity and their delays to the
+    /// joiner,
+    candidates: Vec<NodeIdx>,
+    comm: Vec<f64>,
+    /// and every candidate's `(preference, node)`, cut down to the sorted
+    /// band.
+    scores: Vec<(f64, NodeIdx)>,
+    /// How many scores have been checked against [`Self::preference`].
+    #[cfg(test)]
+    scores_checked: usize,
 }
 
 impl<'a, D: OverlayDelays> LelaBuilder<'a, D> {
@@ -307,7 +454,15 @@ impl<'a, D: OverlayDelays> LelaBuilder<'a, D> {
             cfg: *cfg,
             g: D3g::new(workload.n_repos(), workload.n_items()),
             levels: vec![vec![SOURCE]],
+            open_level: 0,
             rng: StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            wanted: Vec::new(),
+            want: vec![f64::NEG_INFINITY; workload.n_items()],
+            candidates: Vec::new(),
+            comm: Vec::new(),
+            scores: Vec::new(),
+            #[cfg(test)]
+            scores_checked: 0,
         }
     }
 
@@ -317,64 +472,101 @@ impl<'a, D: OverlayDelays> LelaBuilder<'a, D> {
     pub fn join(&mut self, repo: usize) -> u32 {
         let q = NodeIdx::repo(repo);
         assert!(self.g.level(q).is_none(), "repository {repo} already joined");
-        let wanted: Vec<(ItemId, Coherency)> = self.workload.items_of(repo).collect();
-        assert!(!wanted.is_empty(), "repository {repo} has no data needs");
+        self.wanted.clear();
+        self.wanted.extend(self.workload.items_of(repo));
+        assert!(!self.wanted.is_empty(), "repository {repo} has no data needs");
 
-        let mut level = 0usize;
         loop {
             assert!(
-                level < self.levels.len(),
+                self.open_level < self.levels.len(),
                 "LeLA invariant broken: ran out of levels with spare capacity"
             );
-            let candidates: Vec<NodeIdx> = self.levels[level]
-                .iter()
-                .copied()
-                .filter(|&p| self.g.n_dependents(p) < self.cfg.coop_degree)
-                .collect();
-            if candidates.is_empty() {
-                level += 1;
-                continue;
+            let (g, degree) = (&self.g, self.cfg.coop_degree);
+            self.candidates.clear();
+            self.candidates.extend(
+                self.levels[self.open_level].iter().filter(|&&p| g.n_dependents(p) < degree),
+            );
+            if !self.candidates.is_empty() {
+                break;
             }
-            self.attach(q, &wanted, &candidates);
-            let q_level = level as u32 + 1;
-            self.g.set_level(q, q_level);
-            if self.levels.len() == level + 1 {
-                self.levels.push(Vec::new());
-            }
-            self.levels[level + 1].push(q);
-            return q_level;
+            self.open_level += 1;
         }
+        self.attach(q);
+        let q_level = self.open_level + 1;
+        self.g.set_level(q, q_level as u32);
+        if self.levels.len() == q_level {
+            self.levels.push(Vec::new());
+        }
+        self.levels[q_level].push(q);
+        q_level as u32
     }
 
-    /// Chooses parents among `candidates` and wires all of `q`'s items.
-    fn attach(&mut self, q: NodeIdx, wanted: &[(ItemId, Coherency)], candidates: &[NodeIdx]) {
-        // Preference factors (smaller = more preferred).
-        let mut prefs: Vec<(NodeIdx, f64)> =
-            candidates.iter().map(|&p| (p, self.preference(p, q, wanted))).collect();
-        prefs.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        let min_pref = prefs[0].1;
-        let band_limit = min_pref * (1.0 + self.cfg.pref_band_pct / 100.0);
-        let band: Vec<NodeIdx> =
-            prefs.iter().filter(|&&(_, f)| f <= band_limit).map(|&(p, _)| p).collect();
-        let most_preferred = band[0];
+    /// Scores `self.candidates` for joiner `q`, leaving the preference
+    /// band in `self.scores`, most preferred first (smaller = more
+    /// preferred). See the module docs for the kernel's shape.
+    fn score_band(&mut self, q: NodeIdx) {
+        self.want.fill(f64::NEG_INFINITY);
+        for &(item, c) in &self.wanted {
+            self.want[item.index()] = c.value();
+        }
+        self.comm.clear();
+        self.comm.extend(
+            self.candidates.iter().map(|&p| self.delays.delay_ms(p, q).max(f64::MIN_POSITIVE)),
+        );
+        let (g, want) = (&self.g, &self.want);
+        self.scores.clear();
+        self.scores.extend(self.candidates.iter().zip(&self.comm).map(|(&p, &comm)| {
+            let ndeps = g.n_dependents(p) as f64;
+            let pref = match self.cfg.pref_fn {
+                PreferenceFunction::P1 => {
+                    let navail =
+                        g.effective_row(p).iter().zip(want).filter(|&(eff, want)| eff <= want);
+                    comm * (1.0 + ndeps) / (1.0 + navail.count() as f64)
+                }
+                PreferenceFunction::P2 => comm * (1.0 + ndeps),
+            };
+            (pref, p)
+        }));
+        #[cfg(test)]
+        for &(pref, p) in &self.scores {
+            let reference = self.preference(p, q, &self.wanted);
+            assert_eq!(pref.to_bits(), reference.to_bits(), "preference of {p} for {q}");
+            self.scores_checked += 1;
+        }
 
+        // Preferences are positive and never NaN (`comm` is clamped to the
+        // smallest positive float), so the numeric minimum is the first
+        // key a full sort would produce.
+        let min_pref = self.scores.iter().fold(f64::INFINITY, |min, s| min.min(s.0));
+        let band_limit = min_pref * (1.0 + self.cfg.pref_band_pct / 100.0);
+        self.scores.retain(|s| s.0 <= band_limit);
+        self.scores.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    }
+
+    /// Chooses parents among `self.candidates` and wires all of `q`'s
+    /// items.
+    fn attach(&mut self, q: NodeIdx) {
+        self.score_band(q);
+        let most_preferred = self.scores[0].1;
         // Assign each wanted item to the most preferred band member that
-        // can already serve it; collect the rest for augmentation.
-        let mut assignment: Vec<(NodeIdx, ItemId, Coherency)> = Vec::with_capacity(wanted.len());
-        for &(item, c) in wanted {
-            let server = band.iter().copied().find(|&p| {
+        // can already serve it, else augment the most preferred overall.
+        // Wiring one item touches only that item's column of the d3g, so
+        // it cannot change who serves the next.
+        for k in 0..self.wanted.len() {
+            let (item, c) = self.wanted[k];
+            let server = self.scores.iter().map(|s| s.1).find(|&p| {
                 self.g.effective(p, item).is_some_and(|pc| pc.at_least_as_stringent_as(c))
             });
             let parent = server.unwrap_or(most_preferred);
-            assignment.push((parent, item, c));
-        }
-        for (parent, item, c) in assignment {
             self.ensure_serves(parent, item, c);
             self.g.add_edge(parent, q, item, c);
         }
     }
 
-    /// Preference factor of candidate parent `p` for joiner `q`.
+    /// The preference factor as LeLA computed it before the dense kernel,
+    /// one `Option` probe per wanted item: the reference every score of
+    /// every join is checked against, bit for bit, under test.
+    #[cfg(test)]
     fn preference(&self, p: NodeIdx, q: NodeIdx, wanted: &[(ItemId, Coherency)]) -> f64 {
         let comm = self.delays.delay_ms(p, q).max(f64::MIN_POSITIVE);
         let ndeps = self.g.n_dependents(p) as f64;
@@ -468,6 +660,16 @@ mod tests {
                 assert!(eff.at_least_as_stringent_as(c));
                 assert!(g.parent_of(node, item).is_some());
             }
+        }
+        // The breadth-first tree statistics agree with the parent chains.
+        for i in 0..workload.n_items() {
+            let item = ItemId(i as u32);
+            let depths: Vec<usize> = (1..g.n_nodes())
+                .filter_map(|n| g.depth_in_item_tree(NodeIdx(n as u32), item))
+                .collect();
+            let stats = g.d3t_stats(item);
+            assert_eq!(stats.n_nodes, 1 + depths.len());
+            assert_eq!(stats.depth, depths.iter().copied().max().unwrap_or(0));
         }
         g
     }
@@ -602,5 +804,277 @@ mod tests {
         let dm = DelayMatrix::uniform(4, 10.0);
         assert!((dm.mean_delay_ms() - 10.0).abs() < 1e-12);
         assert_eq!(dm.len(), 4);
+    }
+
+    /// A random matrix whose mirrored cells differ in their last bits, as
+    /// the overlay APSP's do: symmetric to `1e-9`, not bit for bit.
+    fn ragged_delays(rng: &mut StdRng, n: usize) -> DelayMatrix {
+        let mut m = vec![0.0; n * n];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let d: f64 = rng.gen_range(2.0..80.0);
+                m[i * n + j] = d;
+                m[j * n + i] = d * (1.0 + f64::EPSILON * rng.gen_range(0..4u32) as f64);
+            }
+        }
+        DelayMatrix::new(n, m)
+    }
+
+    /// Every score the dense kernel produces — every candidate of every
+    /// join — is bit-equal to the `Option`-probing [`LelaBuilder::preference`]
+    /// (asserted inside `score_band` under test; this sweep counts that
+    /// the assertion ran for every candidate), across seeds × preference
+    /// functions × bands × join orders × degrees.
+    #[test]
+    fn kernel_scores_are_bit_equal_to_the_reference() {
+        let orders = [JoinOrder::Random, JoinOrder::Sequential, JoinOrder::StringentFirst];
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(0x5C0_4E00 ^ seed);
+            let n_repos = rng.gen_range(8..40);
+            let w = paper_workload(n_repos, rng.gen_range(1..24), 50.0, seed);
+            let delays = ragged_delays(&mut rng, n_repos + 1);
+            for pref_fn in [PreferenceFunction::P1, PreferenceFunction::P2] {
+                for pref_band_pct in [0.0, 5.0, 50.0] {
+                    for join_order in orders {
+                        for coop_degree in [1, 4, n_repos] {
+                            let cfg = LelaConfig {
+                                coop_degree,
+                                pref_band_pct,
+                                pref_fn,
+                                join_order,
+                                seed,
+                            };
+                            let mut builder = LelaBuilder::new(&w, &delays, &cfg);
+                            let mut scored = 0;
+                            for repo in super::join_order(&w, &cfg) {
+                                builder.join(repo);
+                                scored += builder.candidates.len();
+                            }
+                            assert_eq!(builder.scores_checked, scored, "seed {seed} {cfg:?}");
+                            assert!(scored >= n_repos);
+                            builder.finish().validate(Some(coop_degree)).unwrap();
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Levels above the builder's cursor are full for good, so skipping
+    /// them scans the same candidates a scan from the source would.
+    #[test]
+    fn open_level_cursor_skips_only_full_levels() {
+        let w = paper_workload(60, 6, 50.0, 3);
+        let delays = DelayMatrix::uniform(61, 25.0);
+        let cfg = LelaConfig::new(2, 9);
+        let mut builder = LelaBuilder::new(&w, &delays, &cfg);
+        for repo in super::join_order(&w, &cfg) {
+            builder.join(repo);
+            for level in &builder.levels[..builder.open_level] {
+                assert!(level.iter().all(|&p| builder.g.n_dependents(p) == cfg.coop_degree));
+            }
+        }
+        assert!(builder.open_level >= 4, "60 repositories at degree 2 fill the top levels");
+    }
+
+    /// What `DelayMatrix::new` panicked with before it was tiled: the first
+    /// offending cell in row-major order, diagonal before the row's cells.
+    fn first_offence(n: usize, m: &[f64]) -> Option<&'static str> {
+        for i in 0..n {
+            if m[i * n + i] != 0.0 {
+                return Some("diagonal must be zero");
+            }
+            for j in 0..n {
+                let d = m[i * n + j];
+                if !(d >= 0.0 && d.is_finite()) {
+                    return Some("delays must be finite and >= 0");
+                }
+                if (d - m[j * n + i]).abs() >= 1e-9 || (d - m[j * n + i]).is_nan() {
+                    return Some("matrix must be symmetric");
+                }
+            }
+        }
+        None
+    }
+
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> Option<String> {
+        let payload = std::panic::catch_unwind(f).err()?;
+        let text = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()));
+        Some(text.expect("string panic payload"))
+    }
+
+    #[test]
+    fn delay_matrix_rejects_every_defect_wherever_the_tiles_put_it() {
+        const TILE: usize = DelayMatrix::TILE;
+        assert!(panic_message(|| drop(DelayMatrix::new(3, vec![0.0; 8])))
+            .is_some_and(|m| m.contains("matrix must be n x n")));
+        for n in [1, 2, TILE - 1, TILE, TILE + 1, 2 * TILE + 3] {
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            let valid = ragged_delays(&mut rng, n).delays;
+            assert_eq!(first_offence(n, &valid), None);
+            // A cell of the first tile, of the last (partial) tile, and on
+            // either side of the first tile edge — where `n` has them.
+            let last = n - 1;
+            let cells = [
+                (0, 0),
+                (0, 1),
+                (1, 0),
+                (last, last),
+                (last, last.saturating_sub(1)),
+                (last.saturating_sub(1), last),
+                (TILE - 1, TILE),
+                (TILE, TILE - 1),
+                (TILE, TILE),
+                (0, last),
+            ];
+            for (i, j) in cells.into_iter().filter(|&(i, j)| i < n && j < n) {
+                for defect in [7.0, -1.0, f64::NAN, f64::INFINITY, 2e-9, 0.5e-9] {
+                    let mut m = valid.clone();
+                    m[i * n + j] = if defect.abs() < 1.0 { m[i * n + j] + defect } else { defect };
+                    let expected = first_offence(n, &m);
+                    let got = panic_message(|| drop(DelayMatrix::new(n, m)));
+                    match (expected, &got) {
+                        (None, None) => assert!(i != j && defect == 0.5e-9),
+                        (Some(want), Some(got)) => {
+                            assert!(got.contains(want), "n {n} ({i},{j}) {defect}: {got}")
+                        }
+                        _ => panic!("n {n} ({i},{j}) {defect}: expected {expected:?}, got {got:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// `(ms * 1000.0).round()` saturated into `u64` — the per-cell
+    /// rounding `DelayMicros::from_delays` did before it walked rows.
+    fn round_us(ms: f64) -> u64 {
+        (ms * 1000.0).round() as u64
+    }
+
+    /// A provider with no contiguous rows: exercises the gathered path.
+    struct PerPair(DelayMatrix);
+    impl OverlayDelays for PerPair {
+        fn delay_ms(&self, a: NodeIdx, b: NodeIdx) -> f64 {
+            self.0.delay_ms(a, b)
+        }
+        fn mean_delay_ms(&self) -> f64 {
+            self.0.mean_delay_ms()
+        }
+    }
+
+    #[test]
+    fn delay_micros_cells_match_per_cell_rounding_including_ties() {
+        // Delays whose µs value lands exactly on `x.5`, plus random ones.
+        let mut ms: Vec<f64> = (0..4000u32)
+            .map(|m| (f64::from(m) + 0.5) / 1000.0)
+            .filter(|ms| (ms * 1000.0).fract() == 0.5)
+            .collect();
+        assert!(ms.len() > 1000, "only {} exact ties", ms.len());
+        let mut rng = StdRng::seed_from_u64(77);
+        ms.extend((0..3000).map(|_| rng.gen_range(0.0..5000.0)));
+        ms.extend([0.0, 0.0004999, 0.0005, 4_294_967.0, 1e-320]);
+        // One delay per unordered pair of a symmetric matrix, each used.
+        let n = 130;
+        assert!(ms.len() <= n * (n - 1) / 2);
+        let mut m = vec![0.0; n * n];
+        let mut next = ms.iter().cycle();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let d = *next.next().unwrap();
+                m[i * n + j] = d;
+                m[j * n + i] = d;
+            }
+        }
+        let dm = DelayMatrix::new(n, m);
+        let us = DelayMicros::from_delays(&dm, n);
+        assert_eq!(us, DelayMicros::from_delays(&PerPair(dm.clone()), n));
+        assert_eq!(us, DelayMicros::from_delays(&dm as &dyn OverlayDelays, n));
+        let mut min = u64::MAX;
+        for a in 0..n {
+            for b in 0..n {
+                let (a, b) = (NodeIdx(a as u32), NodeIdx(b as u32));
+                assert_eq!(us.us(a, b), round_us(dm.delay_ms(a, b)), "{a}->{b}");
+                if a != b {
+                    min = min.min(us.us(a, b));
+                }
+            }
+        }
+        assert_eq!(us.min_offdiag_us(), min);
+    }
+
+    #[test]
+    fn delay_micros_min_offdiag_matches_a_scan() {
+        for n in [0usize, 1] {
+            let us = DelayMicros::from_delays(&DelayMatrix::uniform(n, 3.0), n);
+            assert_eq!(us.min_offdiag_us(), u64::MAX);
+            assert_eq!(us.len(), n);
+        }
+        for (n, seed) in [(2usize, 1u64), (5, 2), (33, 3), (64, 4)] {
+            let dm = ragged_delays(&mut StdRng::seed_from_u64(seed), n);
+            let us = DelayMicros::from_delays(&dm, n);
+            let scan = (0..n)
+                .flat_map(|a| (0..n).map(move |b| (a, b)))
+                .filter(|(a, b)| a != b)
+                .map(|(a, b)| us.us(NodeIdx(a as u32), NodeIdx(b as u32)))
+                .min();
+            assert_eq!(Some(us.min_offdiag_us()), scan, "n {n}");
+        }
+        // The minimum may sit anywhere, including the last cell of a row.
+        let mut m = vec![9.0; 9];
+        (m[0], m[4], m[8]) = (0.0, 0.0, 0.0);
+        (m[5], m[7]) = (1.0, 1.0);
+        assert_eq!(DelayMicros::from_delays(&DelayMatrix::new(3, m), 3).min_offdiag_us(), 1000);
+    }
+
+    /// ROADMAP 5d's u32-µs boundary: exactly `u32::MAX` µs fits a cell,
+    /// one more does not.
+    #[test]
+    fn delay_micros_accepts_u32_max_and_rejects_one_more() {
+        let fits = 4_294_967.295;
+        assert_eq!(round_us(fits), u64::from(u32::MAX));
+        let us = DelayMicros::from_delays(&DelayMatrix::uniform(2, fits), 2);
+        assert_eq!(us.us(NodeIdx(0), NodeIdx(1)), u64::from(u32::MAX));
+        assert_eq!(us.min_offdiag_us(), u64::from(u32::MAX));
+
+        let over = 4_294_967.295_5;
+        assert_eq!(round_us(over), u64::from(u32::MAX) + 1);
+        for too_long in [over, 4_294_967.296, 1e300] {
+            let got = panic_message(move || {
+                DelayMicros::from_delays(&DelayMatrix::uniform(2, too_long), 2);
+            });
+            assert!(
+                got.as_deref().is_some_and(|m| m.contains("0->1") && m.contains("exceeds the u32")),
+                "{too_long}: {got:?}"
+            );
+        }
+        for (bad, in_msg) in [(f64::NAN, "NaN"), (-1.0, "-1"), (f64::INFINITY, "inf")] {
+            let got = panic_message(move || {
+                DelayMicros::from_delays(&PerPair2(bad), 3);
+            });
+            assert!(
+                got.as_deref().is_some_and(|m| {
+                    m.contains("overlay delay 1->2 must be finite and >= 0") && m.contains(in_msg)
+                }),
+                "{bad}: {got:?}"
+            );
+        }
+    }
+
+    /// Every pair 1 ms apart except `1 -> 2`, which is the given value.
+    struct PerPair2(f64);
+    impl OverlayDelays for PerPair2 {
+        fn delay_ms(&self, a: NodeIdx, b: NodeIdx) -> f64 {
+            if (a.0, b.0) == (1, 2) {
+                self.0
+            } else {
+                f64::from(u8::from(a != b))
+            }
+        }
+        fn mean_delay_ms(&self) -> f64 {
+            1.0
+        }
     }
 }

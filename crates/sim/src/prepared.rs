@@ -49,18 +49,24 @@ pub struct Prepared {
     /// The packed `(at_us, payload)` source stream, likewise built once
     /// and shared (O(ticks × items) tuples).
     source_stream: Arc<Vec<(u64, EventKind)>>,
+    /// The overlay statistics every [`RunReport`] carries — constants of
+    /// the build (an n² mean and a sweep over every item tree), so
+    /// computed here once, not per report.
+    mean_comm_delay_ms: f64,
+    max_tree_depth: usize,
+    mean_tree_depth: f64,
 }
 
 impl Prepared {
     /// Generates every input deterministically from `cfg`.
     pub fn build(cfg: &SimConfig) -> Self {
         let traces = build_traces(cfg);
-        let (delays, mean_comm) = build_delays(cfg);
+        let (delays, mean_comm_delay_ms) = build_delays(cfg);
         let workload = Workload::generate(
             &WorkloadConfig::paper(cfg.n_repos, cfg.n_items, cfg.t_stringent_pct),
             cfg.sub_seed("workload"),
         );
-        let coop_degree = effective_degree(cfg, mean_comm);
+        let coop_degree = effective_degree(cfg, mean_comm_delay_ms);
         let d3g = match cfg.tree {
             TreeStrategy::Flat => D3g::flat(&workload),
             TreeStrategy::Lela => {
@@ -74,6 +80,8 @@ impl Prepared {
                 build_d3g(&workload, &delays, &lela)
             }
         };
+        // While the graph LeLA just wrote is still in cache.
+        let (max_tree_depth, mean_tree_depth) = d3g.depth_summary();
         let initial_values: Vec<f64> =
             // d3t-lint: allow(P001) -- generated traces always open with the initial-value tick
             traces.iter().map(|t| t.first().expect("non-empty trace").value).collect();
@@ -93,6 +101,9 @@ impl Prepared {
             cfg: cfg.clone(),
             delays_us,
             source_stream,
+            mean_comm_delay_ms,
+            max_tree_depth,
+            mean_tree_depth,
         }
     }
 
@@ -247,14 +258,13 @@ impl Prepared {
         fidelity: d3t_core::fidelity::FidelityReport,
         metrics: crate::metrics::Metrics,
     ) -> RunReport {
-        use d3t_core::lela::OverlayDelays;
         RunReport {
             fidelity,
             metrics,
             coop_degree_used: self.coop_degree,
-            mean_comm_delay_ms: self.delays.mean_delay_ms(),
-            max_tree_depth: self.d3g.max_depth(),
-            mean_tree_depth: self.d3g.mean_depth(),
+            mean_comm_delay_ms: self.mean_comm_delay_ms,
+            max_tree_depth: self.max_tree_depth,
+            mean_tree_depth: self.mean_tree_depth,
         }
     }
 
@@ -277,7 +287,9 @@ fn build_traces(cfg: &SimConfig) -> Vec<Trace> {
 }
 
 /// Extracts the overlay delay matrix from a freshly generated physical
-/// network, optionally rescaled to a target mean delay.
+/// network, optionally rescaled to a target mean delay, with its mean
+/// pairwise delay (the same sum, in the same order, as the matrix's own
+/// [`OverlayDelays::mean_delay_ms`](d3t_core::lela::OverlayDelays)).
 fn build_delays(cfg: &SimConfig) -> (DelayMatrix, f64) {
     let net_cfg = d3t_net::NetworkConfig { n_repositories: cfg.n_repos, ..cfg.network.clone() };
     assert!(
@@ -440,6 +452,22 @@ mod tests {
                     .expect("need served");
                 assert!(eff.at_least_as_stringent_as(c));
             }
+        }
+    }
+
+    /// The overlay statistics `build` stores are the ones `report` used
+    /// to recompute per call, bit for bit — rescaled delays included.
+    #[test]
+    fn report_carries_the_overlay_statistics_of_the_build() {
+        use d3t_core::lela::OverlayDelays;
+        for target in [None, Some(80.0)] {
+            let mut cfg = SimConfig::small_for_tests(12, 6, 100, 70.0);
+            cfg.target_mean_comm_delay_ms = target;
+            let p = Prepared::build(&cfg);
+            let r = p.run();
+            assert_eq!(r.mean_comm_delay_ms.to_bits(), p.delays.mean_delay_ms().to_bits());
+            assert_eq!(r.max_tree_depth, p.d3g.max_depth());
+            assert_eq!(r.mean_tree_depth.to_bits(), p.d3g.mean_depth().to_bits());
         }
     }
 
