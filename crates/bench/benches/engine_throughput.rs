@@ -27,6 +27,16 @@
 //!   beat to keep its place (the comparison that retired the five-pass
 //!   batched pipeline).
 //!
+//! A third group, **`repair_overhead`**, prices the self-healing overlay:
+//! one `Prepared` per scale (600 and 2 500 repositories), driven
+//! alternately fault-free and under a crash burst that takes out 5 % of
+//! the repositories for good with `RepairPolicy::Reparent` — so most of
+//! the run forwards through adopted edges. It prints one
+//! `REPAIR repos=… adoptions=… overhead_x=…` line per scale
+//! (`overhead_x` = faulted wall / fault-free wall, best of three each);
+//! with per-row adoptee lists the ratio stays near 1 at both scales,
+//! where a registry scan per decision grew with the fleet.
+//!
 //! `(FidelityReport, Metrics)` are asserted bit-identical across the
 //! slim-slot calendar, the heap backend, and the scalar-oracle
 //! `Engine::run` loop — the bench doubles as the paper-scale acceptance
@@ -38,7 +48,9 @@ use std::time::Instant;
 use criterion::{black_box, Criterion};
 use d3t_sim::engine::EventKind;
 use d3t_sim::queue::{CalendarQueue, EventQueue, HeapQueue};
-use d3t_sim::{NoopObserver, Prepared, QueueBackend, SimConfig};
+use d3t_sim::{
+    CrashSpec, FaultPlan, NoopObserver, Prepared, QueueBackend, RepairPolicy, RepairSpec, SimConfig,
+};
 
 /// ≥600 repos, ≥100 items, 10k-tick traces — the acceptance-bar scale.
 fn paper_scale_config(queue: QueueBackend) -> SimConfig {
@@ -315,6 +327,50 @@ fn engine_throughput(c: &mut Criterion) {
     group.finish();
 }
 
+/// Fault-free drive vs a repaired 5 %-victim crash burst, same
+/// `Prepared`, alternating in one process (see the module doc).
+fn repair_overhead(_c: &mut Criterion) {
+    for (n_repos, n_ticks) in [(600usize, 2_500usize), (2_500, 1_000)] {
+        let prepared = Prepared::build(&SimConfig::small_for_tests(n_repos, 100, n_ticks, 50.0));
+        // Every 20th repository crashes a tenth of the way in and stays
+        // down: its orphans are adopted for the remaining nine tenths.
+        let plan = FaultPlan {
+            crashes: (0..n_repos / 20)
+                .map(|k| CrashSpec {
+                    repo: k * 20,
+                    at_us: prepared.end_us / 10,
+                    recover_at_us: None,
+                    subtree: false,
+                })
+                .collect(),
+            repair: RepairSpec { policy: RepairPolicy::Reparent, ..Default::default() },
+            ..Default::default()
+        };
+        let (mut clean_s, mut faulted_s) = (f64::INFINITY, f64::INFINITY);
+        let (mut adoptions, mut events) = (0, 0);
+        for _ in 0..3 {
+            let start = Instant::now();
+            black_box(prepared.session().run_to_end());
+            clean_s = clean_s.min(start.elapsed().as_secs_f64());
+
+            let start = Instant::now();
+            let mut s = prepared.session();
+            s.install_fault_plan(&plan);
+            s.run_until(prepared.end_us);
+            adoptions = s.disseminator().adoption_count();
+            events = black_box(s.run_to_end()).1.events;
+            faulted_s = faulted_s.min(start.elapsed().as_secs_f64());
+        }
+        println!(
+            "REPAIR repos={n_repos} ticks={n_ticks} victims={} adoptions={adoptions} \
+             faulted_events={events} clean_s={clean_s:.3} faulted_s={faulted_s:.3} \
+             overhead_x={:.2}",
+            plan.crashes.len(),
+            faulted_s / clean_s
+        );
+    }
+}
+
 fn config() -> criterion::Criterion {
     criterion::Criterion::default()
         .sample_size(3)
@@ -325,6 +381,6 @@ fn config() -> criterion::Criterion {
 criterion::criterion_group! {
     name = benches;
     config = config();
-    targets = engine_throughput
+    targets = engine_throughput, repair_overhead
 }
 criterion::criterion_main!(benches);

@@ -55,6 +55,10 @@
 //!   not, no early exit) — so Figure 11's check counts compare protocols
 //!   apples-to-apples. The invariant is pinned by
 //!   `checks_count_one_evaluation_per_candidate` below.
+//! * A row that fosters re-parented children (`RepairPolicy::Reparent`
+//!   in `d3t-sim`) follows its CSR scan with one scattered edge check
+//!   per adoptee, found through the row record it has already loaded —
+//!   see the `adoption` module; every other row is unaffected.
 //! * Measured (1-core container, `deviation_kernel` bench): ~1.0 G
 //!   checks/s on a hot 600-wide fanout row (raw scan; ~0.59 G driven
 //!   through `on_source_update_into`, vs ~0.33 G for the scalar oracle)
@@ -63,6 +67,7 @@
 //!   deliveries hints them with [`Disseminator::prefetch_row`] a short
 //!   distance ahead (see `d3t-sim::session` for the measured distance).
 
+mod adoption;
 pub mod centralized;
 pub mod distributed;
 pub mod kernel;
@@ -70,7 +75,7 @@ pub mod naive;
 
 use serde::{Deserialize, Serialize};
 
-use crate::coherency::{Coherency, VALUE_EPSILON};
+use crate::coherency::Coherency;
 use crate::graph::D3g;
 use crate::item::ItemId;
 use crate::overlay::{NodeIdx, SOURCE};
@@ -148,10 +153,11 @@ pub struct Disseminator {
     n_items: usize,
     /// Row stride of `last_received`.
     n_nodes: usize,
-    /// Per-row hot metadata, one 24-byte record per
+    /// Per-row hot metadata, one 32-byte record per
     /// `item * n_nodes + node` row — everything an arrival needs to know
     /// about its row in **one cache line touch** (CSR bounds, own
-    /// effective coherency, the edge slot in the parent's row).
+    /// effective coherency, the edge slot in the parent's row, the
+    /// row's adoptee list).
     rows: Vec<RowMeta>,
     /// CSR forwarding table compiled from the d3g at construction:
     /// `child_edges[start..start + len]` (bounds from [`RowMeta`]) are
@@ -168,32 +174,19 @@ pub struct Disseminator {
     parent: Vec<u32>,
     /// Fail-stop state per node: an inactive repository neither records
     /// nor forwards updates (see [`Disseminator::set_node_active`]).
-    active: Vec<bool>,
+    /// Fixed length, hence a boxed slice: with the registry's index
+    /// pointer the header stays the size it was, so a fault-free
+    /// `state_bytes` reads what it always did.
+    active: Box<[bool]>,
     /// Live re-parenting registry (see [`Disseminator::reparent`]):
     /// children currently served by a foster parent because their
-    /// original parent crashed. Empty in every fault-free run — all
-    /// adopted-edge work in the decision paths is gated on this, so the
-    /// hot path pays one predictable `is_empty` branch and nothing else.
-    adoptions: Vec<Adoption>,
-}
-
-/// One re-parented child: the CSR edge slot stays physically inside the
-/// original parent's row (rows are contiguous spans, so the slot cannot
-/// move), but the child is *logically* served by `foster` until
-/// [`Disseminator::restore_children_of`] hands it back. Keeping the slot
-/// in place means `record_at`'s per-edge mirror and `renegotiate`'s O(1)
-/// `parent_edge` patch keep writing the same memory whether or not the
-/// child is adopted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Adoption {
-    /// Item of the re-parented subscription.
-    item: u32,
-    /// The re-parented child node.
-    child: u32,
-    /// The surviving ancestor currently serving the child.
-    foster: u32,
-    /// The crashed original parent (restore target on recovery).
-    original: u32,
+    /// original parent crashed. A decision reaches its row's adoptees
+    /// through [`RowMeta::adoptees`], which it has already loaded: a
+    /// row fostering nobody — every row of a fault-free run — pays one
+    /// predictable branch on that field, and a row with `k` adoptees
+    /// pays `k` scattered edge checks on top of its CSR scan, whatever
+    /// the number of adoptions elsewhere in the overlay.
+    adoptions: adoption::Registry,
 }
 
 /// Hot per-row record: the node's current copy of the row's item, CSR
@@ -223,12 +216,20 @@ struct RowMeta {
     /// per-edge mirror write and the renegotiation patch O(1) instead
     /// of a parent-row scan.
     parent_edge: u32,
+    /// The row's adoptee list in the adoption registry's index
+    /// ([`NO_ADOPTEES`] while the row fosters nobody — always, in a
+    /// fault-free run). Derived from the registry, so not digested.
+    adoptees: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<RowMeta>() == 32);
 
 /// `parent` sentinel: the row's node has no dissemination parent.
 const NO_PARENT: u32 = u32::MAX;
 /// `parent_edge` sentinel: the row's node sits in no parent's CSR row.
 const NO_EDGE: u32 = u32::MAX;
+/// `adoptees` sentinel: the row fosters no re-parented child.
+const NO_ADOPTEES: u32 = u32::MAX;
 
 impl Disseminator {
     /// Initializes protocol state for `d3g`, with every node assumed
@@ -268,6 +269,7 @@ impl Disseminator {
                     start,
                     len: child_edges.len() as u32 - start,
                     parent_edge: NO_EDGE,
+                    adoptees: NO_ADOPTEES,
                 });
             }
         }
@@ -300,8 +302,8 @@ impl Disseminator {
             rows,
             child_edges,
             parent,
-            active: vec![true; n_nodes],
-            adoptions: Vec::new(),
+            active: vec![true; n_nodes].into_boxed_slice(),
+            adoptions: adoption::Registry::default(),
         }
     }
 
@@ -388,56 +390,6 @@ impl Disseminator {
         Coherency::new(self.rows[item.index() * self.n_nodes + node.index()].eff)
     }
 
-    /// Appends `node`'s *adopted* dependents for `update` to `out_to`,
-    /// returning the filter evaluations performed — the scalar tail every
-    /// decision path (kernel and oracle alike) runs after its CSR-row
-    /// scan. Adopted edges are scattered through other rows, so they are
-    /// filtered one by one with exactly the kernel's predicates (same
-    /// bias, same epsilon) and count one check per candidate, keeping the
-    /// Figure-11 accounting invariant. Gated on the registry being empty:
-    /// fault-free runs take one branch here and nothing else.
-    #[inline]
-    fn adopted_into(&self, node: NodeIdx, update: Update, out_to: &mut Vec<NodeIdx>) -> u64 {
-        if self.adoptions.is_empty() {
-            return 0;
-        }
-        self.scan_adopted(node, update, out_to)
-    }
-
-    /// The out-of-line body of [`Disseminator::adopted_into`] — only runs
-    /// while at least one child is re-parented somewhere in the overlay.
-    fn scan_adopted(&self, node: NodeIdx, update: Update, out_to: &mut Vec<NodeIdx>) -> u64 {
-        // A quiet centralized source tick never enters the tree: the
-        // kernel path skips its row scan in that case, so adopted edges
-        // are skipped (and not counted) too.
-        if self.protocol == Protocol::Centralized && update.tag.is_none() {
-            return 0;
-        }
-        let base = update.item.index() * self.n_nodes;
-        let mut checks = 0u64;
-        for a in &self.adoptions {
-            if a.foster != node.0 || a.item != update.item.0 {
-                continue;
-            }
-            let e = self.child_edges[self.rows[base + a.child as usize].parent_edge as usize];
-            checks += 1;
-            let keep = match self.protocol {
-                // d3t-lint: allow(P001) -- the protocol match above only reaches here with a tagged update
-                Protocol::Centralized => e.c <= update.tag.expect("tag checked above").value(),
-                Protocol::Naive => (update.value - e.last).abs() > e.c + VALUE_EPSILON,
-                Protocol::Distributed => {
-                    let bias = self.rows[base + node.index()].eff;
-                    (update.value - e.last).abs() > e.c - bias + VALUE_EPSILON
-                }
-                Protocol::FloodAll => true,
-            };
-            if keep {
-                out_to.push(NodeIdx(a.child));
-            }
-        }
-        checks
-    }
-
     /// Handles a raw source tick: decides which of the source's dependents
     /// receive the update, filling the caller-owned `out` scratch. Works
     /// entirely off the CSR snapshot compiled in [`Disseminator::new`] —
@@ -476,7 +428,7 @@ impl Disseminator {
             }
         }
         let u = out.update;
-        out.checks += self.adopted_into(SOURCE, u, &mut out.to);
+        out.checks += self.adopted_into(SOURCE, u, self.adoptees_of(SOURCE, item), &mut out.to);
     }
 
     /// Handles an update arriving at repository `node`: records the new
@@ -514,7 +466,7 @@ impl Disseminator {
             }
             Protocol::FloodAll => kernel::flood(&self.child_edges[r], &mut out.to),
         };
-        out.checks += self.adopted_into(node, update, &mut out.to);
+        out.checks += self.adopted_into(node, update, meta.adoptees, &mut out.to);
     }
 
     /// Handles a raw source tick through the branchy **scalar oracle**,
@@ -535,7 +487,8 @@ impl Disseminator {
                 self.flood(SOURCE, Update { item, value, tag: None })
             }
         };
-        fwd.checks += self.adopted_into(SOURCE, fwd.update, &mut fwd.to);
+        fwd.checks +=
+            self.adopted_into(SOURCE, fwd.update, self.adoptees_of(SOURCE, item), &mut fwd.to);
         fwd
     }
 
@@ -556,7 +509,8 @@ impl Disseminator {
             Protocol::Naive | Protocol::Distributed => self.per_child_filter(node, update),
             Protocol::FloodAll => self.flood(node, update),
         };
-        fwd.checks += self.adopted_into(node, fwd.update, &mut fwd.to);
+        fwd.checks +=
+            self.adopted_into(node, fwd.update, self.adoptees_of(node, update.item), &mut fwd.to);
         fwd
     }
 
@@ -785,131 +739,6 @@ impl Disseminator {
         }
     }
 
-    /// Every `(item, child)` subscription `node` currently serves: its own
-    /// CSR-row dependents that have not been adopted away, then children
-    /// it has adopted, in registry order — the deterministic enumeration
-    /// the repair layer walks when `node` crashes.
-    pub fn dependents_of(&self, node: NodeIdx) -> Vec<(ItemId, NodeIdx)> {
-        let mut deps = Vec::new();
-        for i in 0..self.n_items {
-            let item = ItemId(i as u32);
-            let base = i * self.n_nodes;
-            for e in self.row_range(node, item) {
-                let child = self.child_edges[e].node;
-                if self.parent[base + child as usize] == node.0 {
-                    deps.push((item, NodeIdx(child)));
-                }
-            }
-        }
-        for a in &self.adoptions {
-            if a.foster == node.0 {
-                deps.push((ItemId(a.item), NodeIdx(a.child)));
-            }
-        }
-        deps
-    }
-
-    /// Re-parents `child`'s subscription to `item` onto the surviving
-    /// ancestor `foster` — the overlay self-healing mutation entry point.
-    ///
-    /// The child's CSR edge slot cannot move (rows are contiguous spans),
-    /// so it stays physically inside the original parent's row and is
-    /// *adopted*: the decision paths serve it from `foster`'s scans via
-    /// the adoption registry, `parent` is rewritten so renegotiation and
-    /// repair walk the live chain, and `parent_edge` is untouched so the
-    /// per-edge `last_sent` mirror keeps working unchanged. Eq. (1) is
-    /// preserved by tightening `foster`'s ancestor chain to the child's
-    /// edge tolerance where needed (ancestors are never relaxed —
-    /// conservatively tight, exactly like [`Disseminator::renegotiate`]).
-    /// A child whose foster crashes too can be re-adopted: the original
-    /// parent recorded by the first adoption is kept, so recovery of that
-    /// original restores the pristine topology.
-    ///
-    /// # Panics
-    /// Panics if `child` does not hold `item`, if `foster == child`, or
-    /// if `child` has no parent to be re-parented from.
-    pub fn reparent(&mut self, child: NodeIdx, item: ItemId, foster: NodeIdx) {
-        assert!(child != foster, "a node cannot adopt itself");
-        let base = item.index() * self.n_nodes;
-        let old = self.parent[base + child.index()];
-        assert!(old != NO_PARENT, "{child} does not hold {item:?}; nothing to re-parent");
-        assert!(
-            !self.active[old as usize],
-            "re-parenting is only defined away from a crashed parent: the child's edge \
-             slot stays physically in the old parent's row, so a live old parent would \
-             still scan it and double-serve the child"
-        );
-        debug_assert!(
-            foster.is_source() || self.parent[base + foster.index()] != NO_PARENT,
-            "the foster parent must hold the item it adopts a dependent for"
-        );
-        if old == foster.0 {
-            return;
-        }
-        match self.adoptions.iter_mut().find(|a| a.item == item.0 && a.child == child.0) {
-            Some(a) => a.foster = foster.0,
-            None => self.adoptions.push(Adoption {
-                item: item.0,
-                child: child.0,
-                foster: foster.0,
-                original: old,
-            }),
-        }
-        self.parent[base + child.index()] = foster.0;
-        // Eq. (1): the foster chain must serve the child at least as
-        // stringently as the edge demands. Same upward walk as
-        // `renegotiate`, starting at the foster.
-        let edge = self.rows[base + child.index()].parent_edge as usize;
-        let c = Coherency::new(self.child_edges[edge].c);
-        let mut node = foster;
-        let mut tightened = false;
-        while !node.is_source() {
-            let r = base + node.index();
-            if c.value() >= self.rows[r].eff {
-                break;
-            }
-            self.rows[r].eff = c.value();
-            tightened = true;
-            let pe = self.rows[r].parent_edge;
-            if pe != NO_EDGE {
-                self.child_edges[pe as usize].c = c.value();
-            }
-            match self.parent[r] {
-                NO_PARENT => break,
-                p => node = NodeIdx(p),
-            }
-        }
-        if tightened && self.protocol == Protocol::Centralized {
-            self.rebuild_source_list(item);
-        }
-    }
-
-    /// Hands every child adopted away from `node` back to it (recovery
-    /// re-attaches the original edges), returning how many subscriptions
-    /// were restored. Effective coherencies tightened during adoption are
-    /// left in place — conservatively tight, never missing an update —
-    /// matching the renegotiation loosening rule.
-    pub fn restore_children_of(&mut self, node: NodeIdx) -> usize {
-        let mut restored = 0;
-        let mut k = 0;
-        while k < self.adoptions.len() {
-            let a = self.adoptions[k];
-            if a.original == node.0 {
-                self.parent[a.item as usize * self.n_nodes + a.child as usize] = node.0;
-                self.adoptions.swap_remove(k);
-                restored += 1;
-            } else {
-                k += 1;
-            }
-        }
-        restored
-    }
-
-    /// Number of currently re-parented subscriptions.
-    pub fn adoption_count(&self) -> usize {
-        self.adoptions.len()
-    }
-
     /// Recomputes the centralized source's unique-tolerance list for
     /// `item` from the current effective coherencies. Each class's
     /// `last_sent` is set to its **stalest member's** actual copy — the
@@ -1008,7 +837,7 @@ impl Disseminator {
             + self.child_edges.len() * std::mem::size_of::<EdgeState>()
             + self.parent.len() * std::mem::size_of::<u32>()
             + self.active.len()
-            + self.adoptions.len() * std::mem::size_of::<Adoption>()
+            + self.adoptions.state_bytes()
             + self
                 .source_lists
                 .iter()
@@ -1042,13 +871,7 @@ impl Disseminator {
         for &a in &self.active {
             h.write_u8(u8::from(a));
         }
-        h.write_usize(self.adoptions.len());
-        for a in &self.adoptions {
-            h.write_u64(u64::from(a.item));
-            h.write_u64(u64::from(a.child));
-            h.write_u64(u64::from(a.foster));
-            h.write_u64(u64::from(a.original));
-        }
+        self.adoptions.digest_into(h);
         for list in &self.source_lists {
             h.write_usize(list.c.len());
             for (&c, &last) in list.c.iter().zip(&list.last) {
@@ -1077,13 +900,13 @@ mod tests {
     use super::*;
     use crate::workload::Workload;
 
-    fn c(v: f64) -> Coherency {
+    pub(super) fn c(v: f64) -> Coherency {
         Coherency::new(v)
     }
 
     /// The exact Figure-4 scenario: S → P (c=0.3) → Q (c=0.5), values
     /// 1.0, 1.2, 1.4, 1.5, 1.7, 2.0.
-    fn figure4_graph() -> (D3g, NodeIdx, NodeIdx) {
+    pub(super) fn figure4_graph() -> (D3g, NodeIdx, NodeIdx) {
         let w = Workload::from_needs(vec![vec![Some(c(0.3))], vec![Some(c(0.5))]]);
         let mut g = D3g::new(w.n_repos(), 1);
         let (p, q) = (NodeIdx::repo(0), NodeIdx::repo(1));
@@ -1319,87 +1142,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn reparent_serves_child_from_surviving_ancestor_and_restores() {
-        // S → P (0.3) → Q (0.5): P crashes, Q is adopted by S.
-        let (g, p, q) = figure4_graph();
-        let mut d = Disseminator::new(Protocol::Distributed, &g, &[1.0]);
-        d.set_node_active(p, false);
-        d.reparent(q, ItemId(0), SOURCE);
-        assert_eq!(d.adoption_count(), 1);
-        assert_eq!(d.parent_of(q, ItemId(0)), Some(SOURCE));
-        // The source now checks its own row (P) plus the adopted edge (Q).
-        let f = d.on_source_update(ItemId(0), 2.0);
-        assert_eq!(f.checks, 2, "one check per candidate incl. the adopted edge");
-        assert!(f.to.contains(&q), "|2.0 − 1.0| > 0.5 must reach the adopted child");
-        let f_q = d.on_repo_update(q, f.update);
-        assert!(f_q.to.is_empty());
-        assert_eq!(d.value_at(q, ItemId(0)), 2.0, "adopted delivery records normally");
-        // The crashed parent's own enumeration no longer claims Q...
-        assert!(d.dependents_of(p).is_empty());
-        // ...the foster's does.
-        assert_eq!(d.dependents_of(SOURCE), vec![(ItemId(0), p), (ItemId(0), q)]);
-        // Recovery re-attaches the original edge exactly.
-        assert_eq!(d.restore_children_of(p), 1);
-        d.set_node_active(p, true);
-        assert_eq!(d.adoption_count(), 0);
-        assert_eq!(d.parent_of(q, ItemId(0)), Some(p));
-        let f = d.on_source_update(ItemId(0), 4.0);
-        assert_eq!(f.to, vec![p], "post-restore the source serves only its own row");
-        let f = d.on_repo_update(p, f.update);
-        assert_eq!(f.to, vec![q], "P relays to Q again, mirror state intact");
-    }
-
-    #[test]
-    fn reparent_kernel_path_matches_scalar_oracle() {
-        let (g, p, q) = figure4_graph();
-        let mut oracle = Disseminator::new(Protocol::Distributed, &g, &[1.0]);
-        let mut kern = Disseminator::new(Protocol::Distributed, &g, &[1.0]);
-        for d in [&mut oracle, &mut kern] {
-            d.set_node_active(p, false);
-            d.reparent(q, ItemId(0), SOURCE);
-        }
-        let mut scratch = ForwardScratch::new();
-        for v in [1.2, 1.4, 1.7, 2.6, 2.61] {
-            let f = oracle.on_source_update(ItemId(0), v);
-            kern.on_source_update_into(ItemId(0), v, &mut scratch);
-            assert_eq!(scratch.to(), &f.to[..], "adopted targets must match at {v}");
-            assert_eq!(scratch.checks(), f.checks, "adopted checks must match at {v}");
-            for &n in &f.to {
-                if oracle.is_active(n) || n == q {
-                    let fr = oracle.on_repo_update(n, f.update);
-                    kern.on_repo_update_into(n, f.update, &mut scratch);
-                    assert_eq!(scratch.to(), &fr.to[..]);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn reparent_tightens_a_looser_foster_chain() {
-        // S → A (0.4), S → P (0.3), P → C (0.35), centralized. P crashes
-        // and C is adopted by the *sibling* A: Eq. (1) forces A's chain
-        // down to 0.35, patches A's source edge, and rebuilds the
-        // tolerance classes.
-        let mut g = D3g::new(3, 1);
-        let (a, p, ch) = (NodeIdx::repo(0), NodeIdx::repo(1), NodeIdx::repo(2));
-        g.add_edge(SOURCE, a, ItemId(0), c(0.4));
-        g.add_edge(SOURCE, p, ItemId(0), c(0.3));
-        g.add_edge(p, ch, ItemId(0), c(0.35));
-        let mut d = Disseminator::new(Protocol::Centralized, &g, &[1.0]);
-        d.set_node_active(p, false);
-        d.reparent(ch, ItemId(0), a);
-        assert_eq!(d.eff_of(a, ItemId(0)), c(0.35), "foster tightened to the adopted edge");
-        assert_eq!(d.children_of_compiled(SOURCE, ItemId(0))[0].1, c(0.35), "source row patched");
-        let f = d.on_source_update(ItemId(0), 1.38);
-        assert_eq!(f.update.tag, Some(c(0.35)), "0.38 drift violates the 0.35 class");
-        assert_eq!(f.to, vec![a, p], "the dead sibling's slot is still addressed (oblivious)");
-        let f = d.on_repo_update(a, f.update);
-        assert_eq!(f.to, vec![ch], "A relays to its adopted child");
-        let _ = d.on_repo_update(ch, f.update);
-        assert_eq!(d.value_at(ch, ItemId(0)), 1.38);
     }
 
     /// The Figure-11 comparability invariant: every forwarding decision

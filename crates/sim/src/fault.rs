@@ -27,6 +27,19 @@
 //! backoff — patching the compiled CSR forwarding table in place via the
 //! adoption machinery (`Disseminator::reparent`). Recovery re-attaches
 //! the original edges (`Disseminator::restore_children_of`).
+//!
+//! # Cost
+//!
+//! Without a plan the drive pays one predictable branch per pop and per
+//! send. With one it pays for what fires: each control once; one RNG
+//! draw per send while a loss or degradation window is open; and, once
+//! children are re-parented, one scattered edge check per adoptee *of
+//! the row making the decision* — rows that foster nobody stay on the
+//! fault-free path, whatever the number of live adoptions. Re-parenting,
+//! restoring and enumerating a crashed node's dependents each cost the
+//! entries they touch (the registry is indexed by child, by foster row
+//! and by original parent), so a burst is linear in its orphans, not
+//! quadratic.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -171,7 +184,133 @@ impl FaultPlan {
             && self.loss.iter().all(|l| l.prob <= 0.0)
             && self.degrade.is_empty()
     }
+
+    /// Checks the plan against an overlay of `n_repos` repositories —
+    /// everything installation relies on, whatever the run length (an
+    /// event past the end of a run is dropped, not excused). Crashes
+    /// are checked first, then loss, then degradation windows, each in
+    /// plan order; the first offence is returned.
+    pub fn validate(&self, n_repos: usize) -> Result<(), FaultPlanError> {
+        for spec in &self.crashes {
+            if spec.repo >= n_repos {
+                return Err(FaultPlanError::RepoOutOfRange { repo: spec.repo, n_repos });
+            }
+            if let Some(recover_at_us) = spec.recover_at_us.filter(|&r| r <= spec.at_us) {
+                return Err(FaultPlanError::RecoveryNotAfterCrash {
+                    repo: spec.repo,
+                    at_us: spec.at_us,
+                    recover_at_us,
+                });
+            }
+        }
+        for w in &self.loss {
+            if !(0.0..1.0).contains(&w.prob) {
+                return Err(FaultPlanError::LossProbability { prob: w.prob });
+            }
+            if w.from_us >= w.to_us {
+                return Err(FaultPlanError::EmptyLossWindow { from_us: w.from_us, to_us: w.to_us });
+            }
+        }
+        for w in &self.degrade {
+            if w.from_us >= w.to_us {
+                return Err(FaultPlanError::EmptyDegradeWindow {
+                    from_us: w.from_us,
+                    to_us: w.to_us,
+                });
+            }
+            // Exactly what `Pareto::with_mean` accepts.
+            let (min, mean) = (w.min_extra_ms, w.mean_extra_ms);
+            if !(min > 0.0 && mean > min && mean.is_finite()) {
+                return Err(FaultPlanError::DegradeParams {
+                    min_extra_ms: min,
+                    mean_extra_ms: mean,
+                });
+            }
+        }
+        Ok(())
+    }
 }
+
+/// Why a [`FaultPlan`] cannot be installed — one variant per check of
+/// [`FaultPlan::validate`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FaultPlanError {
+    /// A crash names a repository the overlay does not have.
+    RepoOutOfRange {
+        /// The offending 0-based repository number.
+        repo: usize,
+        /// Repositories in the overlay.
+        n_repos: usize,
+    },
+    /// A crash recovers at or before the instant it happens.
+    RecoveryNotAfterCrash {
+        /// The crashing repository.
+        repo: usize,
+        /// Crash instant, µs.
+        at_us: u64,
+        /// The offending recovery instant, µs.
+        recover_at_us: u64,
+    },
+    /// A loss probability outside `[0, 1)` (NaN included).
+    LossProbability {
+        /// The offending probability.
+        prob: f64,
+    },
+    /// A loss window that ends at or before it starts.
+    EmptyLossWindow {
+        /// Window start, µs.
+        from_us: u64,
+        /// Window end, µs.
+        to_us: u64,
+    },
+    /// A degradation window that ends at or before it starts.
+    EmptyDegradeWindow {
+        /// Window start, µs.
+        from_us: u64,
+        /// Window end, µs.
+        to_us: u64,
+    },
+    /// Extra-delay parameters no Pareto distribution has: the sampler
+    /// needs a finite `mean > min > 0`.
+    DegradeParams {
+        /// The offending minimum, ms.
+        min_extra_ms: f64,
+        /// The offending mean, ms.
+        mean_extra_ms: f64,
+    },
+}
+
+impl std::fmt::Display for FaultPlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            FaultPlanError::RepoOutOfRange { repo, .. } => {
+                write!(f, "crash spec repo {repo} out of range")
+            }
+            FaultPlanError::RecoveryNotAfterCrash { .. } => {
+                write!(f, "recovery must follow the crash")
+            }
+            FaultPlanError::LossProbability { .. } => {
+                write!(f, "loss probability must be in [0, 1)")
+            }
+            FaultPlanError::EmptyLossWindow { .. } => {
+                write!(f, "loss window must have positive length")
+            }
+            FaultPlanError::EmptyDegradeWindow { .. } => {
+                write!(f, "degradation window must have positive length")
+            }
+            // `Pareto::with_mean`'s own wording, in its order of checks.
+            FaultPlanError::DegradeParams { min_extra_ms, mean_extra_ms } => {
+                f.write_str(match (min_extra_ms > 0.0, mean_extra_ms > min_extra_ms) {
+                    (false, _) => "min must be positive",
+                    (true, false) => "mean must exceed min for a Pareto distribution",
+                    (true, true) => "alpha must be positive",
+                })
+            }
+        }
+    }
+}
+
+impl std::error::Error for FaultPlanError {}
 
 /// One compiled control event on the fault timeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -261,19 +400,19 @@ impl FaultState {
     }
 
     /// Compiles `plan` against the current overlay into a time-sorted
-    /// control timeline. Subtree bursts are expanded here (the d3g
-    /// topology at install time), which is why installation needs the
-    /// disseminator. Events at or past `end_us` are dropped — they could
-    /// never be applied.
-    ///
-    /// # Panics
-    /// Panics on out-of-range repos, loss probabilities outside `[0, 1)`,
-    /// or degenerate degradation parameters.
-    pub(crate) fn compile(plan: &FaultPlan, d: &Disseminator, end_us: u64) -> Self {
-        let n_repos = d.n_nodes() - 1;
+    /// control timeline, or says why the plan is malformed
+    /// ([`FaultPlan::validate`]). Subtree bursts are expanded here (the
+    /// d3g topology at install time), which is why installation needs
+    /// the disseminator. Events at or past `end_us` are dropped — they
+    /// could never be applied.
+    pub(crate) fn compile(
+        plan: &FaultPlan,
+        d: &Disseminator,
+        end_us: u64,
+    ) -> Result<Self, FaultPlanError> {
+        plan.validate(d.n_nodes() - 1)?;
         let mut timeline: Vec<(u64, FaultEvent)> = Vec::new();
         for spec in &plan.crashes {
-            assert!(spec.repo < n_repos, "crash spec repo {} out of range", spec.repo);
             if spec.at_us >= end_us {
                 continue;
             }
@@ -281,17 +420,12 @@ impl FaultState {
             let victims = if spec.subtree { subtree_of(d, root) } else { vec![root] };
             for v in victims {
                 timeline.push((spec.at_us, FaultEvent::Crash { node: v.0 }));
-                if let Some(r) = spec.recover_at_us {
-                    assert!(r > spec.at_us, "recovery must follow the crash");
-                    if r < end_us {
-                        timeline.push((r, FaultEvent::Recover { node: v.0 }));
-                    }
+                if let Some(r) = spec.recover_at_us.filter(|&r| r < end_us) {
+                    timeline.push((r, FaultEvent::Recover { node: v.0 }));
                 }
             }
         }
         for w in &plan.loss {
-            assert!((0.0..1.0).contains(&w.prob), "loss probability must be in [0, 1)");
-            assert!(w.from_us < w.to_us, "loss window must have positive length");
             if w.prob == 0.0 || w.from_us >= end_us {
                 continue;
             }
@@ -301,9 +435,6 @@ impl FaultState {
             }
         }
         for w in &plan.degrade {
-            assert!(w.from_us < w.to_us, "degradation window must have positive length");
-            // Validate eagerly: Pareto::with_mean panics on bad params.
-            let _ = Pareto::with_mean(w.min_extra_ms, w.mean_extra_ms);
             if w.from_us >= end_us {
                 continue;
             }
@@ -317,7 +448,7 @@ impl FaultState {
         }
         // Stable: equal-time events keep plan emission order.
         timeline.sort_by_key(|&(at, _)| at);
-        Self {
+        Ok(Self {
             timeline,
             cursor: 0,
             repairs: BinaryHeap::new(),
@@ -330,7 +461,7 @@ impl FaultState {
             detect_timeout_us: plan.repair.detect_timeout_us,
             repair_base_backoff_us: plan.repair.base_backoff_us,
             repair_max_backoff_us: plan.repair.max_backoff_us,
-        }
+        })
     }
 
     /// Whether no control event can ever fire again. (Loss/degrade state

@@ -148,8 +148,8 @@ pub use config::{SimConfig, TreeStrategy};
 pub use dynamics::{Dynamic, DynamicError};
 pub use engine::{Engine, Event, EventKind, TagTable};
 pub use fault::{
-    CrashSpec, DegradeWindow, FaultIncident, FaultMonitor, FaultPlan, LossWindow, RepairPolicy,
-    RepairSpec, RetransmitSpec,
+    CrashSpec, DegradeWindow, FaultIncident, FaultMonitor, FaultPlan, FaultPlanError, LossWindow,
+    RepairPolicy, RepairSpec, RetransmitSpec,
 };
 pub use metrics::Metrics;
 pub use observer::{

@@ -120,7 +120,9 @@ use d3t_core::digest::Fnv1a;
 
 use crate::dynamics::{Dynamic, DynamicError};
 use crate::engine::{Engine, Event, EventKind, TagTable};
-use crate::fault::{FaultControl, FaultEvent, FaultPlan, FaultState, RepairOp, RepairPolicy};
+use crate::fault::{
+    FaultControl, FaultEvent, FaultPlan, FaultPlanError, FaultState, RepairOp, RepairPolicy,
+};
 use crate::metrics::Metrics;
 use crate::observer::{FaultObservation, NoopObserver, Observer};
 use crate::queue::{CalendarQueue, EventQueue};
@@ -179,7 +181,13 @@ pub struct Session<Q: EventQueue<EventKind> = CalendarQueue<EventKind>, O: Obser
     /// controls preceding equal-time simulation events), the pending
     /// repair heap, and the live loss/degradation state the send paths
     /// consult. Inert — one predictable branch per pop and per send —
-    /// unless a plan was installed.
+    /// unless a plan was installed. An installed plan costs its
+    /// controls, one RNG draw per send inside a loss or degradation
+    /// window, and, under `RepairPolicy::Reparent`, one scattered edge
+    /// check per adoptee of the deciding row (not per live adoption:
+    /// see `d3t_core::dissemination`'s adoption registry) — the
+    /// `repair_overhead` bench reads a repaired overlay at 1.01–1.02×
+    /// the fault-free drive at 600 and at 2 500 repositories.
     faults: FaultState,
 }
 
@@ -450,8 +458,24 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
     /// control instant. Installing a new plan replaces the
     /// previous one wholesale; install before driving — controls already
     /// in the past would fire late, clamped to `now_us`.
+    ///
+    /// # Panics
+    /// Panics, with the [`FaultPlanError`]'s message, on a plan
+    /// [`FaultPlan::validate`] rejects; a caller whose plan is data it
+    /// did not write uses [`Session::try_install_fault_plan`].
     pub fn install_fault_plan(&mut self, plan: &FaultPlan) {
-        self.faults = FaultState::compile(plan, &self.disseminator, self.end_us);
+        if let Err(e) = self.try_install_fault_plan(plan) {
+            // d3t-lint: allow(P001) -- documented `# Panics` contract; the fallible twin is try_install_fault_plan
+            panic!("{e}");
+        }
+    }
+
+    /// [`Session::install_fault_plan`] for plans from outside the
+    /// program: a malformed plan is reported, and the session — its
+    /// previously installed plan included — is left exactly as it was.
+    pub fn try_install_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), FaultPlanError> {
+        self.faults = FaultState::compile(plan, &self.disseminator, self.end_us)?;
+        Ok(())
     }
 
     /// Installs a [`FaultPlan`] on a *branched* session (typically one

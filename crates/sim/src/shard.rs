@@ -649,7 +649,8 @@ fn drive<Q: EventQueue<ShardEvent> + Send>(
     let mut faults = if cfg.fault.is_inert() {
         FaultState::inert()
     } else {
-        FaultState::compile(&cfg.fault, &base, end_us)
+        // d3t-lint: allow(P001) -- a malformed SimConfig::fault is caller misuse, same contract as Session::install_fault_plan
+        FaultState::compile(&cfg.fault, &base, end_us).unwrap_or_else(|e| panic!("{e}"))
     };
     let n_items = prepared.workload.n_items();
     let n_repos = prepared.workload.n_repos();

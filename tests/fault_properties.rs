@@ -29,8 +29,9 @@ use d3t::core::dissemination::Protocol;
 use d3t::core::fidelity::FidelityReport;
 use d3t::core::overlay::NodeIdx;
 use d3t::sim::{
-    CalendarQueue, CrashSpec, DegradeWindow, Dynamic, EventKind, EventQueue, FaultPlan, HeapQueue,
-    LossWindow, Metrics, NoopObserver, Prepared, RepairPolicy, RepairSpec, Session, SimConfig,
+    CalendarQueue, CrashSpec, DegradeWindow, Dynamic, EventKind, EventQueue, FaultPlan,
+    FaultPlanError, HeapQueue, LossWindow, Metrics, NoopObserver, Prepared, RepairPolicy,
+    RepairSpec, Session, SimConfig,
 };
 
 /// One way to drive a session forward — each caps the drain's runs
@@ -247,5 +248,99 @@ fn inject_storms_are_cap_and_backend_invariant() {
                 assert_eq!(heap, reference, "{protocol:?}/{seed} {drive:?}: heap diverged");
             }
         }
+    }
+}
+
+/// Every way a plan can be malformed, one per [`FaultPlanError`]
+/// variant, with the message the installing panic has always carried.
+fn malformed_plans(n_repos: usize) -> Vec<(FaultPlan, FaultPlanError, String)> {
+    let crash = |repo, at_us, recover_at_us| FaultPlan {
+        crashes: vec![CrashSpec { repo, at_us, recover_at_us, subtree: false }],
+        ..Default::default()
+    };
+    let loss = |prob, from_us, to_us| FaultPlan {
+        loss: vec![LossWindow { prob, from_us, to_us }],
+        ..Default::default()
+    };
+    let degrade = |from_us, to_us, min_extra_ms, mean_extra_ms| FaultPlan {
+        degrade: vec![DegradeWindow { from_us, to_us, min_extra_ms, mean_extra_ms }],
+        ..Default::default()
+    };
+    let out_of_range = format!("crash spec repo {n_repos} out of range");
+    let cases = vec![
+        (
+            crash(n_repos, 10, None),
+            FaultPlanError::RepoOutOfRange { repo: n_repos, n_repos },
+            out_of_range.as_str(),
+        ),
+        (
+            // Past any run's end: dropped by compilation, still malformed.
+            crash(0, u64::MAX, Some(5)),
+            FaultPlanError::RecoveryNotAfterCrash { repo: 0, at_us: u64::MAX, recover_at_us: 5 },
+            "recovery must follow the crash",
+        ),
+        (
+            loss(1.0, 0, 10),
+            FaultPlanError::LossProbability { prob: 1.0 },
+            "loss probability must be in [0, 1)",
+        ),
+        (
+            loss(0.5, 10, 10),
+            FaultPlanError::EmptyLossWindow { from_us: 10, to_us: 10 },
+            "loss window must have positive length",
+        ),
+        (
+            degrade(10, 3, 1.0, 2.0),
+            FaultPlanError::EmptyDegradeWindow { from_us: 10, to_us: 3 },
+            "degradation window must have positive length",
+        ),
+        (
+            degrade(0, 10, 0.0, 2.0),
+            FaultPlanError::DegradeParams { min_extra_ms: 0.0, mean_extra_ms: 2.0 },
+            "min must be positive",
+        ),
+        (
+            degrade(0, 10, 3.0, 3.0),
+            FaultPlanError::DegradeParams { min_extra_ms: 3.0, mean_extra_ms: 3.0 },
+            "mean must exceed min for a Pareto distribution",
+        ),
+        (
+            degrade(0, 10, 3.0, f64::INFINITY),
+            FaultPlanError::DegradeParams { min_extra_ms: 3.0, mean_extra_ms: f64::INFINITY },
+            "alpha must be positive",
+        ),
+    ];
+    cases.into_iter().map(|(plan, error, message)| (plan, error, message.to_string())).collect()
+}
+
+#[test]
+fn malformed_plans_are_typed_errors_and_leave_the_session_as_it_was() {
+    let p = Prepared::build(&small(Protocol::Distributed, 7));
+    let n_repos = p.config().n_repos;
+    let good = FaultPlan {
+        crashes: vec![CrashSpec {
+            repo: busiest_repo(&p).0,
+            at_us: 1_000_000,
+            recover_at_us: None,
+            subtree: false,
+        }],
+        repair: RepairSpec { policy: RepairPolicy::Reparent, ..Default::default() },
+        ..Default::default()
+    };
+    assert_eq!(good.validate(n_repos), Ok(()));
+    let reference = run_faulted::<CalendarQueue<EventKind>>(&p, &good, Drive::Whole);
+    assert!(reference.1.reparented > 0, "the good plan must do something");
+    for (bad, error, message) in malformed_plans(n_repos) {
+        assert_eq!(bad.validate(n_repos), Err(error));
+        assert_eq!(error.to_string(), message);
+        // A rejected install keeps the plan already in force.
+        let mut s = p.session();
+        s.install_fault_plan(&good);
+        assert_eq!(s.try_install_fault_plan(&bad), Err(error));
+        assert_eq!(s.run_to_end(), reference, "{message}: rejected plan disturbed the session");
+        // The panicking twin (what `d3t-bench` calls) words it the same.
+        let panic = std::panic::catch_unwind(|| p.session().install_fault_plan(&bad))
+            .expect_err("a malformed plan must not install");
+        assert_eq!(panic.downcast_ref::<String>(), Some(&message));
     }
 }

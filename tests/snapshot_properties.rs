@@ -360,3 +360,80 @@ fn branch_from_fault_free_prefix_equals_cold_run_with_the_plan() {
         assert_eq!(warm, cold, "{protocol:?}: warm branch diverged from cold run");
     }
 }
+
+#[test]
+fn snapshot_after_a_reparenting_burst_resumes_with_its_adoptions() {
+    // The fork lands *after* a crash burst has been repaired: the
+    // adoption registry is populated and the captured disseminator
+    // carries its index. What follows the fork reads all of it — a
+    // second crash among the survivors (adopted children re-adopted), a
+    // recovery (the burst's adoptions restored, survivors reordered) —
+    // so a clone that lost or mis-copied the index cannot finish equal
+    // to the uninterrupted run. Same through the 2-shard barrier merge,
+    // where the captured disseminator is a patched replica.
+    for protocol in PROTOCOLS {
+        let mut cfg = SimConfig {
+            protocol,
+            seed: 0x5EED,
+            coop_res: 3,
+            ..SimConfig::small_for_tests(24, 6, 400, 50.0)
+        };
+        let end_us = Prepared::build(&cfg).end_us;
+        let burst =
+            |repo, at_us, recover_at_us| CrashSpec { repo, at_us, recover_at_us, subtree: true };
+        cfg.fault = FaultPlan {
+            crashes: vec![
+                burst(0, end_us / 5, Some(end_us * 7 / 10)),
+                burst(1, end_us / 5, None),
+                burst(2, end_us * 3 / 5, Some(end_us * 4 / 5)),
+                burst(3, end_us * 3 / 5, None),
+            ],
+            repair: RepairSpec {
+                policy: RepairPolicy::Reparent,
+                detect_timeout_us: 100_000,
+                base_backoff_us: 10_000,
+                max_backoff_us: 200_000,
+            },
+            seed: 0xADD0,
+            ..Default::default()
+        };
+        let p = Prepared::build(&cfg);
+        let (fork_us, late_us) = (end_us / 2, end_us * 9 / 10);
+
+        // The uninterrupted run: digests at the fork and late in the
+        // suffix, then the report.
+        let mut s = p.session();
+        s.run_until(fork_us);
+        let adopted = s.disseminator().adoption_count();
+        assert!(adopted > 0, "{protocol:?}: the burst re-parented nobody by the fork");
+        let (fork_digest, snap) = (s.state_digest(), s.snapshot());
+        s.run_until(late_us);
+        assert_ne!(
+            s.disseminator().adoption_count(),
+            adopted,
+            "{protocol:?}: the suffix must re-adopt or restore"
+        );
+        let late_digest = s.state_digest();
+        let reference = format!("{:?}", s.run_to_end());
+
+        let mut cfg2 = cfg.clone();
+        cfg2.n_shards = 2;
+        let sharded_snap = Prepared::build(&cfg2).snapshot_at(fork_us);
+        for (label, snap) in [("sequential", &snap), ("2 shards", &sharded_snap)] {
+            let mut cal = p.resume(snap);
+            let mut heap = p.resume_with::<HeapQueue<EventKind>, _>(snap, NoopObserver);
+            assert_eq!(cal.disseminator().adoption_count(), adopted, "{protocol:?}/{label}");
+            assert_eq!(cal.state_digest(), fork_digest, "{protocol:?}/{label}: fork digest");
+            assert_eq!(heap.state_digest(), fork_digest, "{protocol:?}/{label}: fork digest");
+            cal.run_until(late_us);
+            while heap.now_us() + HOP_US < late_us {
+                heap.run_until(heap.now_us() + HOP_US);
+            }
+            heap.run_until(late_us);
+            assert_eq!(cal.state_digest(), late_digest, "{protocol:?}/{label}: suffix digest");
+            assert_eq!(heap.state_digest(), late_digest, "{protocol:?}/{label}: suffix digest");
+            assert_eq!(format!("{:?}", cal.run_to_end()), reference, "{protocol:?}/{label}");
+            assert_eq!(format!("{:?}", heap.run_to_end()), reference, "{protocol:?}/{label}");
+        }
+    }
+}
