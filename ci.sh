@@ -13,13 +13,13 @@ echo "== d3t-lint (determinism & safety rule pack) =="
 # The workspace self-lint must be clean: every suppression is either an
 # inline `// d3t-lint: allow(CODE) -- reason` pragma or a reasoned entry
 # in crates/lint/allowlist.txt (stale entries themselves fail as L002).
-# The grep pins the machine-readable trailer at zero violations; the
-# rest of the --json stdout is the BENCH_lint.json artifact (per-rule
-# counts, files scanned, wall time).
-lint_out=$(cargo run --release -q -p d3t-lint -- --workspace --json)
-echo "$lint_out" | grep '^LINT files=.* rules=.* violations=0'
-echo "$lint_out" | grep -v '^LINT' > BENCH_lint.json
-test "$(grep -c '"code": "' BENCH_lint.json)" -ge 9
+# Every diagnostic is printed before anything is checked (the linter
+# exits 1 on any, hence `|| true`); the checks pin the trailer at zero
+# violations and at least the nine shipped rules registered.
+lint_out=$(cargo run --release -q -p d3t-lint -- --workspace) || true
+echo "$lint_out"
+lint_trailer=$(echo "$lint_out" | grep '^LINT files=.* rules=.* violations=0$')
+test "$(echo "$lint_trailer" | grep -o 'rules=[0-9]*' | cut -d= -f2)" -ge 9
 
 echo "== hot-file size ratchet =="
 # The five files that hold the event semantics and its drives (ROADMAP
@@ -52,106 +52,39 @@ echo "== benchmark harness (perfbench/: build, tests, bit-identity gate) =="
 # gates stage_sum_ratio. `golden` re-derives every default-seed output
 # (~70 s) and exits 1 unless all equal perfbench/golden.json — the
 # standing bit-identity gate for speed-only changes.
-cargo build --release --manifest-path perfbench/Cargo.toml
-cargo test --release --manifest-path perfbench/Cargo.toml
-cargo run --release -q --manifest-path perfbench/Cargo.toml --bin d3t-bench -- golden
+# --locked: perfbench/Cargo.lock sits under the benchmark's pinned paths,
+# so a library PR that changes a dependency edge must fail here with
+# cargo's own message rather than silently rewrite it (PRs 16-18).
+cargo build --release --locked --manifest-path perfbench/Cargo.toml
+cargo test --release --locked --manifest-path perfbench/Cargo.toml
+cargo run --release --locked -q --manifest-path perfbench/Cargo.toml --bin d3t-bench -- golden
 
 echo "== repro smoke =="
 cargo run --release -p d3t-experiments --bin repro -- fig4 --tiny > /dev/null
-# One timed base-config run per scheduler backend, emitting both tracked
-# formats from the same runs: the greppable SMOKE lines (events
-# processed, wall µs, events/sec — the cross-PR throughput trail) and
-# the structured BENCH_queue.json artifact (adds hot-tier queue-ops/s
-# and slot bytes). The greps fail CI if either backend stops reporting.
-queue_out=$(cargo run --release -q -p d3t-experiments --bin repro -- queue-json)
-echo "$queue_out" | grep '^SMOKE'
-test "$(echo "$queue_out" | grep -c '^SMOKE queue=.* events=.* wall_us=.* events_per_sec=')" -eq 2
-echo "$queue_out" | grep -v '^SMOKE' > BENCH_queue.json
-test "$(grep -c '"queue": "\(calendar\|heap\)"' BENCH_queue.json)" -eq 2
-# One failure-burst dynamics run; the DYNAMICS line is machine-readable
-# (static vs churn loss, arrivals dropped) and the grep fails CI if the
-# experiment stops emitting it.
+# What the commands below cost is d3t-bench's business (perfbench/README.md,
+# "What each metric supersedes"); these are correctness greps only: each
+# fails CI if an experiment stops reporting, none reads a wall clock.
+# One failure-burst dynamics run (static vs churn loss, arrivals dropped).
 cargo run --release -q -p d3t-experiments --bin repro -- dynamics --tiny | grep -o 'DYNAMICS .*'
-# The fig8/fig11 filtering smoke: one timed cell per dissemination
-# protocol, each emitting a machine-readable FILTER line so the
-# deviation-check path (the batched kernel) is tracked across PRs; CI
-# fails unless all four protocols report.
+# The fig8/fig11 filtering smoke: all four dissemination protocols report.
 filter_out=$(cargo run --release -q -p d3t-experiments --bin repro -- filter --tiny | grep -o 'FILTER .*')
 echo "$filter_out"
 test "$(echo "$filter_out" | grep -c 'FILTER protocol=.* checks=.* checks_per_sec=')" -eq 4
-# The robustness sweep: crash-burst size × loss rate × repair policy
-# over identical prepared inputs. One RESILIENCE line per faulted cell
-# is the greppable trail (post-burst survivor fidelity vs baseline,
-# MTTR, loss/retransmit/re-parent counters); the JSON document lands in
-# BENCH_resilience.json. The greps fail CI if any cell stops reporting,
-# and the self-healing-beats-passive separation itself is asserted by
-# the experiment's unit tests above.
+# The robustness sweep: crash-burst size x loss rate x repair policy, one
+# RESILIENCE line per faulted cell (the self-healing-beats-passive
+# separation itself is asserted by the experiment's unit tests above).
 res_out=$(cargo run --release -q -p d3t-experiments --bin repro -- resilience --tiny)
-echo "$res_out" | grep '^RESILIENCE'
+echo "$res_out"
 test "$(echo "$res_out" | grep -c '^RESILIENCE burst=.* loss_pct=.* mttr_ms=.* retransmits=.* reparented=')" -eq 8
-echo "$res_out" | grep -v '^RESILIENCE' > BENCH_resilience.json
-test "$(grep -c '"policy": "\(none\|reparent\)"' BENCH_resilience.json)" -eq 8
-# Per-phase drain telemetry: one timed session run whose wall clock is
-# attributed to the queue/process/fidelity/transmit phases from the
-# always-on cycle counters — per-run totals, split by the one run in 64
-# stamped per event (the binary asserts the four shares sum to the
-# run's wall time within 5% and that none is zero). PHASE lines are the
-# greppable trail; the JSON document lands in BENCH_phases.json.
-phase_out=$(cargo run --release -q -p d3t-experiments --bin repro -- phases)
-echo "$phase_out" | grep '^PHASE'
-test "$(echo "$phase_out" | grep -c '^PHASE name=.* events=.* wall_us=')" -eq 4
-echo "$phase_out" | grep -v '^PHASE' > BENCH_phases.json
-test "$(grep -c '"phase": "\(queue\|process\|fidelity\|transmit\)"' BENCH_phases.json)" -eq 4
-# The sharded-engine scale-out smoke: one 5k-repository prepared input
-# driven at 1, 2 and 4 shards. The hard gate is determinism, not speed:
-# every SHARD line must carry the *same* report_hash (the sharded drive
-# is bit-identical to the sequential oracle on any machine). The >1.5×
-# speedup acceptance at 4 shards only means anything with 4+ cores, so
-# it is enforced unless D3T_SKIP_PERF_GATE is set or the runner has
-# fewer than 4 CPUs. The JSON document lands in BENCH_shard.json.
-shard_out=$(cargo run --release -q -p d3t-experiments --bin repro -- \
-    scale-out --repos 5000 --items 20 --ticks 120)
-echo "$shard_out" | grep '^SHARD'
-test "$(echo "$shard_out" | grep -c '^SHARD shards=.* events=.* wall_us=.* events_per_sec=.* speedup=.* report_hash=0x')" -eq 3
-test "$(echo "$shard_out" | grep -o 'report_hash=0x[0-9a-f]*' | sort -u | wc -l)" -eq 1
-if [ -z "${D3T_SKIP_PERF_GATE:-}" ] && [ "$(nproc)" -ge 4 ]; then
-    speedup=$(echo "$shard_out" | grep '^SHARD shards=4' | grep -o 'speedup=[0-9.]*' | cut -d= -f2)
-    awk -v s="$speedup" 'BEGIN { exit !(s >= 1.5) }' \
-        || { echo "4-shard speedup $speedup below the 1.5x gate"; exit 1; }
-fi
-echo "$shard_out" | grep -v '^SHARD' > BENCH_shard.json
-test "$(grep -c '"shards": [124],' BENCH_shard.json)" -eq 3
-
-# The snapshot/branch what-if smoke: one shared prefix to the half-run
-# fork, one snapshot, 8 divergent scenario branches each driven cold
-# and warm. The hard gate is correctness: every WHATIF line must say
-# equal=true (the warm branch's report hash matches its cold twin — the
-# resume path is bit-identical on any machine). The amortization gates
-# (speedup ≥ 1.5 over 8 branches, capture ≤ 5% of one run's wall) are
-# wall-time claims, so they honor D3T_SKIP_PERF_GATE; the speedup
-# metric sums per-cell walls and is scheduler-independent, so no core
-# count precondition. The JSON document lands in BENCH_snapshot.json.
+# The snapshot/branch what-if: one shared prefix, one snapshot, 8
+# divergent branches each driven cold and warm. Every WHATIF line must
+# say equal=true (the resumed branch's report hash matches its cold
+# twin's, on any machine).
 whatif_out=$(cargo run --release -q -p d3t-experiments --bin repro -- \
     whatif --tiny --ticks 2000 --branches 8)
-echo "$whatif_out" | grep -E '^WHATIF|^SNAPSHOT'
+echo "$whatif_out"
 test "$(echo "$whatif_out" | grep -c '^WHATIF branch=.* loss_pct=.* cold_wall_us=.* warm_wall_us=.* report_hash=0x.* equal=')" -eq 8
 test "$(echo "$whatif_out" | grep -c '^WHATIF .* equal=true$')" -eq 8
 test "$(echo "$whatif_out" | grep -c '^SNAPSHOT bytes=[1-9][0-9]* capture_us=.* restore_us=.* pending_events=.* digest=0x')" -eq 1
-if [ -z "${D3T_SKIP_PERF_GATE:-}" ]; then
-    speedup=$(echo "$whatif_out" | grep -o '"speedup": [0-9.]*' | grep -o '[0-9.]*')
-    awk -v s="$speedup" 'BEGIN { exit !(s >= 1.5) }' \
-        || { echo "whatif speedup $speedup below the 1.5x gate"; exit 1; }
-    cap_pct=$(echo "$whatif_out" | grep -o '"capture_pct_of_run": [0-9.]*' | grep -o '[0-9.]*$')
-    awk -v c="$cap_pct" 'BEGIN { exit !(c <= 5.0) }' \
-        || { echo "snapshot capture ${cap_pct}% of a run, above the 5% gate"; exit 1; }
-fi
-echo "$whatif_out" | grep -vE '^WHATIF|^SNAPSHOT' > BENCH_snapshot.json
-test "$(grep -c '"equal": true' BENCH_snapshot.json)" -eq 8
-cat BENCH_queue.json
-cat BENCH_phases.json
-cat BENCH_resilience.json
-cat BENCH_lint.json
-cat BENCH_shard.json
-cat BENCH_snapshot.json
 
 echo "CI green."

@@ -13,13 +13,12 @@
 //!   queues, isolating the scheduler from the (protocol + fidelity) work
 //!   that is identical under either backend.
 //! * **`whole_run`** — end-to-end `Prepared::run` per backend, printing
-//!   events/s plus the hot-tier slot bytes physically moved per event.
-//!   This is where the ROADMAP bar lives: the calendar run must stay
-//!   within 15% of the scalar-oracle `Engine::run` timed in the same
-//!   process, and above a 5.0 M events/s absolute floor (the shared CI
-//!   host drifts ~20% between PRs, so the old fixed high bar measured
-//!   the machine — the relative form measures the code). With the
-//!   seeded backlog gone the heap is competitive on this
+//!   events/s plus the hot-tier slot bytes physically moved per event,
+//!   beside the scalar-oracle `Engine::run` timed in the same process
+//!   (the shared host drifts ~20% between sessions, so only same-process
+//!   ratios mean anything; the tracked form of this one is `d3t-bench`'s
+//!   `engine.session_vs_oracle_x`, and nothing here gates on speed). With
+//!   the seeded backlog gone the heap is competitive on this
 //!   shallow-pending shape; the `event_queue` micro bench covers the
 //!   deep-pending regime where the calendar's O(1) wins. The
 //!   `session_step_loop` line drives the same session one `step()` at a
@@ -174,9 +173,7 @@ fn engine_throughput(c: &mut Criterion) {
     let mut calendar_best_rate = 0.0f64;
     for name in ["calendar", "heap"] {
         // Symmetric best-of-3 per backend, so the printed lines are an
-        // apples-to-apples comparison (the regression gate below may
-        // give the calendar extra *gate-only* attempts; those never feed
-        // these comparison numbers).
+        // apples-to-apples comparison.
         let mut best = f64::INFINITY;
         let mut report = None;
         for _ in 0..3 {
@@ -215,8 +212,7 @@ fn engine_throughput(c: &mut Criterion) {
     // sealed `Engine::run` loop still drives the allocating scalar
     // oracle. Their whole-run outputs must stay bit-identical at paper
     // scale — the acceptance gate for the kernel refactor — and the
-    // oracle's wall clock doubles as the same-process reference the
-    // throughput gate below is judged against.
+    // oracle's rate is the same-process reference for the lines above.
     let start = Instant::now();
     let (oracle_fidelity, oracle_metrics) = prepared.engine::<CalendarQueue<EventKind>>().run();
     let oracle_wall = start.elapsed().as_secs_f64();
@@ -246,53 +242,6 @@ fn engine_throughput(c: &mut Criterion) {
         "step loop and run drain must agree bit-for-bit at paper scale"
     );
 
-    // The whole-run throughput gate, re-anchored (PR 6): absolute
-    // events/s on this shared 1-core container drift ~20% between PRs
-    // (PR 5 recorded 9.25 M events/s; the same code measures ~7.4 M
-    // today), so the old fixed 8.6 M bar gated the host, not the code.
-    // Two parts, both waived by D3T_SKIP_PERF_GATE=1 on a known-busy
-    // host:
-    //  * a **relative** guard — the session's run drain must stay
-    //    within 15% of the scalar-oracle engine timed in the same
-    //    process moments earlier (measured today: session 7.4-7.7 vs
-    //    oracle ~7.6 M events/s, parity within host noise; a real
-    //    drain/kernel regression shows up here at any host speed), and
-    //  * a low **absolute floor** (5.0 M events/s) that still catches
-    //    catastrophic slowdowns outright.
-    // The shared container throttles in multi-minute phases that slow
-    // *everything* 30-40%, so the gate gets spaced *gate-only* retries
-    // (reported separately, never mixed into the comparison numbers
-    // above) to ride a phase out before it is allowed to fail.
-    let events = reports[0].metrics.events as f64;
-    let gate_ok = |rate: f64| rate >= 5.0 && rate >= 0.85 * oracle_rate;
-    let mut gate_rate = calendar_best_rate;
-    let mut extra = 0u64;
-    while !gate_ok(gate_rate) && extra < 12 {
-        std::thread::sleep(std::time::Duration::from_secs((extra / 2).min(8)));
-        let start = Instant::now();
-        let r = prepared.run_with::<CalendarQueue<EventKind>>();
-        assert_eq!(r, reports[0], "gate rerun must stay bit-identical");
-        gate_rate = gate_rate.max(events / start.elapsed().as_secs_f64() / 1e6);
-        extra += 1;
-    }
-    if extra > 0 {
-        println!("whole_run/calendar gate: {gate_rate:.2} M events/sec after {extra} extra runs");
-    }
-    if std::env::var_os("D3T_SKIP_PERF_GATE").is_some() {
-        println!("whole_run/calendar gate: SKIPPED (D3T_SKIP_PERF_GATE set)");
-    } else {
-        assert!(
-            gate_rate >= 5.0,
-            "whole-run throughput fell below the 5.0 M events/s floor: {gate_rate:.2} \
-             (rerun on an unloaded host, or set D3T_SKIP_PERF_GATE=1 if the host is known busy)"
-        );
-        assert!(
-            gate_rate >= 0.85 * oracle_rate,
-            "session run drain regressed against the same-process scalar oracle: \
-             {gate_rate:.2} vs {oracle_rate:.2} M events/sec (the drain should be at or above \
-             oracle parity; set D3T_SKIP_PERF_GATE=1 only if the host load is visibly erratic)"
-        );
-    }
     for (name, ops) in [
         ("calendar", replay::<CalendarQueue<u32>>(&trace, tail)),
         ("heap", replay::<HeapQueue<u32>>(&trace, tail)),

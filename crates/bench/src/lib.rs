@@ -1,31 +1,15 @@
 //! Shared helpers for the Criterion benchmark targets.
 //!
-//! Every table and figure of the paper has a bench target that exercises
-//! the code paths regenerating it, at a miniature scale chosen so the full
-//! `cargo bench` completes in minutes. The *numbers* the paper reports are
-//! produced by the `repro` binary of `d3t-experiments`; the benches track
-//! the *cost* of producing them (simulation throughput, construction time,
-//! filter latency) so performance regressions in the reproduction stack
-//! are caught.
+//! The *numbers* the paper reports are produced by the `repro` binary of
+//! `d3t-experiments`, and what producing them costs — per figure, per
+//! build stage, per drain phase — is measured by `d3t-bench`
+//! (`perfbench/`). The targets here sit below that harness's per-layer
+//! metrics: queue backends against a recorded schedule, the session
+//! against the scalar oracle (asserted bit-identical at paper scale),
+//! overlay APSP vs Floyd–Warshall, the deviation kernel, observer
+//! overhead, and the build's quadratic layers alone.
 
-use d3t_experiments::Scale;
-use d3t_sim::SimConfig;
-
-/// The scale every figure bench runs at.
-pub fn bench_scale() -> Scale {
-    let mut s = Scale::tiny();
-    s.n_ticks = 300;
-    s
-}
-
-/// A base simulation config at bench scale.
-pub fn bench_config(t: f64) -> SimConfig {
-    let mut cfg = bench_scale().base_config();
-    cfg.t_stringent_pct = t;
-    cfg
-}
-
-/// Criterion settings shared by all targets: keep wall-time bounded.
+/// Criterion settings for the short-running targets: keep wall-time bounded.
 #[macro_export]
 macro_rules! quick_criterion {
     ($group:ident, $($target:ident),+ $(,)?) => {

@@ -33,7 +33,7 @@ pub struct Fnv1a {
 
 impl Fnv1a {
     /// A hasher starting from the standard offset basis — this is the
-    /// domain `repro scale-out` report hashes live in.
+    /// domain [`debug_hash`] report hashes live in.
     #[must_use]
     pub fn new() -> Self {
         Self { state: FNV_OFFSET }
@@ -99,8 +99,8 @@ impl Default for Fnv1a {
 }
 
 /// Unseeded FNV-1a over the `Debug` rendering of any value — the
-/// report-hash helper `repro scale-out` introduced, promoted here so
-/// scale-out, the snapshot digests and the ci.sh gates share one
+/// one report-hash helper, so `repro whatif`'s `equal=` gate, the
+/// snapshot digests and `d3t-bench`'s output hashes share one
 /// implementation. Every float bit pattern, counter and pair loss in
 /// the rendering lands in the digest, so two runs agreeing on the
 /// hash agree on the whole rendering.

@@ -45,8 +45,7 @@ const POST_AT: (u64, u64) = (5, 10);
 /// Loss-window probabilities swept (0 isolates the crash/repair effect).
 const LOSS_RATES: [f64; 2] = [0.0, 0.10];
 
-/// One cell of the sweep, with everything the machine line and the JSON
-/// artifact report.
+/// One cell of the sweep, with everything the machine line reports.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResilienceCell {
     /// Repositories crashed (permanently) at the burst instant.
@@ -103,7 +102,7 @@ impl ResilienceCell {
     }
 }
 
-/// The figure plus the raw sweep cells (for the JSON artifact and the
+/// The figure plus the raw sweep cells (for `repro resilience` and the
 /// acceptance assertions).
 #[derive(Debug, Clone)]
 pub struct ResilienceReport {
@@ -114,7 +113,7 @@ pub struct ResilienceReport {
     pub cells: Vec<ResilienceCell>,
 }
 
-/// Stable display name for a policy (also the JSON value).
+/// Stable display name for a policy.
 pub fn policy_name(policy: RepairPolicy) -> &'static str {
     match policy {
         RepairPolicy::None => "none",

@@ -67,7 +67,7 @@ impl Scale {
     }
 
     /// A fully prepared base-config run at this scale — the entry point
-    /// for experiments that drive a steppable session (dynamics, smoke)
+    /// for experiments that drive a steppable session (dynamics, resilience, whatif)
     /// instead of a sealed sweep cell.
     pub fn prepared(&self) -> Prepared {
         Prepared::build(&self.base_config())

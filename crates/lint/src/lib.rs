@@ -482,19 +482,10 @@ pub fn all_codes() -> Vec<&'static str> {
     v
 }
 
-/// Per-code outcome counts for the JSON artifact.
-pub struct RuleStat {
-    pub code: &'static str,
-    pub summary: &'static str,
-    pub violations: usize,
-    pub suppressed: usize,
-}
-
 /// A finished lint run.
 pub struct Report {
     pub files: usize,
     pub diagnostics: Vec<Diagnostic>,
-    pub stats: Vec<RuleStat>,
 }
 
 /// What to lint and with which allowlist.
@@ -539,17 +530,12 @@ pub fn workspace_files(root: &Path) -> Result<Vec<PathBuf>, String> {
 /// Pragmas are honored; the allowlist is not consulted. The entry point
 /// for fixture tests.
 pub fn lint_source(rel: &str, src: &str) -> Vec<Diagnostic> {
-    let ctx = FileCtx::new(rel, src);
-    let (kept, _suppressed) = lint_ctx(&ctx, &mut []);
-    kept
+    lint_ctx(&FileCtx::new(rel, src), &mut [])
 }
 
-/// Runs the rule pack + pragma machinery over one file. Returns kept
-/// diagnostics and `(code, count)` suppression tallies.
-fn lint_ctx(
-    ctx: &FileCtx,
-    allowlist: &mut [AllowEntry],
-) -> (Vec<Diagnostic>, Vec<(&'static str, usize)>) {
+/// Runs the rule pack + pragma machinery over one file. Returns the
+/// diagnostics no pragma or allowlist entry suppressed.
+fn lint_ctx(ctx: &FileCtx, allowlist: &mut [AllowEntry]) -> Vec<Diagnostic> {
     let mut raw = Vec::new();
     for rule in rules::RULE_PACK {
         (rule.check)(ctx, &mut raw);
@@ -567,7 +553,6 @@ fn lint_ctx(
         }
     }
     let mut kept = Vec::new();
-    let mut suppressed: Vec<(&'static str, usize)> = Vec::new();
     'diags: for d in raw {
         if d.code != "L001" {
             for p in &pragmas {
@@ -575,29 +560,19 @@ fn lint_ctx(
                     && p.target_line == d.line
                     && p.codes.iter().any(|c| c == d.code)
                 {
-                    bump(&mut suppressed, d.code);
                     continue 'diags;
                 }
             }
             for e in allowlist.iter_mut() {
                 if e.covers(d.code, &d.file) {
                     e.used = true;
-                    bump(&mut suppressed, d.code);
                     continue 'diags;
                 }
             }
         }
         kept.push(d);
     }
-    (kept, suppressed)
-}
-
-fn bump(tallies: &mut Vec<(&'static str, usize)>, code: &'static str) {
-    if let Some(t) = tallies.iter_mut().find(|t| t.0 == code) {
-        t.1 += 1;
-    } else {
-        tallies.push((code, 1));
-    }
+    kept
 }
 
 /// Runs the full lint pass per `opts`.
@@ -616,21 +591,6 @@ pub fn run(opts: &Options) -> Result<Report, String> {
     };
 
     let mut diagnostics = Vec::new();
-    let mut stats: Vec<RuleStat> = all_codes()
-        .iter()
-        .map(|c| RuleStat {
-            code: c,
-            summary: rules::RULE_PACK.iter().find(|r| r.code == *c).map(|r| r.summary).unwrap_or(
-                match *c {
-                    "L001" => "malformed suppression pragma (unknown code / missing reason)",
-                    _ => "allowlist entry that no longer suppresses anything",
-                },
-            ),
-            violations: 0,
-            suppressed: 0,
-        })
-        .collect();
-
     for path in &files {
         let src =
             std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
@@ -638,13 +598,7 @@ pub fn run(opts: &Options) -> Result<Report, String> {
             path.strip_prefix(&opts.root).map(|p| p.to_path_buf()).unwrap_or_else(|_| path.clone());
         let rel = rel_buf.to_string_lossy().replace('\\', "/");
         let ctx = FileCtx::new(&rel, &src);
-        let (kept, suppressed) = lint_ctx(&ctx, &mut allowlist);
-        for (code, n) in suppressed {
-            if let Some(s) = stats.iter_mut().find(|s| s.code == code) {
-                s.suppressed += n;
-            }
-        }
-        diagnostics.extend(kept);
+        diagnostics.extend(lint_ctx(&ctx, &mut allowlist));
     }
 
     // Allowlist hygiene: entries that matched nothing are violations —
@@ -673,13 +627,8 @@ pub fn run(opts: &Options) -> Result<Report, String> {
         }
     }
 
-    for d in &diagnostics {
-        if let Some(s) = stats.iter_mut().find(|s| s.code == d.code) {
-            s.violations += 1;
-        }
-    }
     diagnostics.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.col, a.code).cmp(&(b.file.as_str(), b.line, b.col, b.code))
     });
-    Ok(Report { files: files.len(), diagnostics, stats })
+    Ok(Report { files: files.len(), diagnostics })
 }

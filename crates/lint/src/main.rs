@@ -2,26 +2,22 @@
 //! syntax.
 //!
 //! ```text
-//! d3t-lint --workspace [--json] [--root DIR]
+//! d3t-lint --workspace [--root DIR]
 //! d3t-lint [--root DIR] [--allowlist FILE] FILE...
 //! d3t-lint --list-rules
 //! ```
 //!
-//! Exit status: 0 clean, 1 violations found, 2 usage/IO error. The last
-//! stdout line is always machine-readable:
+//! Exit status: 0 clean, 1 violations found, 2 usage/IO error. Every
+//! diagnostic is one stdout line; the last line is always the
+//! machine-readable trailer `ci.sh` checks:
 //!
 //! ```text
 //! LINT files=<n> rules=<n> violations=<n>
 //! ```
-//!
-//! With `--json` the (only other) stdout content is a JSON document with
-//! per-rule counts and every diagnostic — `ci.sh` captures it as
-//! `BENCH_lint.json`.
 
-use d3t_lint::{all_codes, run, Options, Report};
+use d3t_lint::{all_codes, run, Options};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
 fn main() -> ExitCode {
     match cli(std::env::args().skip(1).collect()) {
@@ -35,7 +31,6 @@ fn main() -> ExitCode {
 
 fn cli(args: Vec<String>) -> Result<ExitCode, String> {
     let mut workspace = false;
-    let mut json = false;
     let mut root: Option<PathBuf> = None;
     let mut allowlist: Option<PathBuf> = None;
     let mut no_allowlist = false;
@@ -45,7 +40,6 @@ fn cli(args: Vec<String>) -> Result<ExitCode, String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--workspace" => workspace = true,
-            "--json" => json = true,
             "--no-allowlist" => no_allowlist = true,
             "--root" => root = Some(PathBuf::from(it.next().ok_or("--root needs a value")?)),
             "--allowlist" => {
@@ -59,7 +53,7 @@ fn cli(args: Vec<String>) -> Result<ExitCode, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: d3t-lint --workspace [--json] [--root DIR]\n       \
+                    "usage: d3t-lint --workspace [--root DIR]\n       \
                      d3t-lint [--root DIR] [--allowlist FILE] FILE...\n       \
                      d3t-lint --list-rules"
                 );
@@ -89,16 +83,9 @@ fn cli(args: Vec<String>) -> Result<ExitCode, String> {
     };
 
     let opts = Options { root, files: (!workspace).then_some(files), allowlist };
-    let start = Instant::now();
     let report = run(&opts)?;
-    let wall_us = start.elapsed().as_micros();
-
-    if json {
-        print!("{}", render_json(&report, wall_us));
-    } else {
-        for d in &report.diagnostics {
-            println!("{}", d.render());
-        }
+    for d in &report.diagnostics {
+        println!("{}", d.render());
     }
     let violations = report.diagnostics.len();
     println!("LINT files={} rules={} violations={}", report.files, all_codes().len(), violations);
@@ -124,65 +111,4 @@ fn find_workspace_root() -> Result<PathBuf, String> {
                 .to_string());
         }
     }
-}
-
-/// Minimal JSON escaping for paths/messages (ASCII control, quote,
-/// backslash).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Hand-rolled JSON (the vendored serde is a no-op shim). No line of
-/// the output starts with `LINT`, so `grep -v '^LINT'` recovers the
-/// document exactly.
-fn render_json(report: &Report, wall_us: u128) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"tool\": \"d3t-lint\",\n");
-    s.push_str(&format!("  \"files\": {},\n", report.files));
-    s.push_str(&format!("  \"rules\": {},\n", all_codes().len()));
-    s.push_str(&format!("  \"violations\": {},\n", report.diagnostics.len()));
-    s.push_str(&format!(
-        "  \"suppressed\": {},\n",
-        report.stats.iter().map(|s| s.suppressed).sum::<usize>()
-    ));
-    s.push_str(&format!("  \"wall_us\": {wall_us},\n"));
-    s.push_str("  \"rule_stats\": [\n");
-    for (i, st) in report.stats.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"code\": \"{}\", \"summary\": \"{}\", \"violations\": {}, \"suppressed\": {}}}{}\n",
-            st.code,
-            esc(st.summary),
-            st.violations,
-            st.suppressed,
-            if i + 1 < report.stats.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"diagnostics\": [\n");
-    for (i, d) in report.diagnostics.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"code\": \"{}\", \"file\": \"{}\", \"line\": {}, \"col\": {}, \"message\": \"{}\"}}{}\n",
-            d.code,
-            esc(&d.file),
-            d.line,
-            d.col,
-            esc(&d.message),
-            if i + 1 < report.diagnostics.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
 }

@@ -22,7 +22,7 @@
 use crate::lexer::{Tok, TokKind};
 use crate::{Diagnostic, FileClass, FileCtx, Krate};
 
-/// One lint rule: stable code, one-line summary (docs + JSON), and the
+/// One lint rule: stable code, one-line summary (docs), and the
 /// per-file check.
 pub struct Rule {
     pub code: &'static str,

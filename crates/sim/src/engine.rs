@@ -97,9 +97,9 @@
 //! * Throughput is judged **relative to this scalar-oracle loop**, not
 //!   in absolute events/s: the shared CI host drifts ~20% between PRs
 //!   (PR 5 recorded ~9 M events/s for code that measured ~7.4 M one PR
-//!   later), so since the PR 6 re-anchor the `engine_throughput` gate
-//!   is "session within 15% of the sealed `Engine::run` timed in the
-//!   same process" plus a coarse 5.0 M events/s floor, at 600
+//!   later), so since the PR 6 re-anchor the `engine_throughput` bench
+//!   times the session beside the sealed `Engine::run` in the same
+//!   process (tracked as `d3t-bench`'s `engine.session_vs_oracle_x`), at 600
 //!   repositories / 100 items / 10k ticks (~13.65 M events). Structural
 //!   facts that don't drift: ~47.6 hot-tier slot bytes moved per event
 //!   (PR 4's 40-byte slots: ~80), results

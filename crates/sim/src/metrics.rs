@@ -22,8 +22,8 @@ pub struct Metrics {
     /// therefore never delivered (they still count as `messages`).
     pub undelivered: u64,
     /// Events processed by the engine's scheduler (source changes plus
-    /// delivered arrivals) — the denominator of the event-loop throughput
-    /// number the CI smoke run tracks.
+    /// delivered arrivals) — the numerator of `d3t-bench`'s
+    /// `drive_events_per_s`.
     pub events: u64,
     /// Arrivals dropped at a failed repository (fail-stop dynamics; always
     /// 0 for a run with no injected failures).

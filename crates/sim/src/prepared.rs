@@ -125,8 +125,8 @@ impl Prepared {
     /// Re-targets this prepared run at a different shard count without
     /// re-deriving anything (`n_shards` is a drive-time knob: the
     /// network, traces, workload and overlay are shard-independent).
-    /// The scale-out harness uses this to compare shard counts over
-    /// bit-identical inputs.
+    /// `d3t-bench`'s `shard.*` extras use this to compare shard counts
+    /// over bit-identical inputs.
     pub fn set_shards(&mut self, n_shards: usize) {
         self.cfg.n_shards = n_shards.max(1);
     }

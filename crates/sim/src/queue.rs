@@ -141,8 +141,8 @@
 //! Absolute rates on the shared CI host drift ~20% between PRs, so
 //! since the PR 6 re-anchor every throughput claim here is *relative to
 //! the same-process scalar oracle* — the form `engine_throughput`
-//! actually gates on (the calendar-queue session within 15% of the
-//! sealed `Engine::run`, plus a coarse absolute floor). At the paper-scale
+//! prints and `d3t-bench` tracks (`engine.session_vs_oracle_x`,
+//! `queue.calendar_vs_heap_x`; nothing gates on speed). At the paper-scale
 //! whole run the slim-slot calendar holds scalar-oracle parity while
 //! moving ~47.6 hot-tier slot bytes per event (PR 4's seq-carrying
 //! 40-byte slots moved ~80), and replays the recorded arrival trace

@@ -250,8 +250,8 @@ pub struct PhaseStats {
     /// Snapshot-path telemetry (capture/restore cost, captured bytes).
     /// Deliberately **not** one of the [`PhaseStats::named`] drain
     /// phases: that contract — exactly four entries whose cycles
-    /// partition the drain — is load-bearing for `repro phases` and
-    /// the ci.sh gates.
+    /// partition the drain — is what `d3t-bench`'s `session.*_s` split
+    /// reads and `tests/session_properties.rs` pins.
     pub snapshot: SnapshotStats,
 }
 

@@ -20,8 +20,8 @@
 //! table prints them side by side from the fork on, with the burst
 //! window marked. The closing lines report the amortization arithmetic
 //! for this 2-branch fan-out and where it goes as branches are added
-//! (the measured 8-branch figure is `BENCH_snapshot.json` in CI, via
-//! `repro whatif`).
+//! (`repro whatif --branches 8` prints the measured 8-branch figure;
+//! `d3t-bench` tracks it as `snapshot.amortization_x` on `whatif-600r`).
 
 use std::time::Instant;
 

@@ -435,3 +435,25 @@ fn dynamics_at_run_boundaries_match_the_scalar_drain() {
         );
     }
 }
+
+#[test]
+fn phase_stats_partition_the_drain() {
+    // The contract `d3t-bench`'s `session.*_s` split reads: exact op
+    // counts, and exactly four named phases whose cycles are the total.
+    let p = Prepared::build(&SimConfig::small_for_tests(10, 5, 400, 50.0));
+    let mut s = p.session();
+    assert_eq!(s.phase_stats().total_cycles(), 0, "no drain has run yet");
+    s.drain_to_end();
+    let stats = *s.phase_stats();
+    assert_eq!(stats.process.ops, s.metrics().events);
+    assert!(stats.runs > 0 && stats.runs <= stats.process.ops);
+    let named = stats.named();
+    assert_eq!(named.map(|(name, _)| name), ["queue", "process", "fidelity", "transmit"]);
+    assert_eq!(named.iter().map(|(_, c)| c.cycles).sum::<u64>(), stats.total_cycles());
+    // Off x86-64 there is no TSC and the counters degrade to op counts.
+    if cfg!(target_arch = "x86_64") {
+        for (name, c) in named {
+            assert!(c.cycles > 0, "phase `{name}` lost its stamps");
+        }
+    }
+}
