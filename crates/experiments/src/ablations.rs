@@ -13,6 +13,7 @@ use d3t_core::lela::JoinOrder;
 
 use crate::figure::{Figure, Series};
 use crate::scale::Scale;
+use crate::sweep::SerialSweep;
 
 /// Eq.-2 constant sensitivity (paper footnote 1).
 pub fn f_sensitivity(scale: &Scale) -> Figure {
@@ -22,6 +23,7 @@ pub fn f_sensitivity(scale: &Scale) -> Figure {
         "f",
         "loss of fidelity, %",
     );
+    let mut sweep = SerialSweep::new();
     let mut points = Vec::new();
     let mut degrees = Vec::new();
     for f in [10.0, 25.0, 50.0, 100.0, 200.0] {
@@ -29,7 +31,7 @@ pub fn f_sensitivity(scale: &Scale) -> Figure {
         cfg.coop_res = scale.n_repos;
         cfg.controlled = true;
         cfg.coop_f = f;
-        let r = d3t_sim::run(&cfg);
+        let r = sweep.run(&cfg);
         points.push((f, r.loss_pct()));
         degrees.push((f, r.coop_degree_used));
     }
@@ -38,6 +40,7 @@ pub fn f_sensitivity(scale: &Scale) -> Figure {
         "degrees chosen: {} (paper: f >= 50 keeps fidelity high; variation ~1%)",
         degrees.iter().map(|(f, d)| format!("f={f}->{d}")).collect::<Vec<_>>().join(", ")
     ));
+    fig.sweep = Some(sweep.counters());
     fig
 }
 
@@ -49,6 +52,7 @@ pub fn join_order_study(scale: &Scale) -> Figure {
         "order (0=random 1=sequential 2=stringent-first)",
         "loss of fidelity, %",
     );
+    let mut sweep = SerialSweep::new();
     let mut points = Vec::new();
     let mut notes = Vec::new();
     for (i, (label, order)) in [
@@ -62,12 +66,13 @@ pub fn join_order_study(scale: &Scale) -> Figure {
         let mut cfg = scale.base_config();
         cfg.coop_res = 4;
         cfg.join_order = order;
-        let r = d3t_sim::run(&cfg);
+        let r = sweep.run(&cfg);
         points.push((i as f64, r.loss_pct()));
         notes.push(format!("{label}: loss {:.2}%", r.loss_pct()));
     }
     fig.push_series(Series::new("T=50, degree 4", points));
     fig.note(notes.join("; "));
+    fig.sweep = Some(sweep.counters());
     fig
 }
 
@@ -80,6 +85,7 @@ pub fn protocol_fidelity(scale: &Scale) -> Figure {
         "0=naive 1=distributed 2=centralized",
         "loss of fidelity, %",
     );
+    let mut sweep = SerialSweep::new();
     let mut points = Vec::new();
     let mut msgs = Vec::new();
     for (i, protocol) in
@@ -88,7 +94,7 @@ pub fn protocol_fidelity(scale: &Scale) -> Figure {
         let mut cfg = scale.base_config();
         cfg.coop_res = 4;
         cfg.protocol = protocol;
-        let r = d3t_sim::run(&cfg);
+        let r = sweep.run(&cfg);
         points.push((i as f64, r.loss_pct()));
         msgs.push(r.metrics.messages);
     }
@@ -98,6 +104,7 @@ pub fn protocol_fidelity(scale: &Scale) -> Figure {
          fewer updates and pays for it in missed-update violations",
         msgs[0], msgs[1], msgs[2]
     ));
+    fig.sweep = Some(sweep.counters());
     fig
 }
 

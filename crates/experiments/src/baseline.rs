@@ -8,6 +8,7 @@
 
 use crate::figure::{Figure, Series};
 use crate::scale::Scale;
+use crate::sweep::SerialSweep;
 
 /// Runs the Figure 3 sweep.
 pub fn fig3(scale: &Scale) -> Figure {
@@ -17,6 +18,7 @@ pub fn fig3(scale: &Scale) -> Figure {
         "degree",
         "loss of fidelity, %",
     );
+    let mut sweep = SerialSweep::new();
     let degrees = scale.degree_grid();
     let mut chain_diameter = 0usize;
     let mut flat_diameter = usize::MAX;
@@ -26,7 +28,7 @@ pub fn fig3(scale: &Scale) -> Figure {
             let mut cfg = scale.base_config();
             cfg.t_stringent_pct = t;
             cfg.coop_res = d;
-            let report = d3t_sim::run(&cfg);
+            let report = sweep.run(&cfg);
             points.push((d as f64, report.loss_pct()));
             if d == 1 {
                 chain_diameter = chain_diameter.max(report.max_tree_depth);
@@ -47,6 +49,7 @@ pub fn fig3(scale: &Scale) -> Figure {
             fig.note(format!("T=100 minimum at degree {} (paper: between 3 and 20)", x as i64));
         }
     }
+    fig.sweep = Some(sweep.counters());
     fig
 }
 

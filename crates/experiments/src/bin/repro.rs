@@ -49,7 +49,14 @@
 //! (`d3t_experiments::sweep`): each id renders independently on a worker
 //! thread and results print in request order, byte-identical to a serial
 //! run (every experiment derives its randomness from its own seeded
-//! config). `RAYON_NUM_THREADS` bounds the worker count.
+//! config). `RAYON_NUM_THREADS` bounds the worker count. The timing line
+//! under each figure also says what its serial cell runner did — how many
+//! cells it drove, how many repeated the previous cell and reused its
+//! report, and which build stages it had to redo:
+//!
+//! ```text
+//!   [fig7a took 1.7s, concurrent; cells=77 driven=21 reused=56 builds: full=1 network=0 workload=6 d3g=20]
+//! ```
 
 use std::time::Instant;
 
@@ -80,28 +87,31 @@ const IDS: &[&str] = &[
     "dynamics",
 ];
 
-fn render(id: &str, scale: &Scale) -> String {
-    match id {
-        "table1" => table1::table1(scale.n_ticks, scale.seed),
-        "fig3" => baseline::fig3(scale).render(),
-        "fig4" => protocols::fig4(),
-        "fig5" => nocoop::fig5(scale).render(),
-        "fig6" => nocoop::fig6(scale).render(),
-        "fig7a" => controlled::fig7a(scale).render(),
-        "fig7b" => controlled::fig7b(scale).render(),
-        "fig7c" => controlled::fig7c(scale).render(),
-        "fig8" => filtering::fig8(scale).render(),
-        "fig9" => lela_params::fig9(scale).render(),
-        "fig10" => lela_params::fig10(scale).render(),
-        "fig11" => protocols::fig11(scale).render(),
-        "scale" => scalability::scale_study(scale).render(),
-        "ablate-f" => ablations::f_sensitivity(scale).render(),
-        "ablate-join" => ablations::join_order_study(scale).render(),
-        "ablate-protocols" => ablations::protocol_fidelity(scale).render(),
-        "ext-pull" => pullpush::pull_vs_push(scale).render(),
-        "dynamics" => dynamics::dynamics(scale).render(),
+/// One experiment's printed text and, for the figures that run their
+/// cells through a [`sweep::SerialSweep`], what that runner did.
+fn render(id: &str, scale: &Scale) -> (String, Option<sweep::SweepCounters>) {
+    let fig = match id {
+        "table1" => return (table1::table1(scale.n_ticks, scale.seed), None),
+        "fig3" => baseline::fig3(scale),
+        "fig4" => return (protocols::fig4(), None),
+        "fig5" => nocoop::fig5(scale),
+        "fig6" => nocoop::fig6(scale),
+        "fig7a" => controlled::fig7a(scale),
+        "fig7b" => controlled::fig7b(scale),
+        "fig7c" => controlled::fig7c(scale),
+        "fig8" => filtering::fig8(scale),
+        "fig9" => lela_params::fig9(scale),
+        "fig10" => lela_params::fig10(scale),
+        "fig11" => protocols::fig11(scale),
+        "scale" => scalability::scale_study(scale),
+        "ablate-f" => ablations::f_sensitivity(scale),
+        "ablate-join" => ablations::join_order_study(scale),
+        "ablate-protocols" => ablations::protocol_fidelity(scale),
+        "ext-pull" => pullpush::pull_vs_push(scale),
+        "dynamics" => dynamics::dynamics(scale),
         _ => unreachable!("id list is closed"),
-    }
+    };
+    (fig.render(), fig.sweep)
 }
 
 /// The robustness sweep — crash-burst size × loss rate × repair policy
@@ -130,18 +140,21 @@ fn whatif_cmd(scale: &Scale, n_branches: usize) {
 
 /// One timed base-config run per protocol, one `FILTER` line each (the
 /// fig8 flood baseline and the fig11 centralized/distributed comparison
-/// at matched workloads); CI checks that all four report.
+/// at matched workloads); CI checks that all four report. The protocol
+/// is a drive-time field, so one build serves all four: each cell
+/// re-targets it (nothing is rebuilt) and only the drive is timed.
 fn filter_smoke(scale: &Scale) {
     use d3t_core::dissemination::Protocol;
+    let mut cfg = scale.base_config();
+    let mut prepared = d3t_sim::Prepared::build(&cfg);
     for (name, protocol) in [
         ("flood", Protocol::FloodAll),
         ("naive", Protocol::Naive),
         ("distributed", Protocol::Distributed),
         ("centralized", Protocol::Centralized),
     ] {
-        let mut cfg = scale.base_config();
         cfg.protocol = protocol;
-        let prepared = d3t_sim::Prepared::build(&cfg);
+        prepared.retarget(&cfg);
         let start = Instant::now();
         let report = prepared.run();
         let wall = start.elapsed().as_secs_f64().max(1e-9);
@@ -165,6 +178,15 @@ fn int<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> T {
     let Some(v) = value else { usage(&format!("`{flag}` needs a value")) };
     v.parse()
         .unwrap_or_else(|_| usage(&format!("`{flag}` needs a non-negative integer, got `{v}`")))
+}
+
+/// [`int`] for the three sizes no experiment can run at zero (the
+/// library asserts on an empty fabric, item set or trace).
+fn positive(flag: &str, value: Option<&String>) -> usize {
+    match int(flag, value) {
+        0 => usage(&format!("`{flag}` needs a positive integer")),
+        n => n,
+    }
 }
 
 fn main() {
@@ -194,14 +216,14 @@ fn main() {
             "resilience" => run_resilience = true,
             "whatif" => run_whatif = true,
             "--branches" => n_branches = int(arg, iter.next()),
-            "--ticks" => scale.n_ticks = int(arg, iter.next()),
+            "--ticks" => scale.n_ticks = positive(arg, iter.next()),
             "--seed" => scale.seed = int(arg, iter.next()),
             "--repos" => {
-                scale.n_repos = int(arg, iter.next());
+                scale.n_repos = positive(arg, iter.next());
                 // Keep the paper's 7-nodes-per-repository fabric ratio.
                 scale.n_network_nodes = scale.n_repos * 7;
             }
-            "--items" => scale.n_items = int(arg, iter.next()),
+            "--items" => scale.n_items = positive(arg, iter.next()),
             "list" => {
                 for id in IDS {
                     println!("{id}");
@@ -252,10 +274,10 @@ fn main() {
     let total = Instant::now();
     let run_one = |id| {
         let start = Instant::now();
-        let rendered = render(id, &scale);
-        (id, rendered, start.elapsed().as_secs_f64())
+        let (rendered, cells) = render(id, &scale);
+        (id, rendered, cells, start.elapsed().as_secs_f64())
     };
-    let results: Vec<(&str, String, f64)> = if serial {
+    let results: Vec<_> = if serial {
         wanted.into_iter().map(run_one).collect()
     } else {
         sweep::par_map(wanted, run_one)
@@ -263,9 +285,10 @@ fn main() {
     // Parallel timings overlap on shared cores, so per-id numbers are
     // upper bounds; `--serial` gives uncontended measurements.
     let qualifier = if serial { "" } else { ", concurrent" };
-    for (id, rendered, secs) in results {
+    for (id, rendered, cells, secs) in results {
         println!("{rendered}");
-        println!("  [{id} took {secs:.1}s{qualifier}]\n");
+        let cells = cells.map(|c| format!("; {c}")).unwrap_or_default();
+        println!("  [{id} took {secs:.1}s{qualifier}{cells}]\n");
     }
     println!("# wall clock: {:.1}s", total.elapsed().as_secs_f64());
 }

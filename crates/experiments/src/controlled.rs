@@ -13,6 +13,7 @@ use d3t_sim::TreeStrategy;
 use crate::figure::{Figure, Series};
 use crate::nocoop::{COMM_GRID, COMP_GRID};
 use crate::scale::Scale;
+use crate::sweep::SerialSweep;
 
 /// Figure 7a: the base case with controlled cooperation — L-shaped curve.
 pub fn fig7a(scale: &Scale) -> Figure {
@@ -22,6 +23,7 @@ pub fn fig7a(scale: &Scale) -> Figure {
         "degree",
         "loss of fidelity, %",
     );
+    let mut sweep = SerialSweep::new();
     let mut used = Vec::new();
     for t in scale.t_grid() {
         let mut points = Vec::new();
@@ -30,7 +32,7 @@ pub fn fig7a(scale: &Scale) -> Figure {
             cfg.t_stringent_pct = t;
             cfg.coop_res = d;
             cfg.controlled = true;
-            let r = d3t_sim::run(&cfg);
+            let r = sweep.run(&cfg);
             points.push((d as f64, r.loss_pct()));
             if t == 100.0 {
                 used.push(r.coop_degree_used);
@@ -44,6 +46,7 @@ pub fn fig7a(scale: &Scale) -> Figure {
              (paper: ~4 at 25 ms comm / 12.5 ms comp)"
         ));
     }
+    fig.sweep = Some(sweep.counters());
     fig
 }
 
@@ -55,6 +58,7 @@ pub fn fig7b(scale: &Scale) -> Figure {
         "comm delay ms",
         "loss of fidelity, %",
     );
+    let mut sweep = SerialSweep::new();
     for t in scale.t_grid() {
         let mut points = Vec::new();
         for &comm in &COMM_GRID {
@@ -64,11 +68,12 @@ pub fn fig7b(scale: &Scale) -> Figure {
             cfg.coop_res = scale.n_repos;
             cfg.controlled = true;
             cfg.target_mean_comm_delay_ms = Some(comm);
-            points.push((comm, d3t_sim::run(&cfg).loss_pct()));
+            points.push((comm, sweep.run(&cfg).loss_pct()));
         }
         fig.push_series(Series::new(format!("T={}", t as i64), points));
     }
     fig.note("adapting the degree to larger delays keeps loss within a few percent (paper 7b)");
+    fig.sweep = Some(sweep.counters());
     fig
 }
 
@@ -80,6 +85,7 @@ pub fn fig7c(scale: &Scale) -> Figure {
         "comp delay ms",
         "loss of fidelity, %",
     );
+    let mut sweep = SerialSweep::new();
     for t in scale.t_grid() {
         let mut points = Vec::new();
         for &comp in &COMP_GRID {
@@ -88,13 +94,14 @@ pub fn fig7c(scale: &Scale) -> Figure {
             cfg.coop_res = scale.n_repos;
             cfg.controlled = true;
             cfg.comp_delay_ms = comp;
-            points.push((comp, d3t_sim::run(&cfg).loss_pct()));
+            points.push((comp, sweep.run(&cfg).loss_pct()));
         }
         fig.push_series(Series::new(format!("T={}", t as i64), points));
     }
     fig.note(
         "larger computational delays induce smaller degrees, keeping the loss flat (paper 7c)",
     );
+    fig.sweep = Some(sweep.counters());
     fig
 }
 

@@ -1,5 +1,7 @@
 //! Figure data model and text rendering.
 
+use crate::sweep::SweepCounters;
+
 /// One plotted line: a label and `(x, y)` points.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Series {
@@ -52,6 +54,10 @@ pub struct Figure {
     /// Free-form observations (tree diameters, crossover positions, …)
     /// recorded while running the experiment.
     pub notes: Vec<String>,
+    /// What the figure's [`SerialSweep`](crate::sweep::SerialSweep) did
+    /// (`None` for figures that run no cells through one). Not part of
+    /// [`Figure::render`]: `repro` prints it on the timing line.
+    pub sweep: Option<SweepCounters>,
 }
 
 impl Figure {
@@ -69,6 +75,7 @@ impl Figure {
             y_label: y_label.into(),
             series: Vec::new(),
             notes: Vec::new(),
+            sweep: None,
         }
     }
 

@@ -13,6 +13,7 @@ use d3t_core::dissemination::Protocol;
 
 use crate::figure::{Figure, Series};
 use crate::scale::Scale;
+use crate::sweep::SerialSweep;
 
 /// Runs the Figure 8 comparison.
 pub fn fig8(scale: &Scale) -> Figure {
@@ -22,6 +23,7 @@ pub fn fig8(scale: &Scale) -> Figure {
         "degree",
         "loss of fidelity, %",
     );
+    let mut sweep = SerialSweep::new();
     let mut flood_msgs = 0u64;
     let mut filtered_msgs = 0u64;
     for (label, protocol) in
@@ -32,7 +34,7 @@ pub fn fig8(scale: &Scale) -> Figure {
             let mut cfg = scale.base_config();
             cfg.coop_res = d;
             cfg.protocol = protocol;
-            let r = d3t_sim::run(&cfg);
+            let r = sweep.run(&cfg);
             points.push((d as f64, r.loss_pct()));
             if d == 4 {
                 match protocol {
@@ -48,6 +50,7 @@ pub fn fig8(scale: &Scale) -> Figure {
          ({:.1}x reduction from coherency-based filtering)",
         flood_msgs as f64 / filtered_msgs.max(1) as f64
     ));
+    fig.sweep = Some(sweep.counters());
     fig
 }
 

@@ -11,6 +11,7 @@ use d3t_core::lela::PreferenceFunction;
 
 use crate::figure::{Figure, Series};
 use crate::scale::Scale;
+use crate::sweep::SerialSweep;
 
 /// Figure 9: effect of different `P%` values.
 pub fn fig9(scale: &Scale) -> Figure {
@@ -20,6 +21,7 @@ pub fn fig9(scale: &Scale) -> Figure {
         "degree",
         "loss of fidelity, %",
     );
+    let mut sweep = SerialSweep::new();
     for &(band, controlled) in &[
         (1.0, false),
         (5.0, false),
@@ -36,7 +38,7 @@ pub fn fig9(scale: &Scale) -> Figure {
             cfg.coop_res = d;
             cfg.pref_band_pct = band;
             cfg.controlled = controlled;
-            points.push((d as f64, d3t_sim::run(&cfg).loss_pct()));
+            points.push((d as f64, sweep.run(&cfg).loss_pct()));
         }
         let label =
             if controlled { format!("P={}W", band as i64) } else { format!("P={}", band as i64) };
@@ -47,6 +49,7 @@ pub fn fig9(scale: &Scale) -> Figure {
         "controlled-cooperation curves stay within {spread:.2} loss points of one another \
          (paper: ~1%)"
     ));
+    fig.sweep = Some(sweep.counters());
     fig
 }
 
@@ -58,6 +61,7 @@ pub fn fig10(scale: &Scale) -> Figure {
         "degree",
         "loss of fidelity, %",
     );
+    let mut sweep = SerialSweep::new();
     for &(pf, controlled) in &[
         (PreferenceFunction::P1, false),
         (PreferenceFunction::P2, false),
@@ -70,7 +74,7 @@ pub fn fig10(scale: &Scale) -> Figure {
             cfg.coop_res = d;
             cfg.pref_fn = pf;
             cfg.controlled = controlled;
-            points.push((d as f64, d3t_sim::run(&cfg).loss_pct()));
+            points.push((d as f64, sweep.run(&cfg).loss_pct()));
         }
         let base = if pf == PreferenceFunction::P1 { "P1" } else { "P2" };
         let label = if controlled { format!("{base}W") } else { base.to_string() };
@@ -81,6 +85,7 @@ pub fn fig10(scale: &Scale) -> Figure {
         "preference-function choice moves controlled-cooperation loss by at most \
          {spread:.2} points (paper: insignificant once the degree is chosen)"
     ));
+    fig.sweep = Some(sweep.counters());
     fig
 }
 

@@ -30,10 +30,14 @@
 //! | extension | [`dynamics::dynamics`] | fidelity through a mid-run failure burst |
 //! | extension | [`resilience::resilience`] | self-healing re-parenting vs passive fail-stop |
 //!
-//! Independent experiment cells fan out over the parallel [`sweep`]
-//! runner; results are byte-identical to serial execution regardless of
-//! thread count (`repro --serial` forces the serial path,
-//! `RAYON_NUM_THREADS` bounds the pool).
+//! Whole experiments fan out over the parallel [`sweep`] runner (and so
+//! do the three large cells of `scale`); results are byte-identical to
+//! serial execution regardless of thread count (`repro --serial` forces
+//! the serial path, `RAYON_NUM_THREADS` bounds the pool). Inside every
+//! other figure the cells run serially through one
+//! [`sweep::SerialSweep`], which re-targets a single `Prepared` from
+//! cell to cell and reuses the report when a cell repeats the previous
+//! one — the same numbers as `d3t_sim::run` per cell, bit for bit.
 
 pub mod ablations;
 pub mod baseline;

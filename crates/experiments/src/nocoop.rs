@@ -11,6 +11,7 @@ use d3t_sim::TreeStrategy;
 
 use crate::figure::{Figure, Series};
 use crate::scale::Scale;
+use crate::sweep::SerialSweep;
 
 /// Communication-delay grid of Figure 5 (ms).
 pub const COMM_GRID: [f64; 6] = [5.0, 25.0, 50.0, 75.0, 100.0, 125.0];
@@ -26,6 +27,7 @@ pub fn fig5(scale: &Scale) -> Figure {
         "comm delay ms",
         "loss of fidelity, %",
     );
+    let mut sweep = SerialSweep::new();
     for t in scale.t_grid() {
         let mut points = Vec::new();
         for &comm in &COMM_GRID {
@@ -33,7 +35,7 @@ pub fn fig5(scale: &Scale) -> Figure {
             cfg.t_stringent_pct = t;
             cfg.tree = TreeStrategy::Flat;
             cfg.target_mean_comm_delay_ms = Some(comm);
-            points.push((comm, d3t_sim::run(&cfg).loss_pct()));
+            points.push((comm, sweep.run(&cfg).loss_pct()));
         }
         fig.push_series(Series::new(format!("T={}", t as i64), points));
     }
@@ -41,6 +43,7 @@ pub fn fig5(scale: &Scale) -> Figure {
         "flat curves: with direct dissemination the loss comes from source \
          computation, not the network (paper §6.3.2)",
     );
+    fig.sweep = Some(sweep.counters());
     fig
 }
 
@@ -52,6 +55,7 @@ pub fn fig6(scale: &Scale) -> Figure {
         "comp delay ms",
         "loss of fidelity, %",
     );
+    let mut sweep = SerialSweep::new();
     for t in scale.t_grid() {
         let mut points = Vec::new();
         for &comp in &COMP_GRID {
@@ -59,11 +63,12 @@ pub fn fig6(scale: &Scale) -> Figure {
             cfg.t_stringent_pct = t;
             cfg.tree = TreeStrategy::Flat;
             cfg.comp_delay_ms = comp;
-            points.push((comp, d3t_sim::run(&cfg).loss_pct()));
+            points.push((comp, sweep.run(&cfg).loss_pct()));
         }
         fig.push_series(Series::new(format!("T={}", t as i64), points));
     }
     fig.note("loss worsens with computational delay, most for stringent T (paper §6.3.2)");
+    fig.sweep = Some(sweep.counters());
     fig
 }
 

@@ -9,6 +9,7 @@ use d3t_core::overlay::{NodeIdx, SOURCE};
 
 use crate::figure::{Figure, Series};
 use crate::scale::Scale;
+use crate::sweep::SerialSweep;
 
 /// Figure 4: replays the paper's worked example (S → P at c=0.3 → Q at
 /// c=0.5; source values 1.0, 1.2, 1.4, 1.5, 1.7, 2.0) under the naive and
@@ -62,12 +63,13 @@ pub fn fig11(scale: &Scale) -> Figure {
         "0=centralized 1=distributed",
         "counts",
     );
+    let mut sweep = SerialSweep::new();
     let mut results = Vec::new();
     for (i, protocol) in [Protocol::Centralized, Protocol::Distributed].into_iter().enumerate() {
         let mut cfg = scale.base_config();
         cfg.coop_res = 4;
         cfg.protocol = protocol;
-        let r = d3t_sim::run(&cfg);
+        let r = sweep.run(&cfg);
         results.push((i as f64, r));
     }
     fig.push_series(Series::new(
@@ -96,6 +98,7 @@ pub fn fig11(scale: &Scale) -> Figure {
         "messages: centralized {} vs distributed {} (paper: equal counts)",
         c.metrics.messages, d.metrics.messages
     ));
+    fig.sweep = Some(sweep.counters());
     fig
 }
 

@@ -75,6 +75,11 @@ fn usage_errors_exit_2_with_one_line_and_no_panic() {
         &["fig4", "--queue", "fifo"],
         &["fig4", "--queue"],
         &["fig4", "--ticks"],
+        // Well-formed sizes no experiment can run at: these used to reach
+        // the library's asserts and die with a backtrace.
+        &["fig11", "--tiny", "--repos", "0"],
+        &["fig11", "--tiny", "--items", "0"],
+        &["fig11", "--tiny", "--ticks", "0"],
         // Cell commands do not combine with experiment ids.
         &["filter", "fig4"],
     ];
@@ -121,7 +126,9 @@ fn whatif_prints_plain_lines_and_every_branch_equal() {
 
 #[test]
 fn parallel_and_serial_renderings_are_byte_identical() {
-    let parallel = figures(&["fig3", "--tiny"]);
-    assert!(parallel.contains("== fig3"), "{parallel}");
-    assert_eq!(parallel, figures(&["fig3", "--tiny", "--serial"]));
+    let parallel = figures(&["all", "--tiny"]);
+    for id in ["table1", "fig3", "fig7a", "scale", "dynamics"] {
+        assert!(parallel.contains(&format!("== {id} ")), "{id} missing: {parallel}");
+    }
+    assert_eq!(parallel, figures(&["all", "--tiny", "--serial"]));
 }

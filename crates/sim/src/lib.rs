@@ -155,7 +155,7 @@ pub use metrics::Metrics;
 pub use observer::{
     EventTrace, FaultObservation, NoopObserver, Observer, TraceEvent, WindowPoint, WindowedFidelity,
 };
-pub use prepared::Prepared;
+pub use prepared::{Prepared, Retargeted};
 pub use queue::{CalendarQueue, EventQueue, HeapQueue, QueueBackend, QueueVisitor};
 pub use report::RunReport;
 pub use session::{PhaseCounter, PhaseStats, Session, SnapshotStats};
@@ -163,7 +163,9 @@ pub use snapshot::Snapshot;
 
 /// Prepares and runs a complete simulation from a configuration — the
 /// sealed-run compatibility wrapper over [`Session`], bit-identical to
-/// the pre-session engine.
+/// the pre-session engine. A sequence of runs whose configurations
+/// differ in a few fields is cheaper through one `Prepared` and
+/// [`Prepared::retarget`], which rebuilds only what those fields feed.
 pub fn run(cfg: &SimConfig) -> RunReport {
     Prepared::build(cfg).run()
 }

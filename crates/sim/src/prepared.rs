@@ -62,31 +62,14 @@ impl Prepared {
     pub fn build(cfg: &SimConfig) -> Self {
         let traces = build_traces(cfg);
         let (delays, mean_comm_delay_ms) = build_delays(cfg);
-        let workload = Workload::generate(
-            &WorkloadConfig::paper(cfg.n_repos, cfg.n_items, cfg.t_stringent_pct),
-            cfg.sub_seed("workload"),
-        );
+        let workload = build_workload(cfg);
         let coop_degree = effective_degree(cfg, mean_comm_delay_ms);
-        let d3g = match cfg.tree {
-            TreeStrategy::Flat => D3g::flat(&workload),
-            TreeStrategy::Lela => {
-                let lela = LelaConfig {
-                    coop_degree,
-                    pref_band_pct: cfg.pref_band_pct,
-                    pref_fn: cfg.pref_fn,
-                    join_order: cfg.join_order,
-                    seed: cfg.sub_seed("lela"),
-                };
-                build_d3g(&workload, &delays, &lela)
-            }
-        };
+        let d3g = build_overlay(cfg, &workload, &delays, coop_degree);
         // While the graph LeLA just wrote is still in cache.
         let (max_tree_depth, mean_tree_depth) = d3g.depth_summary();
-        let initial_values: Vec<f64> =
-            // d3t-lint: allow(P001) -- generated traces always open with the initial-value tick
-            traces.iter().map(|t| t.first().expect("non-empty trace").value).collect();
+        let initial_values = first_values(&traces);
         let changes = merge_changes(&traces);
-        let end_us = traces.iter().map(Trace::duration_ms).max().unwrap_or(0) * 1000;
+        let end_us = horizon_us(&traces);
         let delays_us = Arc::new(DelayMicros::from_delays(&delays, d3g.n_nodes()));
         let source_stream = Arc::new(crate::engine::build_source_stream(&changes, end_us));
         Self {
@@ -104,6 +87,69 @@ impl Prepared {
             mean_comm_delay_ms,
             max_tree_depth,
             mean_tree_depth,
+        }
+    }
+
+    /// Re-targets this prepared run at `cfg`, rebuilding **in place** only
+    /// the stages whose inputs differ from the configuration it holds;
+    /// afterwards every field equals a fresh [`Prepared::build`]`(cfg)`'s
+    /// (property-tested in `tests/retarget_properties.rs`). A sweep whose
+    /// cells vary one or two knobs over a fixed ensemble and network pays
+    /// for the overlay alone, or — when Eq. (2) lands on the degree
+    /// already in force — for nothing: see [`Retargeted::report_changed`].
+    ///
+    /// Each stale stage is released before its replacement is built, so
+    /// the peak stays one build's, as for a caller that drops one
+    /// `Prepared` before building the next.
+    pub fn retarget(&mut self, cfg: &SimConfig) -> Retargeted {
+        let stale = Stale::between(&self.cfg, cfg);
+        if stale.traces {
+            self.traces = Vec::new();
+            self.changes = Vec::new();
+            self.source_stream = Arc::new(Vec::new());
+            self.traces = build_traces(cfg);
+            self.initial_values = first_values(&self.traces);
+            self.changes = merge_changes(&self.traces);
+            self.end_us = horizon_us(&self.traces);
+            self.source_stream =
+                Arc::new(crate::engine::build_source_stream(&self.changes, self.end_us));
+        }
+        if stale.network || stale.workload {
+            // The overlay was built over both; it goes first.
+            self.d3g = D3g::new(0, 0);
+        }
+        if stale.network {
+            self.delays = DelayMatrix::new(0, Vec::new());
+            self.delays_us = Arc::new(DelayMicros::from_delays(&self.delays, 0));
+            (self.delays, self.mean_comm_delay_ms) = build_delays(cfg);
+        }
+        if stale.workload {
+            self.workload = Workload::from_needs(Vec::new());
+            self.workload = build_workload(cfg);
+        }
+        // Refreshed on every call: a flat tree ignores the degree, the
+        // report's `coop_degree_used` does not.
+        let coop_degree = effective_degree(cfg, self.mean_comm_delay_ms);
+        let degree_moved = coop_degree != self.coop_degree;
+        self.coop_degree = coop_degree;
+        let d3g = stale.network || stale.workload || stale.overlay || degree_moved;
+        if d3g {
+            self.d3g = D3g::new(0, 0);
+            self.d3g = build_overlay(cfg, &self.workload, &self.delays, coop_degree);
+            (self.max_tree_depth, self.mean_tree_depth) = self.d3g.depth_summary();
+        }
+        if stale.network {
+            // With the delays, but after the overlay: it also reads
+            // `d3g.n_nodes()`.
+            self.delays_us = Arc::new(DelayMicros::from_delays(&self.delays, self.d3g.n_nodes()));
+        }
+        self.cfg = cfg.clone();
+        Retargeted {
+            traces: stale.traces,
+            network: stale.network,
+            workload: stale.workload,
+            d3g,
+            report_changed: stale.traces || d3g || stale.drive,
         }
     }
 
@@ -280,10 +326,155 @@ impl Prepared {
     }
 }
 
+/// What one [`Prepared::retarget`] call rebuilt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Retargeted {
+    /// The traces and what derives from them alone: `changes`,
+    /// `initial_values`, `end_us` and the source stream.
+    pub traces: bool,
+    /// The physical network: `delays`, their mean and the µs flattening.
+    pub network: bool,
+    /// The user workload.
+    pub workload: bool,
+    /// The dissemination graph and its depth summary.
+    pub d3g: bool,
+    /// Whether a [`RunReport`] of the re-targeted value can differ from
+    /// one taken before the call: a stage was rebuilt, or a field the
+    /// drive reads (`protocol`, `comp_delay_ms`, `queue`, `n_shards`,
+    /// `fault`) changed. `false` means the previous report *is* this
+    /// configuration's — `coop_res`, `controlled` and `coop_f` act only
+    /// through the effective degree.
+    pub report_changed: bool,
+}
+
+impl Retargeted {
+    /// Every stage was rebuilt, as by [`Prepared::build`].
+    pub fn full(&self) -> bool {
+        self.traces && self.network && self.workload && self.d3g
+    }
+}
+
+/// The stages of [`Prepared::build`] whose configuration inputs differ
+/// between two configurations. The overlay's one derived input — the
+/// effective degree, which needs the new network's mean delay — is
+/// compared by [`Prepared::retarget`] itself.
+struct Stale {
+    traces: bool,
+    network: bool,
+    workload: bool,
+    /// The overlay's own knobs (`tree` and LeLA's parameters).
+    overlay: bool,
+    /// A field only the drive reads.
+    drive: bool,
+}
+
+impl Stale {
+    /// Sorts every `SimConfig` field into the stage it invalidates. The
+    /// destructuring is exhaustive on purpose: a field added to the
+    /// struct does not compile until it is sorted here. The struct's own
+    /// floats compare by bit pattern, as the reports they feed are
+    /// compared; the nested `network` / `ensemble` by their derived `==`
+    /// (a NaN there costs a rebuild on every call, never a stale stage).
+    fn between(old: &SimConfig, new: &SimConfig) -> Self {
+        let SimConfig {
+            n_repos,
+            n_items,
+            n_ticks,
+            t_stringent_pct,
+            tree,
+            // `coop_res`, `controlled` and `coop_f` reach the build only
+            // through `effective_degree`, which `retarget` recomputes.
+            coop_res: _,
+            controlled: _,
+            coop_f: _,
+            protocol,
+            pref_fn,
+            pref_band_pct,
+            join_order,
+            comp_delay_ms,
+            target_mean_comm_delay_ms,
+            network,
+            ensemble,
+            queue,
+            n_shards,
+            fault,
+            seed,
+        } = new;
+        // Every `sub_seed` moves with the master seed.
+        let reseeded = *seed != old.seed;
+        let bits = |x: &Option<f64>| x.map(f64::to_bits);
+        Self {
+            traces: reseeded
+                || *n_items != old.n_items
+                || *n_ticks != old.n_ticks
+                || *ensemble != old.ensemble,
+            network: reseeded
+                || *n_repos != old.n_repos
+                || *network != old.network
+                || bits(target_mean_comm_delay_ms) != bits(&old.target_mean_comm_delay_ms),
+            workload: reseeded
+                || *n_repos != old.n_repos
+                || *n_items != old.n_items
+                || t_stringent_pct.to_bits() != old.t_stringent_pct.to_bits(),
+            overlay: *tree != old.tree
+                || pref_band_pct.to_bits() != old.pref_band_pct.to_bits()
+                || *pref_fn != old.pref_fn
+                || *join_order != old.join_order,
+            // `queue` and `n_shards` do not change a report's bits, but
+            // that is the property suites' claim to check, not this
+            // function's to assume.
+            drive: *protocol != old.protocol
+                || comp_delay_ms.to_bits() != old.comp_delay_ms.to_bits()
+                || *queue != old.queue
+                || *n_shards != old.n_shards
+                || *fault != old.fault,
+        }
+    }
+}
+
 fn build_traces(cfg: &SimConfig) -> Vec<Trace> {
     let ensemble =
         EnsembleConfig { n_items: cfg.n_items, n_ticks: cfg.n_ticks, ..cfg.ensemble.clone() };
     generate_ensemble(&ensemble, cfg.sub_seed("traces"))
+}
+
+/// Where every node starts: the first value of each trace.
+fn first_values(traces: &[Trace]) -> Vec<f64> {
+    // d3t-lint: allow(P001) -- generated traces always open with the initial-value tick
+    traces.iter().map(|t| t.first().expect("non-empty trace").value).collect()
+}
+
+/// The observation horizon: the longest trace, in µs.
+fn horizon_us(traces: &[Trace]) -> u64 {
+    traces.iter().map(Trace::duration_ms).max().unwrap_or(0) * 1000
+}
+
+fn build_workload(cfg: &SimConfig) -> Workload {
+    Workload::generate(
+        &WorkloadConfig::paper(cfg.n_repos, cfg.n_items, cfg.t_stringent_pct),
+        cfg.sub_seed("workload"),
+    )
+}
+
+fn build_overlay(
+    cfg: &SimConfig,
+    workload: &Workload,
+    delays: &DelayMatrix,
+    coop_degree: usize,
+) -> D3g {
+    match cfg.tree {
+        TreeStrategy::Flat => D3g::flat(workload),
+        TreeStrategy::Lela => {
+            let lela = LelaConfig {
+                coop_degree,
+                pref_band_pct: cfg.pref_band_pct,
+                pref_fn: cfg.pref_fn,
+                join_order: cfg.join_order,
+                seed: cfg.sub_seed("lela"),
+            };
+            build_d3g(workload, delays, &lela)
+        }
+    }
 }
 
 /// Extracts the overlay delay matrix from a freshly generated physical

@@ -6,7 +6,8 @@
 //! ```
 
 use d3t::core::coop::{controlled_degree, CoopParams};
-use d3t::sim::{run, SimConfig};
+use d3t::experiments::sweep::SerialSweep;
+use d3t::sim::SimConfig;
 
 fn main() {
     println!("Eq.(2): coopDegree = min(coopRes, max(1, round((f/25) * comm/comp)))\n");
@@ -29,15 +30,18 @@ fn main() {
         "{:>10} {:>16} {:>16} {:>10}",
         "comp ms", "fixed-32 loss %", "controlled loss %", "degree"
     );
+    // One runner for the six cells: traces, network and workload are built
+    // once, and each cell rebuilds only the overlay its degree asks for.
+    let mut sweep = SerialSweep::new();
     for comp in [5.0, 12.5, 25.0] {
         let mut fixed = SimConfig::small_for_tests(40, 30, 1_500, 80.0);
         fixed.coop_res = 32;
         fixed.comp_delay_ms = comp;
-        let fixed_report = run(&fixed);
+        let fixed_report = sweep.run(&fixed);
 
         let mut ctrl = fixed.clone();
         ctrl.controlled = true;
-        let ctrl_report = run(&ctrl);
+        let ctrl_report = sweep.run(&ctrl);
 
         println!(
             "{comp:>10.1} {:>16.2} {:>16.2} {:>10}",

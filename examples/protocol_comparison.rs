@@ -7,13 +7,17 @@
 //! Runs naive (Eq. 3 only), distributed (Eq. 3 ∨ Eq. 7) and centralized
 //! (source-tagged) dissemination over an identical LeLA overlay and trace
 //! ensemble, reporting fidelity, messages and checks — the §5/§6.3.4
-//! trade-off in one table.
+//! trade-off in one table. The four cells differ only in the protocol,
+//! which no build stage reads, so they run through one `SerialSweep`:
+//! one build, four drives.
 
 use d3t::core::dissemination::Protocol;
-use d3t::sim::{run, SimConfig};
+use d3t::experiments::sweep::SerialSweep;
+use d3t::sim::SimConfig;
 
 fn main() {
     let base = SimConfig::small_for_tests(40, 30, 2_000, 70.0);
+    let mut sweep = SerialSweep::new();
     println!(
         "{:<14} {:>8} {:>10} {:>14} {:>12}",
         "protocol", "loss %", "messages", "source checks", "repo checks"
@@ -26,7 +30,7 @@ fn main() {
     ] {
         let mut cfg = base.clone();
         cfg.protocol = protocol;
-        let r = run(&cfg);
+        let r = sweep.run(&cfg);
         println!(
             "{:<14} {:>8.2} {:>10} {:>14} {:>12}",
             name,
@@ -36,6 +40,7 @@ fn main() {
             r.metrics.repo_checks
         );
     }
+    println!("\n[{}]", sweep.counters());
     println!(
         "\nnaive sends the fewest messages but misses updates (Figure 4);\n\
          distributed and centralized deliver the same coherency, differing in\n\
