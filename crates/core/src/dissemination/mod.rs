@@ -59,13 +59,10 @@
 //!   in `d3t-sim`) follows its CSR scan with one scattered edge check
 //!   per adoptee, found through the row record it has already loaded —
 //!   see the `adoption` module; every other row is unaffected.
-//! * Measured (1-core container, `deviation_kernel` bench): ~1.0 G
-//!   checks/s on a hot 600-wide fanout row (raw scan; ~0.59 G driven
-//!   through `on_source_update_into`, vs ~0.33 G for the scalar oracle)
-//!   and ~1.4 G class-checks/s on a 128-class tag scan. The row table is
-//!   tens of MB at scale, so an event loop that knows its next few
-//!   deliveries hints them with [`Disseminator::prefetch_row`] a short
-//!   distance ahead (see `d3t-sim::session` for the measured distance).
+//! * The row table is tens of MB at scale, so an event loop that knows
+//!   its next few deliveries hints them with
+//!   [`Disseminator::prefetch_row`] a short distance ahead (see
+//!   `d3t-sim::session` for the measured distance).
 
 mod adoption;
 pub mod centralized;

@@ -6,7 +6,7 @@
 //! repro all --paper               # the full 10 000-tick horizon
 //! repro fig3 --ticks 1000         # custom horizon
 //! repro all --serial              # disable the parallel fan-out
-//! repro all --queue heap          # schedule on the heap fallback
+//! repro fig4 --seed 0x5eed        # decimal or 0x-hex, as the header prints it
 //! repro filter                    # timed run per protocol, FILTER lines
 //! repro resilience                # fault sweep, RESILIENCE lines
 //! repro whatif --branches 8       # snapshot fan-out, WHATIF + SNAPSHOT lines
@@ -14,7 +14,7 @@
 //! ```
 //!
 //! What these commands *cost* — events/s, per-phase drain shares, queue
-//! backends, build stages, peak RSS — is measured by `d3t-bench`
+//! types, build stages, peak RSS — is measured by `d3t-bench`
 //! (`perfbench/`), not here; the three cell commands below print results
 //! a reader or CI checks for correctness.
 //!
@@ -57,14 +57,17 @@
 //! ```text
 //!   [fig7a took 1.7s, concurrent; cells=77 driven=21 reused=56 builds: full=1 network=0 workload=6 d3g=20]
 //! ```
+//!
+//! Output may be cut short by its reader (`repro all | head`): a closed
+//! pipe ends the run quietly with status 0.
 
+use std::io::Write;
 use std::time::Instant;
 
 use d3t_experiments::{
     ablations, baseline, controlled, dynamics, filtering, lela_params, nocoop, protocols, pullpush,
     resilience, scalability, sweep, table1, whatif, Scale,
 };
-use d3t_sim::QueueBackend;
 
 const IDS: &[&str] = &[
     "table1",
@@ -120,7 +123,7 @@ fn render(id: &str, scale: &Scale) -> (String, Option<sweep::SweepCounters>) {
 /// re-parent counters).
 fn resilience_cmd(scale: &Scale) {
     for cell in &resilience::resilience_report(scale).cells {
-        println!("{}", cell.machine_line());
+        out(cell.machine_line());
     }
 }
 
@@ -132,10 +135,10 @@ fn resilience_cmd(scale: &Scale) {
 fn whatif_cmd(scale: &Scale, n_branches: usize) {
     let rep = whatif::whatif_report(scale, n_branches);
     for cell in &rep.cells {
-        println!("{}", cell.machine_line());
+        out(cell.machine_line());
     }
-    println!("{}", rep.snapshot_line());
-    println!("{}", rep.amortization_line());
+    out(rep.snapshot_line());
+    out(rep.amortization_line());
 }
 
 /// One timed base-config run per protocol, one `FILTER` line each (the
@@ -159,10 +162,24 @@ fn filter_smoke(scale: &Scale) {
         let report = prepared.run();
         let wall = start.elapsed().as_secs_f64().max(1e-9);
         let checks = report.metrics.total_checks();
-        println!(
+        out(format_args!(
             "FILTER protocol={name} checks={checks} checks_per_sec={}",
             (checks as f64 / wall).round() as u64
-        );
+        ));
+    }
+}
+
+/// Writes one line to stdout — every line `repro` prints goes through
+/// here. A reader that went away (a closed pipe) ends the run with
+/// status 0, since everything it asked for was delivered; any other
+/// write error is reported on stderr with status 1.
+fn out(line: impl std::fmt::Display) {
+    if let Err(e) = writeln!(std::io::stdout(), "{line}") {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("repro: cannot write to stdout: {e}");
+        std::process::exit(1);
     }
 }
 
@@ -178,6 +195,17 @@ fn int<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> T {
     let Some(v) = value else { usage(&format!("`{flag}` needs a value")) };
     v.parse()
         .unwrap_or_else(|_| usage(&format!("`{flag}` needs a non-negative integer, got `{v}`")))
+}
+
+/// `--seed`'s value: a decimal integer, or `0x`-prefixed hex — the form
+/// the header line prints, so a printed seed can be passed back in.
+fn seed(value: Option<&String>) -> u64 {
+    match value.and_then(|v| v.strip_prefix("0x")) {
+        Some(hex) => u64::from_str_radix(hex, 16).unwrap_or_else(|_| {
+            usage(&format!("`--seed` needs a non-negative integer, got `0x{hex}`"))
+        }),
+        None => int("--seed", value),
+    }
 }
 
 /// [`int`] for the three sizes no experiment can run at zero (the
@@ -196,28 +224,18 @@ fn main() {
     let mut serial = false;
     let (mut run_filter, mut run_resilience, mut run_whatif) = (false, false, false);
     let mut n_branches = 8usize;
-    let mut queue: Option<QueueBackend> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--paper" => scale = Scale::paper(),
             "--tiny" => scale = Scale::tiny(),
             "--serial" => serial = true,
-            "--heap" => queue = Some(QueueBackend::Heap),
-            "--queue" => {
-                queue = Some(match iter.next().map(String::as_str) {
-                    Some("calendar") => QueueBackend::Calendar,
-                    Some("heap") => QueueBackend::Heap,
-                    Some(other) => usage(&format!("unknown queue backend `{other}`")),
-                    None => usage("`--queue` needs `calendar` or `heap`"),
-                });
-            }
             "filter" => run_filter = true,
             "resilience" => run_resilience = true,
             "whatif" => run_whatif = true,
             "--branches" => n_branches = int(arg, iter.next()),
             "--ticks" => scale.n_ticks = positive(arg, iter.next()),
-            "--seed" => scale.seed = int(arg, iter.next()),
+            "--seed" => scale.seed = seed(iter.next()),
             "--repos" => {
                 scale.n_repos = positive(arg, iter.next());
                 // Keep the paper's 7-nodes-per-repository fabric ratio.
@@ -226,7 +244,7 @@ fn main() {
             "--items" => scale.n_items = positive(arg, iter.next()),
             "list" => {
                 for id in IDS {
-                    println!("{id}");
+                    out(id);
                 }
                 return;
             }
@@ -234,9 +252,6 @@ fn main() {
             other if IDS.contains(&other) => requested.push(other),
             other => usage(&format!("unknown argument `{other}`")),
         }
-    }
-    if let Some(q) = queue {
-        scale.queue = q;
     }
     if run_filter || run_resilience || run_whatif {
         if !requested.is_empty() {
@@ -267,10 +282,10 @@ fn main() {
         }
     }
 
-    println!(
+    out(format_args!(
         "# d3t reproduction — {} repositories, {} items, {} ticks, seed {:#x}\n",
         scale.n_repos, scale.n_items, scale.n_ticks, scale.seed
-    );
+    ));
     let total = Instant::now();
     let run_one = |id| {
         let start = Instant::now();
@@ -286,9 +301,9 @@ fn main() {
     // upper bounds; `--serial` gives uncontended measurements.
     let qualifier = if serial { "" } else { ", concurrent" };
     for (id, rendered, cells, secs) in results {
-        println!("{rendered}");
+        out(rendered);
         let cells = cells.map(|c| format!("; {c}")).unwrap_or_default();
-        println!("  [{id} took {secs:.1}s{qualifier}{cells}]\n");
+        out(format_args!("  [{id} took {secs:.1}s{qualifier}{cells}]\n"));
     }
-    println!("# wall clock: {:.1}s", total.elapsed().as_secs_f64());
+    out(format_args!("# wall clock: {:.1}s", total.elapsed().as_secs_f64()));
 }

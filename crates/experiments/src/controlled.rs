@@ -120,7 +120,7 @@ mod tests {
         let u100 = uncontrolled.series_named("T=100").unwrap().y_at(d).unwrap();
         // At tiny scale neither tree saturates, so the two differ only by
         // tree-shape noise; allow a small slack. At paper scale the gap is
-        // tens of points (see EXPERIMENTS.md).
+        // tens of points (`repro fig7a fig3 --paper`).
         assert!(
             c100 <= u100 + 1.0,
             "controlled ({c100}) must not lose to uncontrolled ({u100}) at degree {d}"

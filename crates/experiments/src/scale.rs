@@ -1,11 +1,11 @@
 //! Experiment scale presets.
 
 use d3t_net::NetworkConfig;
-use d3t_sim::{Prepared, QueueBackend, SimConfig};
+use d3t_sim::{Prepared, SimConfig};
 
 /// How big an experiment to run. The paper's full scale is the default for
 /// published numbers; `quick` keeps every shape with a shorter horizon;
-/// `tiny` is for unit tests and Criterion benches.
+/// `tiny` is for unit tests and smoke runs (`repro --tiny`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale {
     /// Number of repositories (paper: 100).
@@ -18,22 +18,12 @@ pub struct Scale {
     pub n_network_nodes: usize,
     /// Master seed shared by all experiments at this scale.
     pub seed: u64,
-    /// Scheduler backend every experiment cell runs with (`repro --queue
-    /// heap` forces the fallback; results are backend independent).
-    pub queue: QueueBackend,
 }
 
 impl Scale {
     /// The paper's base configuration.
     pub fn paper() -> Self {
-        Self {
-            n_repos: 100,
-            n_items: 100,
-            n_ticks: 10_000,
-            n_network_nodes: 700,
-            seed: 0x5EED,
-            queue: QueueBackend::default(),
-        }
+        Self { n_repos: 100, n_items: 100, n_ticks: 10_000, n_network_nodes: 700, seed: 0x5EED }
     }
 
     /// Full topology and workload, shorter observation window. Shapes are
@@ -42,7 +32,7 @@ impl Scale {
         Self { n_ticks: 2_500, ..Self::paper() }
     }
 
-    /// Miniature scale for tests and benches.
+    /// Miniature scale for tests and smoke runs.
     pub fn tiny() -> Self {
         Self { n_repos: 20, n_items: 10, n_ticks: 400, n_network_nodes: 140, ..Self::paper() }
     }
@@ -61,7 +51,6 @@ impl Scale {
                 ..NetworkConfig::default()
             },
             seed: self.seed,
-            queue: self.queue,
             ..defaults
         }
     }

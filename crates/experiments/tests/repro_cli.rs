@@ -2,9 +2,9 @@
 //! ids and cell commands exist, how usage errors end (one line, exit 2,
 //! never a panic), and the output invariants nothing inside the library
 //! can see — each id rendered once, parallel ≡ serial, `whatif` printing
-//! plain lines only.
+//! plain lines only, a closed stdout ending the run quietly.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// Runs `repro` with `args`; returns `(exit code, stdout, stderr)`.
 fn repro(args: &[&str]) -> (Option<i32>, String, String) {
@@ -69,11 +69,10 @@ fn usage_errors_exit_2_with_one_line_and_no_panic() {
         // Malformed and missing option values.
         &["fig4", "--ticks", "x"],
         &["fig4", "--seed", "-1"],
+        &["fig4", "--seed", "0xZZ"],
         &["fig4", "--repos", "many"],
         &["fig4", "--items", "1.5"],
         &["whatif", "--branches", ""],
-        &["fig4", "--queue", "fifo"],
-        &["fig4", "--queue"],
         &["fig4", "--ticks"],
         // Well-formed sizes no experiment can run at: these used to reach
         // the library's asserts and die with a backtrace.
@@ -82,6 +81,9 @@ fn usage_errors_exit_2_with_one_line_and_no_panic() {
         &["fig11", "--tiny", "--ticks", "0"],
         // Cell commands do not combine with experiment ids.
         &["filter", "fig4"],
+        // There is one queue; the flags that chose one are gone.
+        &["fig4", "--heap"],
+        &["fig4", "--queue", "heap"],
     ];
     for args in cases {
         let (code, stdout, stderr) = repro(args);
@@ -91,6 +93,34 @@ fn usage_errors_exit_2_with_one_line_and_no_panic() {
         assert!(stderr.contains("try `repro list`"), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn the_printed_hex_seed_can_be_passed_back_in() {
+    let hex = figures(&["fig4", "table1", "--tiny", "--seed", "0x5eed"]);
+    assert!(
+        hex.starts_with("# d3t reproduction — 20 repositories, 10 items, 400 ticks, seed 0x5eed\n")
+    );
+    assert_eq!(hex, figures(&["fig4", "table1", "--tiny", "--seed", "24301"]));
+}
+
+/// `repro … | head` closes the pipe after a few lines; the writes that
+/// follow fail with `BrokenPipe`, which must end the run with status 0
+/// and nothing on stderr. A pipe whose read end is already closed makes
+/// the very first write fail, so nothing here depends on timing.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["fig4", "--tiny"])
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "no panic, no message: {stderr}");
 }
 
 #[test]

@@ -70,7 +70,7 @@
 //!   crate/file-scoped exemptions. One entry per line:
 //!
 //!   ```text
-//!   D002 crates/bench/ -- wall-clock measurement is the product of benches
+//!   D002 examples/whatif.rs -- demo prints prefix/capture/branch wall times
 //!   ```
 //!
 //!   A trailing `/` makes the path a directory prefix. Entries that stop

@@ -58,7 +58,7 @@ impl Default for NetworkConfig {
 }
 
 impl NetworkConfig {
-    /// Scaled-down configuration for tests and benches.
+    /// Scaled-down configuration for tests and examples.
     pub fn small(n_nodes: usize, n_repositories: usize) -> Self {
         Self { n_nodes, n_repositories, ..Self::default() }
     }

@@ -6,8 +6,6 @@ use d3t_net::NetworkConfig;
 use d3t_traces::EnsembleConfig;
 use serde::{Deserialize, Serialize};
 
-use crate::queue::QueueBackend;
-
 /// How the dissemination overlay is built.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum TreeStrategy {
@@ -62,9 +60,6 @@ pub struct SimConfig {
     /// Trace-ensemble shape. `n_items`/`n_ticks` are overridden by the
     /// fields above.
     pub ensemble: EnsembleConfig,
-    /// Scheduler backend for the event loop. Results are backend
-    /// independent; this only trades wall clock.
-    pub queue: QueueBackend,
     /// Number of engine shards the run loop may spread across cores
     /// (clamped to the repository count). `1` — the default — is the
     /// sealed sequential engine. `> 1` drives the conservative
@@ -72,7 +67,7 @@ pub struct SimConfig {
     /// once, each shard drains epochs of the shared lookahead window
     /// concurrently, and cross-shard sends exchange at deterministic
     /// barriers. Reports are shard-count *deterministic* (a pure
-    /// function of `(config, seed, n_shards)` on either backend) and
+    /// function of `(config, seed, n_shards)`) and
     /// bit-identical to the sequential engine; configurations the
     /// sharded path cannot preserve (lossy/degraded links, zero
     /// lookahead) fall back to `1` silently.
@@ -106,7 +101,6 @@ impl Default for SimConfig {
             target_mean_comm_delay_ms: None,
             network: NetworkConfig::default(),
             ensemble: EnsembleConfig::default(),
-            queue: QueueBackend::default(),
             n_shards: 1,
             fault: crate::fault::FaultPlan::default(),
             seed: 0x5EED,
@@ -115,7 +109,7 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// A scaled-down configuration for unit tests and Criterion benches:
+    /// A scaled-down configuration for unit tests and examples:
     /// `n_repos` repositories, `n_items` items, `n_ticks` ticks, `t`%
     /// stringent, on a proportionally smaller router fabric.
     pub fn small_for_tests(n_repos: usize, n_items: usize, n_ticks: usize, t: f64) -> Self {

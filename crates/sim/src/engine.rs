@@ -32,10 +32,10 @@
 //! kernel-vs-oracle cross-checks. The product path ([`crate::run`] /
 //! `Prepared::run`) drives a `Session` with the no-op observer; compat
 //! tests assert its `(FidelityReport, Metrics)` is bit-identical to
-//! this loop on every input, and the `observer_overhead` bench asserts
-//! the wall-clock cost of the session plumbing stays within noise of
-//! it. New capability goes into `Session`; this loop only changes when
-//! the simulation semantics themselves do.
+//! this loop on every input, and `d3t-bench` tracks the session's speed
+//! relative to it (`engine.session_vs_oracle_x`). New capability goes
+//! into `Session`; this loop only changes when the simulation semantics
+//! themselves do.
 //!
 //! # Performance model
 //!
@@ -56,14 +56,13 @@
 //!   currency: violation intervals are summed in integer µs and divided
 //!   into a percentage only when the report is produced.
 //! * Events are ordered by `(time_us, sequence number)`; ties resolve in
-//!   creation order. The scheduler is pluggable behind the
-//!   [`EventQueue`](crate::queue::EventQueue) trait and defaults to the
-//!   two-tier [`CalendarQueue`]; the
-//!   [`HeapQueue`](crate::queue::HeapQueue) oracle stays selectable.
-//!   Ordering is bit-identical across backends on every input —
-//!   property-tested — so the backend choice
-//!   ([`QueueBackend`](crate::queue::QueueBackend), plumbed through
-//!   `SimConfig::queue`) changes wall clock only, never results.
+//!   creation order. The scheduler is a type parameter behind the
+//!   [`EventQueue`](crate::queue::EventQueue) trait; every product
+//!   drive uses the two-tier [`CalendarQueue`], and the
+//!   [`HeapQueue`](crate::queue::HeapQueue) oracle is what the property
+//!   tests compare it against. Ordering is bit-identical across the two
+//!   on every input, so the queue type changes wall clock only, never
+//!   results.
 //! * **The pre-seeded source changes never enter the queue.** They are
 //!   compiled at construction into a time-sorted `(at_us, payload)`
 //!   stream that the run loops *merge* with the queue: every pre-seeded
@@ -95,20 +94,14 @@
 //!   indexing — no nested-`Vec` pointer chasing and no table
 //!   indirection anywhere in the loop.
 //! * Throughput is judged **relative to this scalar-oracle loop**, not
-//!   in absolute events/s: the shared CI host drifts ~20% between PRs
-//!   (PR 5 recorded ~9 M events/s for code that measured ~7.4 M one PR
-//!   later), so since the PR 6 re-anchor the `engine_throughput` bench
-//!   times the session beside the sealed `Engine::run` in the same
-//!   process (tracked as `d3t-bench`'s `engine.session_vs_oracle_x`), at 600
-//!   repositories / 100 items / 10k ticks (~13.65 M events). Structural
-//!   facts that don't drift: ~47.6 hot-tier slot bytes moved per event
-//!   (PR 4's 40-byte slots: ~80), results
-//!   bit-identical to this loop and across both backends (asserted in
-//!   the bench). With the seeded backlog gone the *heap* backend is
-//!   competitive at this scale too (its pending set is a few thousand
-//!   arrivals, so `log n` is short and cache-hot); the calendar stays a
-//!   few percent ahead and keeps its structural lead when the pending
-//!   set is deep, so it remains the default.
+//!   in absolute events/s: the shared CI host drifts ~20% between PRs,
+//!   so `d3t-bench` times the session beside the sealed `Engine::run` in
+//!   the same process (`engine.session_vs_oracle_x`, e.g. on
+//!   `drive-600r`: 600 repositories / 100 items / 10k ticks, ~13.65 M
+//!   events) and checks both reports — and the heap-queue drive's —
+//!   equal. With the seeded backlog gone the *heap* is competitive at
+//!   this scale too (its pending set is a few thousand arrivals, so
+//!   `log n` is short and cache-hot; `queue.calendar_vs_heap_x`).
 //! * **Scaling past one core is spatial, not per-event.** The drain is
 //!   compute-bound at roughly 100 ns/event, so [`crate::shard`]
 //!   partitions the overlay into per-core shards (tolerance-weighted

@@ -47,8 +47,9 @@
 //! A session is monomorphized per [`Observer`] type:
 //!
 //! * `Session<_, NoopObserver>` inlines empty callbacks everywhere — the
-//!   event loop compiles down to the unobserved reference loop (the
-//!   `observer_overhead` bench holds the difference under 2%);
+//!   event loop compiles down to the unobserved reference loop (its
+//!   speed relative to that loop is `d3t-bench`'s
+//!   `engine.session_vs_oracle_x`);
 //! * a real observer ([`WindowedFidelity`] time series, [`EventTrace`]
 //!   logs, or your own) pays only for the callbacks it implements; there
 //!   is no dynamic dispatch and no event buffering;
@@ -156,7 +157,7 @@ pub use observer::{
     EventTrace, FaultObservation, NoopObserver, Observer, TraceEvent, WindowPoint, WindowedFidelity,
 };
 pub use prepared::{Prepared, Retargeted};
-pub use queue::{CalendarQueue, EventQueue, HeapQueue, QueueBackend, QueueVisitor};
+pub use queue::{CalendarQueue, EventQueue, HeapQueue};
 pub use report::RunReport;
 pub use session::{PhaseCounter, PhaseStats, Session, SnapshotStats};
 pub use snapshot::Snapshot;

@@ -8,8 +8,8 @@
 //!
 //! * with [`NoopObserver`] (the default, and what `d3t_sim::run` uses)
 //!   every callback is an empty inlined body — the loop compiles to the
-//!   same code as the observer-free reference engine, which the
-//!   `observer_overhead` bench pins at < 2% wall-clock difference;
+//!   same code as the observer-free reference engine (`d3t-bench`
+//!   tracks the ratio as `engine.session_vs_oracle_x`);
 //! * a real observer pays exactly for what it touches — there is no
 //!   dynamic dispatch, no event buffering, and no allocation unless the
 //!   observer itself allocates.

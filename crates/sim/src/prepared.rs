@@ -14,7 +14,7 @@ use d3t_traces::{generate_ensemble, EnsembleConfig, Trace};
 use crate::config::{SimConfig, TreeStrategy};
 use crate::engine::{Engine, EventKind, SourceChange};
 use crate::observer::{NoopObserver, Observer};
-use crate::queue::{CalendarQueue, EventQueue, QueueVisitor};
+use crate::queue::{CalendarQueue, EventQueue};
 use crate::report::RunReport;
 use crate::session::Session;
 use crate::snapshot::Snapshot;
@@ -153,19 +153,18 @@ impl Prepared {
         }
     }
 
-    /// Runs the dissemination simulation and gathers the report, using the
-    /// scheduler backend the configuration selects (the selection goes
-    /// through [`QueueBackend::dispatch`](crate::queue::QueueBackend),
-    /// the one place backends become types). Reports are backend
-    /// independent (bit-identical) by construction. Configurations with
-    /// `n_shards > 1` drive the conservative parallel engine
-    /// (`crate::shard`); its report is bit-identical to the sequential
-    /// drive and deterministic for a fixed `(seed, n_shards)`.
+    /// Runs the dissemination simulation on the calendar queue and
+    /// gathers the report. Configurations with `n_shards > 1` drive the
+    /// conservative parallel engine (`crate::shard`); its report is
+    /// bit-identical to the sequential drive and deterministic for a
+    /// fixed `(seed, n_shards)`.
     pub fn run(&self) -> RunReport {
         if self.cfg.n_shards > 1 {
-            return crate::shard::run_sharded(self);
+            if let Some(report) = crate::shard::run_sharded(self) {
+                return report;
+            }
         }
-        self.run_unsharded()
+        self.run_with::<CalendarQueue<EventKind>>()
     }
 
     /// Re-targets this prepared run at a different shard count without
@@ -177,22 +176,8 @@ impl Prepared {
         self.cfg.n_shards = n_shards.max(1);
     }
 
-    /// The sequential (single-shard) drive behind [`Prepared::run`] —
-    /// also the fallback the sharded engine takes for configurations it
-    /// cannot preserve (lossy links, zero lookahead).
-    pub(crate) fn run_unsharded(&self) -> RunReport {
-        struct Run<'a>(&'a Prepared);
-        impl QueueVisitor<EventKind> for Run<'_> {
-            type Out = RunReport;
-            fn visit<Q: EventQueue<EventKind>>(self) -> RunReport {
-                self.0.run_with::<Q>()
-            }
-        }
-        self.cfg.queue.dispatch(Run(self))
-    }
-
     /// [`Prepared::run`] with an explicit scheduler implementation (any
-    /// [`EventQueue`], including instrumented wrappers in benches/tests).
+    /// [`EventQueue`], including instrumented wrappers in tests).
     /// Equivalent to `session_with::<Q, _>(NoopObserver).run_to_end()`.
     pub fn run_with<Q: EventQueue<EventKind>>(&self) -> RunReport {
         let (fidelity, metrics) = self.session_with::<Q, _>(NoopObserver).run_to_end();
@@ -340,8 +325,8 @@ pub struct Retargeted {
     pub d3g: bool,
     /// Whether a [`RunReport`] of the re-targeted value can differ from
     /// one taken before the call: a stage was rebuilt, or a field the
-    /// drive reads (`protocol`, `comp_delay_ms`, `queue`, `n_shards`,
-    /// `fault`) changed. `false` means the previous report *is* this
+    /// drive reads (`protocol`, `comp_delay_ms`, `n_shards`, `fault`)
+    /// changed. `false` means the previous report *is* this
     /// configuration's — `coop_res`, `controlled` and `coop_f` act only
     /// through the effective degree.
     pub report_changed: bool,
@@ -395,7 +380,6 @@ impl Stale {
             target_mean_comm_delay_ms,
             network,
             ensemble,
-            queue,
             n_shards,
             fault,
             seed,
@@ -420,12 +404,11 @@ impl Stale {
                 || pref_band_pct.to_bits() != old.pref_band_pct.to_bits()
                 || *pref_fn != old.pref_fn
                 || *join_order != old.join_order,
-            // `queue` and `n_shards` do not change a report's bits, but
-            // that is the property suites' claim to check, not this
-            // function's to assume.
+            // `n_shards` does not change a report's bits, but that is
+            // the property suites' claim to check, not this function's
+            // to assume.
             drive: *protocol != old.protocol
                 || comp_delay_ms.to_bits() != old.comp_delay_ms.to_bits()
-                || *queue != old.queue
                 || *n_shards != old.n_shards
                 || *fault != old.fault,
         }

@@ -8,12 +8,14 @@
 //! * [`HeapQueue`] — the classic `BinaryHeap<Reverse<_>>`. `O(log n)` per
 //!   operation with branchy `u64` comparisons that walk `log n` cache
 //!   lines of a multi-megabyte array once millions of source changes are
-//!   seeded. Kept as the property-test oracle and the `--queue heap`
-//!   fallback.
+//!   seeded. Kept as the property-test oracle and as the same-process
+//!   reference `d3t-bench` drives beside the calendar
+//!   (`queue.calendar_vs_heap_x`).
 //! * [`CalendarQueue`] — a calendar queue (R. Brown, CACM 1988) with a
 //!   ladder-style twist, specialised to the engine's exact integer-µs
 //!   keys: amortized `O(1)` push and pop for the event-time mix a
-//!   trace-driven simulation actually produces. Default backend.
+//!   trace-driven simulation actually produces. The queue every product
+//!   drive (`Prepared::run`, `session`, `resume`) schedules with.
 //!
 //! # Performance model: slim slots and bulk operations
 //!
@@ -136,26 +138,22 @@
 //! (only an advance, which migrates immediately, may raise the boundary),
 //! which is what keeps the cross-tier ordering invariant airtight.
 //!
-//! # Measured shape and the backend crossover
+//! # Measured shape
 //!
 //! Absolute rates on the shared CI host drift ~20% between PRs, so
-//! since the PR 6 re-anchor every throughput claim here is *relative to
-//! the same-process scalar oracle* — the form `engine_throughput`
-//! prints and `d3t-bench` tracks (`engine.session_vs_oracle_x`,
-//! `queue.calendar_vs_heap_x`; nothing gates on speed). At the paper-scale
-//! whole run the slim-slot calendar holds scalar-oracle parity while
-//! moving ~47.6 hot-tier slot bytes per event (PR 4's seq-carrying
-//! 40-byte slots moved ~80), and replays the recorded arrival trace
-//! ~1.25× faster than the heap. Because the engine *streams* its
-//! pre-seeded source changes instead of enqueueing them (see
-//! `d3t_sim::engine`), the pending set is only the in-flight arrivals —
-//! shallow enough that the heap fallback is competitive on the whole
-//! run (its `log n` is short and its array cache-resident), with the
-//! calendar a few percent ahead. The calendar's structural lead is in
-//! deep backlogs — the `event_queue` steady-state micro bench at
-//! 32 Ki–256 Ki pending (~2× and growing with depth), and congested
-//! simulation configurations whose CPU queues stack arrivals — and it
-//! stays the default.
+//! every throughput claim here is *relative to a same-process
+//! reference* and tracked by `d3t-bench` (`queue.calendar_vs_heap_x`
+//! against this module's heap, `engine.session_vs_oracle_x` against the
+//! scalar-oracle engine; nothing gates on speed). Because the engine
+//! *streams* its pre-seeded source changes instead of enqueueing them
+//! (see `d3t_sim::engine`), the pending set is only the in-flight
+//! arrivals — shallow enough that the heap is competitive on every
+//! workload the benchmark runs (`queue.calendar_vs_heap_x` has read
+//! 0.85–1.09 across them, never a win outside noise). The calendar's
+//! structural lead — deep backlogs, such as congested configurations
+//! whose CPU queues stack arrivals — follows from the bucket math but is
+//! measured on no workload run here; which single queue type the drives
+//! keep is an open decision, and a one-type swap.
 //!
 //! # Sharded drains: the epoch/lookahead bound
 //!
@@ -183,50 +181,14 @@
 //!
 //! A **lazy-sorted bucket** variant (append always, stable-sort a bucket
 //! on first cursor contact) was measured against this eager-insert
-//! design and retired: on `event_queue/seed_drain` it was neutral within
-//! noise on every distribution, including the bursty one it was meant to
-//! win (lazy vs eager, min-of-10: 73.3 vs 74.0 µs at 1 Ki, 5.55 vs
-//! 5.54 ms at 32 Ki, 58.5 vs 57.9 ms at 256 Ki). Buckets average a
-//! handful of events and 58% of inserts already take the append fast
-//! path, so there is nothing for laziness to save.
+//! design on a seed-then-drain micro benchmark at 1 Ki–256 Ki pending
+//! and retired as neutral within noise on every distribution,
+//! including the bursty one it was meant to win. Buckets
+//! average a handful of events and 58% of inserts already take the
+//! append fast path, so there is nothing for laziness to save.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-use serde::{Deserialize, Serialize};
-
-/// Which [`EventQueue`] implementation the engine schedules with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum QueueBackend {
-    /// The O(1)-amortized calendar queue (default).
-    #[default]
-    Calendar,
-    /// The `O(log n)` binary heap — oracle, and fallback for backlogs
-    /// dominated by identical timestamps.
-    Heap,
-}
-
-/// A computation generic over the queue implementation, for
-/// [`QueueBackend::dispatch`]. This is the **only** place a
-/// [`QueueBackend`] value is turned into a concrete type: every runtime
-/// backend selection (one-shot runs, session construction, …) goes
-/// through it, so adding a backend is one new `dispatch` arm.
-pub trait QueueVisitor<T: Copy> {
-    /// What the computation produces.
-    type Out;
-    /// Runs the computation with the chosen queue type.
-    fn visit<Q: EventQueue<T>>(self) -> Self::Out;
-}
-
-impl QueueBackend {
-    /// Monomorphizes `visitor` with the queue type this backend names.
-    pub fn dispatch<T: Copy, V: QueueVisitor<T>>(self, visitor: V) -> V::Out {
-        match self {
-            QueueBackend::Calendar => visitor.visit::<CalendarQueue<T>>(),
-            QueueBackend::Heap => visitor.visit::<HeapQueue<T>>(),
-        }
-    }
-}
 
 /// A priority queue of `(at_us, seq)`-keyed events, popped in exactly
 /// ascending key order.

@@ -23,8 +23,8 @@
 //! bit-for-bit, on either queue backend — property-tested at the
 //! workspace root. Observation is free when unused: the observer is a
 //! type parameter, so the [`NoopObserver`] session monomorphizes to the
-//! reference loop (the `observer_overhead` bench pins the difference
-//! below noise).
+//! reference loop (`d3t-bench` tracks the ratio as
+//! `engine.session_vs_oracle_x`).
 //!
 //! The session is also the **allocation-free hot path**: forwarding
 //! decisions go through the disseminator's batched check kernel
@@ -185,9 +185,9 @@ pub struct Session<Q: EventQueue<EventKind> = CalendarQueue<EventKind>, O: Obser
     /// controls, one RNG draw per send inside a loss or degradation
     /// window, and, under `RepairPolicy::Reparent`, one scattered edge
     /// check per adoptee of the deciding row (not per live adoption:
-    /// see `d3t_core::dissemination`'s adoption registry) — the
-    /// `repair_overhead` bench reads a repaired overlay at 1.01–1.02×
-    /// the fault-free drive at 600 and at 2 500 repositories.
+    /// see `d3t_core::dissemination`'s adoption registry) — what a
+    /// faulted drive, repaired crash burst included, costs over the
+    /// fault-free one is `d3t-bench`'s `fault.overhead_x` on `whatif-600r`.
     faults: FaultState,
 }
 

@@ -70,8 +70,8 @@
 //! `n_shards ≤ 1`, zero-lookahead configs, unbounded horizons and lossy
 //! / degraded link plans fall back to the sequential drain silently —
 //! the sharded path never changes semantics, only wall clock. An
-//! N-shard run is deterministic for fixed `(seed, N)` on both queue
-//! backends, and bit-identical to the sealed scalar oracle's report —
+//! N-shard run is deterministic for fixed `(seed, N)`, and
+//! bit-identical to the sealed scalar oracle's report —
 //! property-tested at the workspace root (`tests/shard_properties.rs`).
 
 use std::collections::BTreeMap;
@@ -91,7 +91,7 @@ use crate::engine::{change_at_us, ms_to_us, Event, EventKind, TagTable};
 use crate::fault::{FaultControl, FaultEvent, FaultState, RepairOp, RepairPolicy};
 use crate::metrics::Metrics;
 use crate::prepared::Prepared;
-use crate::queue::{CalendarQueue, EventQueue, HeapQueue, QueueBackend};
+use crate::queue::{CalendarQueue, EventQueue};
 use crate::report::RunReport;
 use crate::session::RUN_CAP;
 use crate::snapshot::Snapshot;
@@ -564,34 +564,25 @@ fn build_mirror_csr(d3g: &D3g, owner: &[u32]) -> MirrorCsr {
 }
 
 /// Entry point from [`Prepared::run`]: runs the sharded drive when the
-/// configuration can use it, falling back to the sequential engine
-/// whenever sharding cannot preserve its semantics (single shard, zero
-/// lookahead, unbounded horizon, lossy or degraded links — those draw
-/// per-send randomness in processing order, which has no deterministic
-/// parallel schedule).
-pub(crate) fn run_sharded(prepared: &Prepared) -> RunReport {
+/// configuration can use it. Returns `None` whenever sharding cannot
+/// preserve its semantics (single shard, zero lookahead, unbounded
+/// horizon, lossy or degraded links — those draw per-send randomness in
+/// processing order, which has no deterministic parallel schedule) —
+/// the caller runs the sequential engine instead.
+pub(crate) fn run_sharded(prepared: &Prepared) -> Option<RunReport> {
     let cfg = prepared.config();
     let n_shards = cfg.n_shards.min(prepared.workload.n_repos().max(1));
     let plan = &cfg.fault;
     let lossy = plan.loss.iter().any(|l| l.prob > 0.0) || !plan.degrade.is_empty();
     if n_shards <= 1 || prepared.end_us == u64::MAX || lossy {
-        return prepared.run_unsharded();
+        return None;
     }
     let delays: &DelayMicros = prepared.delay_micros();
     let w = ms_to_us(cfg.comp_delay_ms).saturating_add(delays.min_offdiag_us());
     if w == 0 || w == u64::MAX {
-        return prepared.run_unsharded();
+        return None;
     }
-    // Not `QueueBackend::dispatch`: the scoped workers need `Q: Send`,
-    // which the visitor's fully generic `visit` cannot promise. Both
-    // concrete backends are plain owned buffers, so the match below is
-    // the same monomorphization with the bound provable.
-    match cfg.queue {
-        QueueBackend::Calendar => {
-            run_impl::<CalendarQueue<ShardEvent>>(prepared, delays, n_shards, w)
-        }
-        QueueBackend::Heap => run_impl::<HeapQueue<ShardEvent>>(prepared, delays, n_shards, w),
-    }
+    Some(run_impl::<CalendarQueue<ShardEvent>>(prepared, delays, n_shards, w))
 }
 
 /// Everything the epoch loop leaves behind when the coordinator exits:
@@ -845,14 +836,7 @@ pub(crate) fn snapshot_sharded(prepared: &Prepared, t_us: u64) -> Option<Snapsho
         return None;
     }
     let t_us = t_us.min(prepared.end_us);
-    Some(match cfg.queue {
-        QueueBackend::Calendar => {
-            snapshot_impl::<CalendarQueue<ShardEvent>>(prepared, delays, n_shards, w, t_us)
-        }
-        QueueBackend::Heap => {
-            snapshot_impl::<HeapQueue<ShardEvent>>(prepared, delays, n_shards, w, t_us)
-        }
-    })
+    Some(snapshot_impl::<CalendarQueue<ShardEvent>>(prepared, delays, n_shards, w, t_us))
 }
 
 /// The snapshot-side merge — the state analogue of `run_impl`'s report

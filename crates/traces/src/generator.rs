@@ -105,7 +105,7 @@ impl Default for EnsembleConfig {
 }
 
 impl EnsembleConfig {
-    /// A scaled-down ensemble for unit tests and Criterion benches.
+    /// A scaled-down ensemble for unit tests and examples.
     pub fn small(n_items: usize, n_ticks: usize) -> Self {
         Self { n_items, n_ticks, ..Self::default() }
     }
@@ -161,8 +161,8 @@ pub fn generate_ensemble(cfg: &EnsembleConfig, seed: u64) -> Vec<Trace> {
     indexed.into_par_iter().map(|(i, p)| generate_item(cfg, i, p)).collect()
 }
 
-/// The serial reference path (kept public so the bit-identity tests and
-/// benches can compare against it).
+/// The serial reference path (kept public so the bit-identity tests can
+/// compare against it).
 pub fn generate_ensemble_serial(cfg: &EnsembleConfig, seed: u64) -> Vec<Trace> {
     draw_item_params(cfg, seed)
         .into_iter()

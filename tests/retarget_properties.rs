@@ -21,7 +21,7 @@ use d3t::core::dissemination::Protocol;
 use d3t::core::lela::{JoinOrder, PreferenceFunction};
 use d3t::experiments::sweep::SerialSweep;
 use d3t::net::NetworkConfig;
-use d3t::sim::{CrashSpec, FaultPlan, LossWindow, Prepared, QueueBackend, SimConfig, TreeStrategy};
+use d3t::sim::{CrashSpec, FaultPlan, LossWindow, Prepared, SimConfig, TreeStrategy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -57,7 +57,7 @@ fn fault_plans() -> [FaultPlan; 4] {
 }
 
 /// Field classes [`mutate`] draws from — every field of `SimConfig`.
-const N_FIELDS: usize = 20;
+const N_FIELDS: usize = 19;
 
 /// Re-draws one field class of `cfg`; returns its name for failure
 /// messages.
@@ -142,14 +142,10 @@ fn mutate(cfg: &mut SimConfig, field: usize, rng: &mut StdRng) -> &'static str {
             "ensemble.step_std_range"
         }
         16 => {
-            cfg.queue = pick(rng, &[QueueBackend::Calendar, QueueBackend::Heap]);
-            "queue"
-        }
-        17 => {
             cfg.n_shards = pick(rng, &[1, 2]);
             "n_shards"
         }
-        18 => {
+        17 => {
             cfg.fault = pick(rng, &fault_plans());
             "fault"
         }
@@ -224,8 +220,8 @@ fn retargeted_runs_equal_fresh_builds_along_a_random_walk() {
 /// rebuilt: a re-target that changes nothing reports so; `coop_res`
 /// under a flat tree, which ignores the degree, still moves
 /// `coop_degree_used`; and a drive-time field forces a drive even where
-/// reports are known not to depend on it (`queue`, `n_shards`, the seed
-/// of an inert fault plan) — that independence is other suites' claim.
+/// reports are known not to depend on it (`n_shards`, the seed of an
+/// inert fault plan) — that independence is other suites' claim.
 #[test]
 fn report_changed_follows_the_report_not_the_overlay() {
     let mut cfg = SimConfig::small_for_tests(8, 3, 150, 50.0);
@@ -241,8 +237,7 @@ fn report_changed_follows_the_report_not_the_overlay() {
     assert_eq!(after.coop_degree_used, before.coop_degree_used + 1);
     assert_eq!(after, d3t::sim::run(&cfg));
 
-    let edits: [fn(&mut SimConfig); 3] =
-        [|c| c.queue = QueueBackend::Heap, |c| c.n_shards = 2, |c| c.fault.seed ^= 1];
+    let edits: [fn(&mut SimConfig); 2] = [|c| c.n_shards = 2, |c| c.fault.seed ^= 1];
     for edit in edits {
         edit(&mut cfg);
         let r = prepared.retarget(&cfg);

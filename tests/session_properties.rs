@@ -31,7 +31,7 @@ use d3t::core::overlay::NodeIdx;
 use d3t::sim::{
     CalendarQueue, CrashSpec, DegradeWindow, EventKind, EventQueue, EventTrace, FaultObservation,
     FaultPlan, HeapQueue, LossWindow, Metrics, NoopObserver, Observer, Prepared, RepairPolicy,
-    RepairSpec, Session, SimConfig,
+    RepairSpec, Session, SimConfig, WindowedFidelity,
 };
 
 /// Cheap deterministic split-point stream (xorshift64*).
@@ -80,6 +80,13 @@ fn assert_all_drives_agree<Q: EventQueue<EventKind>>(p: &Prepared, label: &str) 
     let (rep, metrics, _trace) = observed.finish();
     assert_eq!((rep, metrics), sealed, "{label}: observed run diverged");
 
+    // So must the fidelity time series, whose windows tile the horizon.
+    let windowed = WindowedFidelity::new(p.end_us / 50 + 1, p.n_measured_pairs());
+    let (rep, metrics, series) = p.session_with::<Q, _>(windowed).finish();
+    assert_eq!((rep, metrics), sealed, "{label}: windowed run diverged");
+    let covered: u64 = series.windows().iter().map(|w| w.covered_us).sum();
+    assert_eq!(covered, p.end_us, "{label}: windows do not tile the horizon");
+
     // The compatibility wrapper (what `d3t_sim::run` routes through).
     let report = p.run_with::<Q>();
     assert_eq!((report.fidelity, report.metrics), sealed, "{label}: run_with diverged");
@@ -109,19 +116,14 @@ fn every_drive_mode_matches_the_sealed_engine() {
 
 #[test]
 fn compat_wrapper_is_bit_identical_across_backends_with_dynamics_free_sessions() {
-    // `run(cfg)` must stay the old sealed semantics regardless of the
-    // backend the config picks.
-    for queue in [d3t::sim::QueueBackend::Calendar, d3t::sim::QueueBackend::Heap] {
-        let mut cfg = SimConfig::small_for_tests(8, 4, 300, 70.0);
-        cfg.queue = queue;
-        let p = Prepared::build(&cfg);
-        let via_run = d3t::sim::run(&cfg);
-        let sealed = match queue {
-            d3t::sim::QueueBackend::Calendar => p.engine::<CalendarQueue<EventKind>>().run(),
-            d3t::sim::QueueBackend::Heap => p.engine::<HeapQueue<EventKind>>().run(),
-        };
-        assert_eq!((via_run.fidelity, via_run.metrics), sealed, "{queue:?}");
-    }
+    // `run(cfg)` must stay the old sealed semantics, which the sealed
+    // engine reproduces on either queue.
+    let cfg = SimConfig::small_for_tests(8, 4, 300, 70.0);
+    let p = Prepared::build(&cfg);
+    let via_run = d3t::sim::run(&cfg);
+    let via_run = (via_run.fidelity, via_run.metrics);
+    assert_eq!(via_run, p.engine::<CalendarQueue<EventKind>>().run(), "calendar");
+    assert_eq!(via_run, p.engine::<HeapQueue<EventKind>>().run(), "heap");
 }
 
 #[test]
@@ -129,49 +131,37 @@ fn dynamics_runs_stay_backend_invariant() {
     // Injections are part of the deterministic event order, so a churned
     // run must also be bit-identical across queue backends.
     use d3t::sim::Dynamic;
+    fn churned<Q: EventQueue<EventKind>>(
+        p: &Prepared,
+        schedule: &[(u64, Dynamic)],
+    ) -> (FidelityReport, Metrics) {
+        let mut s = p.session_with::<Q, _>(NoopObserver);
+        for &(t, d) in schedule {
+            s.run_until(t);
+            s.inject(d).unwrap();
+        }
+        s.run_to_end()
+    }
     let cfg = SimConfig::small_for_tests(10, 5, 400, 50.0);
     let p = Prepared::build(&cfg);
-    let churn = |session: &mut dyn FnMut(u64, Dynamic)| {
-        let end = p.end_us;
-        session(end * 3 / 10, Dynamic::FailRepo { repo: 2 });
+    let end = p.end_us;
+    let schedule = [
+        (end * 3 / 10, Dynamic::FailRepo { repo: 2 }),
         // Swap an item the failed repo measures to a far-away value: the
         // cascade is guaranteed to address it, so the drop path is hit.
-        session(
-            end * 4 / 10,
-            Dynamic::HotSwapItem { item: first_measured_item(&p, 2), value: 1.0e6 },
-        );
-        session(
+        (end * 4 / 10, Dynamic::HotSwapItem { item: first_measured_item(&p, 2), value: 1.0e6 }),
+        (
             end * 5 / 10,
             Dynamic::SetTolerance {
                 repo: 0,
                 item: first_measured_item(&p, 0),
                 c: d3t::core::coherency::Coherency::new(0.005),
             },
-        );
-        session(end * 6 / 10, Dynamic::RecoverRepo { repo: 2 });
-    };
-    let run_churned = |which: d3t::sim::QueueBackend| -> (FidelityReport, Metrics) {
-        match which {
-            d3t::sim::QueueBackend::Calendar => {
-                let mut s = p.session_with::<CalendarQueue<EventKind>, _>(NoopObserver);
-                churn(&mut |t, d| {
-                    s.run_until(t);
-                    s.inject(d).unwrap();
-                });
-                s.run_to_end()
-            }
-            d3t::sim::QueueBackend::Heap => {
-                let mut s = p.session_with::<HeapQueue<EventKind>, _>(NoopObserver);
-                churn(&mut |t, d| {
-                    s.run_until(t);
-                    s.inject(d).unwrap();
-                });
-                s.run_to_end()
-            }
-        }
-    };
-    let cal = run_churned(d3t::sim::QueueBackend::Calendar);
-    let heap = run_churned(d3t::sim::QueueBackend::Heap);
+        ),
+        (end * 6 / 10, Dynamic::RecoverRepo { repo: 2 }),
+    ];
+    let cal = churned::<CalendarQueue<EventKind>>(&p, &schedule);
+    let heap = churned::<HeapQueue<EventKind>>(&p, &schedule);
     assert_eq!(cal, heap);
     assert_eq!(cal.1.injected, 4);
     assert!(cal.1.dropped > 0, "the failed relay must have dropped arrivals");

@@ -4,22 +4,22 @@
 //! two hard invariants, and this file is their enforcement:
 //!
 //! 1. **N-shard ≡ 1-shard, bit for bit.** For every protocol × seed ×
-//!    backend × shard count, the sharded run's `RunReport` equals the
+//!    shard count, the sharded run's `RunReport` equals the
 //!    sealed sequential oracle's — `PartialEq` over every field *and*
 //!    the `Debug` rendering, so no float bit-pattern drift can hide.
 //!    The partition, the epoch batching, the outbox re-stamping and
 //!    the replica mirrors are all invisible in the report.
 //!
 //! 2. **Fixed `(seed, N)` is deterministic.** Re-running the same
-//!    sharded configuration reproduces the report exactly, on both
-//!    queue backends — the coordinator's barrier discipline leaves the
-//!    OS scheduler nothing to perturb.
+//!    sharded configuration reproduces the report exactly — the
+//!    coordinator's barrier discipline leaves the OS scheduler nothing
+//!    to perturb.
 //!
 //! Plus the fault interaction the design doc singles out: a crash /
 //! reparent burst whose orphans re-home *across* a shard boundary must
 //! not be able to tell how many shards processed it.
 
-use d3t::sim::{CrashSpec, FaultPlan, Prepared, QueueBackend, RepairPolicy, RepairSpec, SimConfig};
+use d3t::sim::{CrashSpec, FaultPlan, Prepared, RepairPolicy, RepairSpec, SimConfig};
 
 use d3t::core::dissemination::Protocol;
 
@@ -40,20 +40,14 @@ fn sharded_reports_match_the_sequential_oracle() {
         [Protocol::Distributed, Protocol::Centralized, Protocol::Naive].iter().enumerate()
     {
         for seed in [0x5EEDu64, 97, 31_337] {
-            for backend in [QueueBackend::Calendar, QueueBackend::Heap] {
-                let mut cfg = base_cfg(*protocol, seed, 1 + i * 3);
-                cfg.queue = backend;
-                let sequential = Prepared::build(&cfg).run();
-                for n_shards in [2usize, 3, 4] {
-                    let mut sharded_cfg = cfg.clone();
-                    sharded_cfg.n_shards = n_shards;
-                    let sharded = Prepared::build(&sharded_cfg).run();
-                    assert_eq!(
-                        sequential, sharded,
-                        "{protocol:?} seed {seed} {backend:?} N={n_shards} diverged"
-                    );
-                    assert_eq!(format!("{sequential:?}"), format!("{sharded:?}"));
-                }
+            let cfg = base_cfg(*protocol, seed, 1 + i * 3);
+            let sequential = Prepared::build(&cfg).run();
+            for n_shards in [2usize, 3, 4] {
+                let mut sharded_cfg = cfg.clone();
+                sharded_cfg.n_shards = n_shards;
+                let sharded = Prepared::build(&sharded_cfg).run();
+                assert_eq!(sequential, sharded, "{protocol:?} seed {seed} N={n_shards} diverged");
+                assert_eq!(format!("{sequential:?}"), format!("{sharded:?}"));
             }
         }
     }
@@ -61,16 +55,13 @@ fn sharded_reports_match_the_sequential_oracle() {
 
 #[test]
 fn sharded_runs_are_deterministic_for_fixed_seed_and_shard_count() {
-    for backend in [QueueBackend::Calendar, QueueBackend::Heap] {
-        for n_shards in [2usize, 4] {
-            let mut cfg = base_cfg(Protocol::Distributed, 0xD37, 4);
-            cfg.queue = backend;
-            cfg.n_shards = n_shards;
-            let a = Prepared::build(&cfg).run();
-            let b = Prepared::build(&cfg).run();
-            assert_eq!(a, b, "{backend:?} N={n_shards} not deterministic across repeats");
-            assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        }
+    for n_shards in [2usize, 4] {
+        let mut cfg = base_cfg(Protocol::Distributed, 0xD37, 4);
+        cfg.n_shards = n_shards;
+        let a = Prepared::build(&cfg).run();
+        let b = Prepared::build(&cfg).run();
+        assert_eq!(a, b, "N={n_shards} not deterministic across repeats");
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 }
 
