@@ -9,7 +9,8 @@
 //! (≈25 ms communication, 12.5 ms computation) the chosen degree is ~4,
 //! with the U-curve's optimum lying between 3 and 20 dependents.
 //!
-//! The published formula is OCR-mangled; see DESIGN.md §4 for the decoding:
+//! The published formula is OCR-mangled. This module is where the
+//! decoding lives (its tests pin each anchor below):
 //!
 //! ```text
 //! coopDegree = min(coopRes, max(1, round((f / 25) · avgComm / avgComp)))

@@ -1,7 +1,8 @@
-//! Ablations of design choices DESIGN.md calls out.
+//! Ablations of the reproduction's design choices.
 //!
 //! * [`f_sensitivity`] — the paper's footnote 1: fidelity is insensitive
-//!   to the Eq.-2 constant `f` once `f ≥ 50`.
+//!   to the Eq.-2 constant `f` once `f ≥ 50` (the Eq. (2) decoding it
+//!   exercises is written out in `d3t_core::coop`'s module docs).
 //! * [`join_order_study`] — §5's observation that repositories with
 //!   stringent coherency requirements should sit close to the source:
 //!   LeLA join order is the mechanism that places them.
@@ -10,10 +11,11 @@
 
 use d3t_core::dissemination::Protocol;
 use d3t_core::lela::JoinOrder;
+use d3t_sim::{RunReport, SimConfig};
 
-use crate::figure::{Figure, Series};
+use crate::figure::Figure;
 use crate::scale::Scale;
-use crate::sweep::SerialSweep;
+use crate::sweep;
 
 /// Eq.-2 constant sensitivity (paper footnote 1).
 pub fn f_sensitivity(scale: &Scale) -> Figure {
@@ -23,24 +25,23 @@ pub fn f_sensitivity(scale: &Scale) -> Figure {
         "f",
         "loss of fidelity, %",
     );
-    let mut sweep = SerialSweep::new();
-    let mut points = Vec::new();
-    let mut degrees = Vec::new();
-    for f in [10.0, 25.0, 50.0, 100.0, 200.0] {
-        let mut cfg = scale.base_config();
-        cfg.coop_res = scale.n_repos;
-        cfg.controlled = true;
-        cfg.coop_f = f;
-        let r = sweep.run(&cfg);
-        points.push((f, r.loss_pct()));
-        degrees.push((f, r.coop_degree_used));
-    }
-    fig.push_series(Series::new("T=50, controlled", points));
+    let fs = [10.0, 25.0, 50.0, 100.0, 200.0];
+    let g = sweep::grid(&[()], &fs, |_, &coop_f| SimConfig {
+        coop_res: scale.n_repos,
+        controlled: true,
+        coop_f,
+        ..scale.base_config()
+    });
+    g.plot(&mut fig, ["T=50, controlled"], fs, RunReport::loss_pct);
+    let degrees: Vec<String> = fs
+        .iter()
+        .zip(&g.reports[0])
+        .map(|(f, r)| format!("f={f}->{}", r.coop_degree_used))
+        .collect();
     fig.note(format!(
         "degrees chosen: {} (paper: f >= 50 keeps fidelity high; variation ~1%)",
-        degrees.iter().map(|(f, d)| format!("f={f}->{d}")).collect::<Vec<_>>().join(", ")
+        degrees.join(", ")
     ));
-    fig.sweep = Some(sweep.counters());
     fig
 }
 
@@ -52,27 +53,23 @@ pub fn join_order_study(scale: &Scale) -> Figure {
         "order (0=random 1=sequential 2=stringent-first)",
         "loss of fidelity, %",
     );
-    let mut sweep = SerialSweep::new();
-    let mut points = Vec::new();
-    let mut notes = Vec::new();
-    for (i, (label, order)) in [
+    let orders = [
         ("random", JoinOrder::Random),
         ("sequential", JoinOrder::Sequential),
         ("stringent-first", JoinOrder::StringentFirst),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let mut cfg = scale.base_config();
-        cfg.coop_res = 4;
-        cfg.join_order = order;
-        let r = sweep.run(&cfg);
-        points.push((i as f64, r.loss_pct()));
-        notes.push(format!("{label}: loss {:.2}%", r.loss_pct()));
-    }
-    fig.push_series(Series::new("T=50, degree 4", points));
+    ];
+    let g = sweep::grid(&[()], &orders, |_, &(_, join_order)| SimConfig {
+        coop_res: 4,
+        join_order,
+        ..scale.base_config()
+    });
+    g.plot(&mut fig, ["T=50, degree 4"], [0.0, 1.0, 2.0], RunReport::loss_pct);
+    let notes: Vec<String> = orders
+        .iter()
+        .zip(&g.reports[0])
+        .map(|((label, _), r)| format!("{label}: loss {:.2}%", r.loss_pct()))
+        .collect();
     fig.note(notes.join("; "));
-    fig.sweep = Some(sweep.counters());
     fig
 }
 
@@ -85,26 +82,19 @@ pub fn protocol_fidelity(scale: &Scale) -> Figure {
         "0=naive 1=distributed 2=centralized",
         "loss of fidelity, %",
     );
-    let mut sweep = SerialSweep::new();
-    let mut points = Vec::new();
-    let mut msgs = Vec::new();
-    for (i, protocol) in
-        [Protocol::Naive, Protocol::Distributed, Protocol::Centralized].into_iter().enumerate()
-    {
-        let mut cfg = scale.base_config();
-        cfg.coop_res = 4;
-        cfg.protocol = protocol;
-        let r = sweep.run(&cfg);
-        points.push((i as f64, r.loss_pct()));
-        msgs.push(r.metrics.messages);
-    }
-    fig.push_series(Series::new("loss", points));
+    let protocols = [Protocol::Naive, Protocol::Distributed, Protocol::Centralized];
+    let g = sweep::grid(&[()], &protocols, |_, &protocol| SimConfig {
+        coop_res: 4,
+        protocol,
+        ..scale.base_config()
+    });
+    g.plot(&mut fig, ["loss"], [0.0, 1.0, 2.0], RunReport::loss_pct);
+    let msgs: Vec<u64> = g.reports[0].iter().map(|r| r.metrics.messages).collect();
     fig.note(format!(
         "messages naive/distributed/centralized: {} / {} / {} — the naive filter sends \
          fewer updates and pays for it in missed-update violations",
         msgs[0], msgs[1], msgs[2]
     ));
-    fig.sweep = Some(sweep.counters());
     fig
 }
 

@@ -6,9 +6,11 @@
 //! loses it to computational queueing at the source, and the minimum sits
 //! at a handful of dependents per repository.
 
-use crate::figure::{Figure, Series};
+use d3t_sim::{RunReport, SimConfig};
+
+use crate::figure::{degree_axis, t_label, Figure};
 use crate::scale::Scale;
-use crate::sweep::SerialSweep;
+use crate::sweep;
 
 /// Runs the Figure 3 sweep.
 pub fn fig3(scale: &Scale) -> Figure {
@@ -18,27 +20,17 @@ pub fn fig3(scale: &Scale) -> Figure {
         "degree",
         "loss of fidelity, %",
     );
-    let mut sweep = SerialSweep::new();
-    let degrees = scale.degree_grid();
-    let mut chain_diameter = 0usize;
-    let mut flat_diameter = usize::MAX;
-    for t in scale.t_grid() {
-        let mut points = Vec::with_capacity(degrees.len());
-        for &d in &degrees {
-            let mut cfg = scale.base_config();
-            cfg.t_stringent_pct = t;
-            cfg.coop_res = d;
-            let report = sweep.run(&cfg);
-            points.push((d as f64, report.loss_pct()));
-            if d == 1 {
-                chain_diameter = chain_diameter.max(report.max_tree_depth);
-            }
-            if d == *degrees.last().unwrap() {
-                flat_diameter = flat_diameter.min(report.max_tree_depth);
-            }
-        }
-        fig.push_series(Series::new(format!("T={}", t as i64), points));
-    }
+    let (ts, degrees) = (scale.t_grid(), scale.degree_grid());
+    let g = sweep::grid(&ts, &degrees, |&t_stringent_pct, &coop_res| SimConfig {
+        t_stringent_pct,
+        coop_res,
+        ..scale.base_config()
+    });
+    g.plot(&mut fig, ts.iter().map(t_label), degree_axis(&degrees), RunReport::loss_pct);
+    // The first column is degree 1 (a chain), the last the flattest tree.
+    let depths = |col: usize| g.reports.iter().map(move |row| row[col].max_tree_depth);
+    let chain_diameter = depths(0).max().unwrap_or(0);
+    let flat_diameter = depths(degrees.len() - 1).min().unwrap_or(usize::MAX);
     fig.note(format!(
         "d3t diameter: {chain_diameter} at degree 1 (paper: ~101 for the chain), \
          {flat_diameter} at degree {} (paper: 2 when the source serves everyone)",
@@ -49,7 +41,6 @@ pub fn fig3(scale: &Scale) -> Figure {
             fig.note(format!("T=100 minimum at degree {} (paper: between 3 and 20)", x as i64));
         }
     }
-    fig.sweep = Some(sweep.counters());
     fig
 }
 

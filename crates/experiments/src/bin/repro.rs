@@ -7,43 +7,35 @@
 //! repro fig3 --ticks 1000         # custom horizon
 //! repro all --serial              # disable the parallel fan-out
 //! repro fig4 --seed 0x5eed        # decimal or 0x-hex, as the header prints it
-//! repro filter                    # timed run per protocol, FILTER lines
+//! repro filter                    # one run per protocol, FILTER lines
 //! repro resilience                # fault sweep, RESILIENCE lines
 //! repro whatif --branches 8       # snapshot fan-out, WHATIF + SNAPSHOT lines
 //! repro list                      # enumerate experiment ids
 //! ```
 //!
+//! At most one preset (`--tiny`, `--paper`; quick scale when none) is
+//! given, and the size and seed options override it wherever they stand
+//! on the line.
+//!
 //! What these commands *cost* — events/s, per-phase drain shares, queue
-//! types, build stages, peak RSS — is measured by `d3t-bench`
-//! (`perfbench/`), not here; the three cell commands below print results
-//! a reader or CI checks for correctness.
+//! types, build stages, snapshot capture and restore, peak RSS — is
+//! measured by `d3t-bench` (`perfbench/`), not here; the three cell
+//! commands below print results a reader or CI checks for correctness.
 //!
 //! `filter` runs the fig8/fig11 filtering smoke — one base-config cell
 //! per dissemination protocol — and prints one line per protocol; CI
 //! fails unless all four report:
 //!
 //! ```text
-//! FILTER protocol=distributed checks=1796242 checks_per_sec=10683185
+//! FILTER protocol=distributed checks=1796242
 //! ```
 //!
-//! `resilience` runs the robustness sweep (crash-burst size × loss rate ×
-//! repair policy over identical prepared inputs) and prints one line per
-//! faulted cell:
-//!
-//! ```text
-//! RESILIENCE burst=4 loss_rate=0.10 policy=reparent loss_pct=… mttr_ms=… retransmits=… reparented=… lost=…
-//! ```
-//!
-//! `whatif` simulates one shared prefix to the half-run fork, snapshots
-//! it, and drives `--branches N` divergent scenarios each cold and warm;
-//! `equal=true` on every line (warm report hash = cold twin's) is the
-//! correctness gate CI enforces:
-//!
-//! ```text
-//! WHATIF branch=failure-burst-1 loss_pct=… cold_wall_us=… warm_wall_us=… report_hash=0x… equal=true
-//! SNAPSHOT bytes=… capture_us=… restore_us=… pending_events=… digest=0x…
-//! AMORTIZATION branches=… prefix_wall_us=… cold_total_us=… warm_total_us=… speedup=…
-//! ```
+//! `resilience` and `whatif` print the lines their modules document
+//! (`d3t_experiments::{resilience, whatif}`): one `RESILIENCE` line per
+//! faulted cell of the robustness sweep, and one `WHATIF` line per branch
+//! of the snapshot fan-out plus a `SNAPSHOT` line. `equal=true` on every
+//! `WHATIF` line (warm report hash = cold twin's) is the correctness gate
+//! CI enforces.
 //!
 //! Requested experiments fan out over the parallel sweep runner
 //! (`d3t_experiments::sweep`): each id renders independently on a worker
@@ -90,8 +82,8 @@ const IDS: &[&str] = &[
     "dynamics",
 ];
 
-/// One experiment's printed text and, for the figures that run their
-/// cells through a [`sweep::SerialSweep`], what that runner did.
+/// One experiment's printed text and, for the figures that are a
+/// [`sweep::grid`], what its serial cell runner did.
 fn render(id: &str, scale: &Scale) -> (String, Option<sweep::SweepCounters>) {
     let fig = match id {
         "table1" => return (table1::table1(scale.n_ticks, scale.seed), None),
@@ -117,35 +109,27 @@ fn render(id: &str, scale: &Scale) -> (String, Option<sweep::SweepCounters>) {
     (fig.render(), fig.sweep)
 }
 
-/// The robustness sweep — crash-burst size × loss rate × repair policy
-/// over identical prepared inputs — as one `RESILIENCE` line per faulted
-/// cell (overall and post-burst survivor fidelity, MTTR, loss/retransmit/
-/// re-parent counters).
+/// `repro resilience`: one `RESILIENCE` line per faulted cell.
 fn resilience_cmd(scale: &Scale) {
     for cell in &resilience::resilience_report(scale).cells {
         out(cell.machine_line());
     }
 }
 
-/// The snapshot/branch cell: one shared prefix to the half-run fork, one
-/// warm [`Snapshot`](d3t_sim::Snapshot), then `n_branches` divergent
-/// what-if scenarios each driven cold (full re-simulation) and warm
-/// (resume from the snapshot), digests compared per branch — `equal=` on
-/// every `WHATIF` line must read `true` on any machine.
+/// `repro whatif`: one `WHATIF` line per branch, then the `SNAPSHOT` line.
 fn whatif_cmd(scale: &Scale, n_branches: usize) {
     let rep = whatif::whatif_report(scale, n_branches);
     for cell in &rep.cells {
         out(cell.machine_line());
     }
     out(rep.snapshot_line());
-    out(rep.amortization_line());
 }
 
-/// One timed base-config run per protocol, one `FILTER` line each (the
-/// fig8 flood baseline and the fig11 centralized/distributed comparison
-/// at matched workloads); CI checks that all four report. The protocol
-/// is a drive-time field, so one build serves all four: each cell
-/// re-targets it (nothing is rebuilt) and only the drive is timed.
+/// One base-config run per protocol, one `FILTER` line each (the fig8
+/// flood baseline and the fig11 centralized/distributed comparison at
+/// matched workloads); CI checks that all four report. The protocol is
+/// a drive-time field, so one build serves all four: each cell
+/// re-targets it and nothing is rebuilt.
 fn filter_smoke(scale: &Scale) {
     use d3t_core::dissemination::Protocol;
     let mut cfg = scale.base_config();
@@ -158,13 +142,9 @@ fn filter_smoke(scale: &Scale) {
     ] {
         cfg.protocol = protocol;
         prepared.retarget(&cfg);
-        let start = Instant::now();
-        let report = prepared.run();
-        let wall = start.elapsed().as_secs_f64().max(1e-9);
-        let checks = report.metrics.total_checks();
         out(format_args!(
-            "FILTER protocol={name} checks={checks} checks_per_sec={}",
-            (checks as f64 / wall).round() as u64
+            "FILTER protocol={name} checks={}",
+            prepared.run().metrics.total_checks()
         ));
     }
 }
@@ -220,28 +200,28 @@ fn positive(flag: &str, value: Option<&String>) -> usize {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut requested: Vec<&str> = Vec::new();
-    let mut scale = Scale::quick();
+    let mut preset = None;
+    let (mut ticks, mut seed_value, mut repos, mut items) = (None, None, None, None);
     let mut serial = false;
     let (mut run_filter, mut run_resilience, mut run_whatif) = (false, false, false);
     let mut n_branches = 8usize;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--paper" => scale = Scale::paper(),
-            "--tiny" => scale = Scale::tiny(),
+            "--paper" | "--tiny" if preset.is_some() => {
+                usage("`--tiny` and `--paper` are presets; give at most one")
+            }
+            "--paper" => preset = Some(Scale::paper()),
+            "--tiny" => preset = Some(Scale::tiny()),
             "--serial" => serial = true,
             "filter" => run_filter = true,
             "resilience" => run_resilience = true,
             "whatif" => run_whatif = true,
             "--branches" => n_branches = int(arg, iter.next()),
-            "--ticks" => scale.n_ticks = positive(arg, iter.next()),
-            "--seed" => scale.seed = seed(iter.next()),
-            "--repos" => {
-                scale.n_repos = positive(arg, iter.next());
-                // Keep the paper's 7-nodes-per-repository fabric ratio.
-                scale.n_network_nodes = scale.n_repos * 7;
-            }
-            "--items" => scale.n_items = positive(arg, iter.next()),
+            "--ticks" => ticks = Some(positive(arg, iter.next())),
+            "--seed" => seed_value = Some(seed(iter.next())),
+            "--repos" => repos = Some(positive(arg, iter.next())),
+            "--items" => items = Some(positive(arg, iter.next())),
             "list" => {
                 for id in IDS {
                     out(id);
@@ -253,11 +233,21 @@ fn main() {
             other => usage(&format!("unknown argument `{other}`")),
         }
     }
+    // The preset first, then every override, whatever their order.
+    let mut scale = preset.unwrap_or_else(Scale::quick);
+    scale.n_ticks = ticks.unwrap_or(scale.n_ticks);
+    scale.seed = seed_value.unwrap_or(scale.seed);
+    scale.n_items = items.unwrap_or(scale.n_items);
+    if let Some(n) = repos {
+        scale.n_repos = n;
+        // Keep the paper's 7-nodes-per-repository fabric ratio.
+        scale.n_network_nodes = n * 7;
+    }
     if run_filter || run_resilience || run_whatif {
         if !requested.is_empty() {
             usage(
-                "`filter`/`resilience`/`whatif` run timed cells and cannot be combined with \
-                 experiment ids",
+                "`filter`/`resilience`/`whatif` run cells of their own and cannot be combined \
+                 with experiment ids",
             );
         }
         if run_filter {

@@ -8,12 +8,12 @@
 //! with the degree *adapting* keeps the loss low and flat (the paper's
 //! y-axis tops out at 5%).
 
-use d3t_sim::TreeStrategy;
+use d3t_sim::{RunReport, SimConfig, TreeStrategy};
 
-use crate::figure::{Figure, Series};
+use crate::figure::{degree_axis, t_label, Figure};
 use crate::nocoop::{COMM_GRID, COMP_GRID};
 use crate::scale::Scale;
-use crate::sweep::SerialSweep;
+use crate::sweep;
 
 /// Figure 7a: the base case with controlled cooperation — L-shaped curve.
 pub fn fig7a(scale: &Scale) -> Figure {
@@ -23,30 +23,27 @@ pub fn fig7a(scale: &Scale) -> Figure {
         "degree",
         "loss of fidelity, %",
     );
-    let mut sweep = SerialSweep::new();
-    let mut used = Vec::new();
-    for t in scale.t_grid() {
-        let mut points = Vec::new();
-        for &d in &scale.degree_grid() {
-            let mut cfg = scale.base_config();
-            cfg.t_stringent_pct = t;
-            cfg.coop_res = d;
-            cfg.controlled = true;
-            let r = sweep.run(&cfg);
-            points.push((d as f64, r.loss_pct()));
-            if t == 100.0 {
-                used.push(r.coop_degree_used);
-            }
-        }
-        fig.push_series(Series::new(format!("T={}", t as i64), points));
-    }
+    let (ts, degrees) = (scale.t_grid(), scale.degree_grid());
+    let g = sweep::grid(&ts, &degrees, |&t_stringent_pct, &coop_res| SimConfig {
+        t_stringent_pct,
+        coop_res,
+        controlled: true,
+        ..scale.base_config()
+    });
+    g.plot(&mut fig, ts.iter().map(t_label), degree_axis(&degrees), RunReport::loss_pct);
+    // The degrees Eq. (2) picked along the T = 100 row.
+    let used: Vec<usize> = ts
+        .iter()
+        .zip(&g.reports)
+        .filter(|&(&t, _)| t == 100.0)
+        .flat_map(|(_, row)| row.iter().map(|r| r.coop_degree_used))
+        .collect();
     if let (Some(&min), Some(&max)) = (used.iter().min(), used.iter().max()) {
         fig.note(format!(
             "Eq.(2) caps the degree at {min}..={max} across the sweep \
              (paper: ~4 at 25 ms comm / 12.5 ms comp)"
         ));
     }
-    fig.sweep = Some(sweep.counters());
     fig
 }
 
@@ -58,22 +55,17 @@ pub fn fig7b(scale: &Scale) -> Figure {
         "comm delay ms",
         "loss of fidelity, %",
     );
-    let mut sweep = SerialSweep::new();
-    for t in scale.t_grid() {
-        let mut points = Vec::new();
-        for &comm in &COMM_GRID {
-            let mut cfg = scale.base_config();
-            cfg.t_stringent_pct = t;
-            cfg.tree = TreeStrategy::Lela;
-            cfg.coop_res = scale.n_repos;
-            cfg.controlled = true;
-            cfg.target_mean_comm_delay_ms = Some(comm);
-            points.push((comm, sweep.run(&cfg).loss_pct()));
-        }
-        fig.push_series(Series::new(format!("T={}", t as i64), points));
-    }
+    let ts = scale.t_grid();
+    let g = sweep::grid(&ts, &COMM_GRID, |&t_stringent_pct, &comm| SimConfig {
+        t_stringent_pct,
+        tree: TreeStrategy::Lela,
+        coop_res: scale.n_repos,
+        controlled: true,
+        target_mean_comm_delay_ms: Some(comm),
+        ..scale.base_config()
+    });
+    g.plot(&mut fig, ts.iter().map(t_label), COMM_GRID, RunReport::loss_pct);
     fig.note("adapting the degree to larger delays keeps loss within a few percent (paper 7b)");
-    fig.sweep = Some(sweep.counters());
     fig
 }
 
@@ -85,23 +77,18 @@ pub fn fig7c(scale: &Scale) -> Figure {
         "comp delay ms",
         "loss of fidelity, %",
     );
-    let mut sweep = SerialSweep::new();
-    for t in scale.t_grid() {
-        let mut points = Vec::new();
-        for &comp in &COMP_GRID {
-            let mut cfg = scale.base_config();
-            cfg.t_stringent_pct = t;
-            cfg.coop_res = scale.n_repos;
-            cfg.controlled = true;
-            cfg.comp_delay_ms = comp;
-            points.push((comp, sweep.run(&cfg).loss_pct()));
-        }
-        fig.push_series(Series::new(format!("T={}", t as i64), points));
-    }
+    let ts = scale.t_grid();
+    let g = sweep::grid(&ts, &COMP_GRID, |&t_stringent_pct, &comp_delay_ms| SimConfig {
+        t_stringent_pct,
+        coop_res: scale.n_repos,
+        controlled: true,
+        comp_delay_ms,
+        ..scale.base_config()
+    });
+    g.plot(&mut fig, ts.iter().map(t_label), COMP_GRID, RunReport::loss_pct);
     fig.note(
         "larger computational delays induce smaller degrees, keeping the loss flat (paper 7c)",
     );
-    fig.sweep = Some(sweep.counters());
     fig
 }
 

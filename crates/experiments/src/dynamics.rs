@@ -81,8 +81,8 @@ pub fn dynamics(scale: &Scale) -> Figure {
     for (name, lo, hi) in phases {
         fig.note(format!(
             "{name}: static {:.2}% vs churn {:.2}%",
-            phase_loss(&static_obs, lo, hi),
-            phase_loss(&churn_obs, lo, hi),
+            static_obs.loss_pct_between(lo, hi),
+            churn_obs.loss_pct_between(lo, hi),
         ));
     }
     fig.note(format!(
@@ -90,23 +90,6 @@ pub fn dynamics(scale: &Scale) -> Figure {
         static_rep.loss_pct, churn_rep.loss_pct, churn_m.dropped
     ));
     fig
-}
-
-/// Mean loss over windows starting in `[lo_us, hi_us)`, weighted by
-/// covered span.
-fn phase_loss(obs: &WindowedFidelity, lo_us: u64, hi_us: u64) -> f64 {
-    let mut viol = 0u64;
-    let mut covered = 0u64;
-    for w in obs.windows() {
-        if w.start_us >= lo_us && w.start_us < hi_us {
-            viol += w.violation_pair_us;
-            covered += w.covered_us;
-        }
-    }
-    if covered == 0 || obs.n_pairs() == 0 {
-        return 0.0;
-    }
-    viol as f64 / (covered as f64 * obs.n_pairs() as f64) * 100.0
 }
 
 #[cfg(test)]

@@ -54,9 +54,9 @@ pub struct Figure {
     /// Free-form observations (tree diameters, crossover positions, …)
     /// recorded while running the experiment.
     pub notes: Vec<String>,
-    /// What the figure's [`SerialSweep`](crate::sweep::SerialSweep) did
-    /// (`None` for figures that run no cells through one). Not part of
-    /// [`Figure::render`]: `repro` prints it on the timing line.
+    /// What the figure's [`grid`](crate::sweep::grid) did (`None` for
+    /// figures that are not one). Not part of [`Figure::render`]: `repro`
+    /// prints it on the timing line.
     pub sweep: Option<SweepCounters>,
 }
 
@@ -132,6 +132,16 @@ impl Figure {
         }
         out
     }
+}
+
+/// The legend label of a series at stringent fraction `T` (`"T=50"`).
+pub fn t_label(t: &f64) -> String {
+    format!("T={}", *t as i64)
+}
+
+/// Degrees of cooperation as x coordinates.
+pub fn degree_axis(degrees: &[usize]) -> impl Iterator<Item = f64> + Clone + '_ {
+    degrees.iter().map(|&d| d as f64)
 }
 
 fn trim_float(x: f64) -> String {

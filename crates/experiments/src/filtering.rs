@@ -10,10 +10,11 @@
 //! strictly fairer to the flooding side.)
 
 use d3t_core::dissemination::Protocol;
+use d3t_sim::{RunReport, SimConfig};
 
-use crate::figure::{Figure, Series};
+use crate::figure::{degree_axis, Figure};
 use crate::scale::Scale;
-use crate::sweep::SerialSweep;
+use crate::sweep;
 
 /// Runs the Figure 8 comparison.
 pub fn fig8(scale: &Scale) -> Figure {
@@ -23,34 +24,23 @@ pub fn fig8(scale: &Scale) -> Figure {
         "degree",
         "loss of fidelity, %",
     );
-    let mut sweep = SerialSweep::new();
-    let mut flood_msgs = 0u64;
-    let mut filtered_msgs = 0u64;
-    for (label, protocol) in
-        [("All updates", Protocol::FloodAll), ("Filtered", Protocol::Distributed)]
-    {
-        let mut points = Vec::new();
-        for &d in &scale.degree_grid() {
-            let mut cfg = scale.base_config();
-            cfg.coop_res = d;
-            cfg.protocol = protocol;
-            let r = sweep.run(&cfg);
-            points.push((d as f64, r.loss_pct()));
-            if d == 4 {
-                match protocol {
-                    Protocol::FloodAll => flood_msgs = r.metrics.messages,
-                    _ => filtered_msgs = r.metrics.messages,
-                }
-            }
-        }
-        fig.push_series(Series::new(label, points));
-    }
+    let series = [("All updates", Protocol::FloodAll), ("Filtered", Protocol::Distributed)];
+    let degrees = scale.degree_grid();
+    let g = sweep::grid(&series, &degrees, |&(_, protocol), &coop_res| SimConfig {
+        coop_res,
+        protocol,
+        ..scale.base_config()
+    });
+    g.plot(&mut fig, series.map(|(l, _)| l), degree_axis(&degrees), RunReport::loss_pct);
+    let messages_at_4 = |row: usize| {
+        degrees.iter().position(|&d| d == 4).map_or(0, |x| g.reports[row][x].metrics.messages)
+    };
+    let (flood_msgs, filtered_msgs) = (messages_at_4(0), messages_at_4(1));
     fig.note(format!(
         "messages at degree 4: {flood_msgs} flooded vs {filtered_msgs} filtered \
          ({:.1}x reduction from coherency-based filtering)",
         flood_msgs as f64 / filtered_msgs.max(1) as f64
     ));
-    fig.sweep = Some(sweep.counters());
     fig
 }
 

@@ -8,10 +8,20 @@
 //! matters much — the curves marked `…W` cluster within ~1%.
 
 use d3t_core::lela::PreferenceFunction;
+use d3t_sim::{RunReport, SimConfig};
 
-use crate::figure::{Figure, Series};
+use crate::figure::{degree_axis, Figure, Series};
 use crate::scale::Scale;
-use crate::sweep::SerialSweep;
+use crate::sweep;
+
+/// The suffix of a series under controlled cooperation.
+fn w(controlled: bool) -> &'static str {
+    if controlled {
+        "W"
+    } else {
+        ""
+    }
+}
 
 /// Figure 9: effect of different `P%` values.
 pub fn fig9(scale: &Scale) -> Figure {
@@ -21,35 +31,21 @@ pub fn fig9(scale: &Scale) -> Figure {
         "degree",
         "loss of fidelity, %",
     );
-    let mut sweep = SerialSweep::new();
-    for &(band, controlled) in &[
-        (1.0, false),
-        (5.0, false),
-        (10.0, false),
-        (25.0, false),
-        (1.0, true),
-        (5.0, true),
-        (10.0, true),
-        (25.0, true),
-    ] {
-        let mut points = Vec::new();
-        for &d in &scale.degree_grid_sparse() {
-            let mut cfg = scale.base_config();
-            cfg.coop_res = d;
-            cfg.pref_band_pct = band;
-            cfg.controlled = controlled;
-            points.push((d as f64, sweep.run(&cfg).loss_pct()));
-        }
-        let label =
-            if controlled { format!("P={}W", band as i64) } else { format!("P={}", band as i64) };
-        fig.push_series(Series::new(label, points));
-    }
+    let series = [false, true].map(|c| [1.0, 5.0, 10.0, 25.0].map(|band| (band, c))).concat();
+    let degrees = scale.degree_grid_sparse();
+    let g = sweep::grid(&series, &degrees, |&(pref_band_pct, controlled), &coop_res| SimConfig {
+        coop_res,
+        pref_band_pct,
+        controlled,
+        ..scale.base_config()
+    });
+    let labels = series.iter().map(|&(band, c)| format!("P={}{}", band as i64, w(c)));
+    g.plot(&mut fig, labels, degree_axis(&degrees), RunReport::loss_pct);
     let spread = controlled_spread(&fig);
     fig.note(format!(
         "controlled-cooperation curves stay within {spread:.2} loss points of one another \
          (paper: ~1%)"
     ));
-    fig.sweep = Some(sweep.counters());
     fig
 }
 
@@ -61,31 +57,23 @@ pub fn fig10(scale: &Scale) -> Figure {
         "degree",
         "loss of fidelity, %",
     );
-    let mut sweep = SerialSweep::new();
-    for &(pf, controlled) in &[
-        (PreferenceFunction::P1, false),
-        (PreferenceFunction::P2, false),
-        (PreferenceFunction::P1, true),
-        (PreferenceFunction::P2, true),
-    ] {
-        let mut points = Vec::new();
-        for &d in &scale.degree_grid_sparse() {
-            let mut cfg = scale.base_config();
-            cfg.coop_res = d;
-            cfg.pref_fn = pf;
-            cfg.controlled = controlled;
-            points.push((d as f64, sweep.run(&cfg).loss_pct()));
-        }
-        let base = if pf == PreferenceFunction::P1 { "P1" } else { "P2" };
-        let label = if controlled { format!("{base}W") } else { base.to_string() };
-        fig.push_series(Series::new(label, points));
-    }
+    let series = [false, true]
+        .map(|c| [PreferenceFunction::P1, PreferenceFunction::P2].map(|pf| (pf, c)))
+        .concat();
+    let degrees = scale.degree_grid_sparse();
+    let g = sweep::grid(&series, &degrees, |&(pref_fn, controlled), &coop_res| SimConfig {
+        coop_res,
+        pref_fn,
+        controlled,
+        ..scale.base_config()
+    });
+    let labels = series.iter().map(|&(pf, c)| format!("{pf:?}{}", w(c)));
+    g.plot(&mut fig, labels, degree_axis(&degrees), RunReport::loss_pct);
     let spread = controlled_spread(&fig);
     fig.note(format!(
         "preference-function choice moves controlled-cooperation loss by at most \
          {spread:.2} points (paper: insignificant once the degree is chosen)"
     ));
-    fig.sweep = Some(sweep.counters());
     fig
 }
 

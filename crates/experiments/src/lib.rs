@@ -30,14 +30,22 @@
 //! | extension | [`dynamics::dynamics`] | fidelity through a mid-run failure burst |
 //! | extension | [`resilience::resilience`] | self-healing re-parenting vs passive fail-stop |
 //!
-//! Whole experiments fan out over the parallel [`sweep`] runner (and so
-//! do the three large cells of `scale`); results are byte-identical to
-//! serial execution regardless of thread count (`repro --serial` forces
-//! the serial path, `RAYON_NUM_THREADS` bounds the pool). Inside every
-//! other figure the cells run serially through one
-//! [`sweep::SerialSweep`], which re-targets a single `Prepared` from
-//! cell to cell and reuses the report when a cell repeats the previous
-//! one — the same numbers as `d3t_sim::run` per cell, bit for bit.
+//! Whole experiments fan out over [`sweep::par_map`] (and so do the
+//! three large cells of `scale`); results are byte-identical to serial
+//! execution regardless of thread count (`repro --serial` forces the
+//! serial path, `RAYON_NUM_THREADS` bounds the pool). The 13 figures
+//! from Figure 3 to `ablate-protocols` (all but 4 and `scale`) are each
+//! one [`sweep::grid`] — a list of series × a list of x values, one
+//! `SimConfig` per cell — plus the notes read from its reports. A grid
+//! runs its cells serially through one [`sweep::SerialSweep`], which
+//! re-targets a single `Prepared` from cell to cell and reuses the report
+//! when a cell repeats the previous one — the same numbers as
+//! `d3t_sim::run` per cell, bit for bit.
+//!
+//! Three cell commands of `repro` print results, not figures:
+//! `filter` (checks per protocol), [`resilience`] and [`whatif`]
+//! (warm-from-snapshot ≡ cold per branch). What any of it costs is
+//! measured by `d3t-bench` (`perfbench/`), not here.
 
 pub mod ablations;
 pub mod baseline;

@@ -7,11 +7,11 @@
 //! source — raising communication delays barely moves the curves, raising
 //! computational delays wrecks them, especially at stringent `T`.
 
-use d3t_sim::TreeStrategy;
+use d3t_sim::{RunReport, SimConfig, TreeStrategy};
 
-use crate::figure::{Figure, Series};
+use crate::figure::{t_label, Figure};
 use crate::scale::Scale;
-use crate::sweep::SerialSweep;
+use crate::sweep;
 
 /// Communication-delay grid of Figure 5 (ms).
 pub const COMM_GRID: [f64; 6] = [5.0, 25.0, 50.0, 75.0, 100.0, 125.0];
@@ -27,23 +27,18 @@ pub fn fig5(scale: &Scale) -> Figure {
         "comm delay ms",
         "loss of fidelity, %",
     );
-    let mut sweep = SerialSweep::new();
-    for t in scale.t_grid() {
-        let mut points = Vec::new();
-        for &comm in &COMM_GRID {
-            let mut cfg = scale.base_config();
-            cfg.t_stringent_pct = t;
-            cfg.tree = TreeStrategy::Flat;
-            cfg.target_mean_comm_delay_ms = Some(comm);
-            points.push((comm, sweep.run(&cfg).loss_pct()));
-        }
-        fig.push_series(Series::new(format!("T={}", t as i64), points));
-    }
+    let ts = scale.t_grid();
+    let g = sweep::grid(&ts, &COMM_GRID, |&t_stringent_pct, &comm| SimConfig {
+        t_stringent_pct,
+        tree: TreeStrategy::Flat,
+        target_mean_comm_delay_ms: Some(comm),
+        ..scale.base_config()
+    });
+    g.plot(&mut fig, ts.iter().map(t_label), COMM_GRID, RunReport::loss_pct);
     fig.note(
         "flat curves: with direct dissemination the loss comes from source \
          computation, not the network (paper §6.3.2)",
     );
-    fig.sweep = Some(sweep.counters());
     fig
 }
 
@@ -55,20 +50,15 @@ pub fn fig6(scale: &Scale) -> Figure {
         "comp delay ms",
         "loss of fidelity, %",
     );
-    let mut sweep = SerialSweep::new();
-    for t in scale.t_grid() {
-        let mut points = Vec::new();
-        for &comp in &COMP_GRID {
-            let mut cfg = scale.base_config();
-            cfg.t_stringent_pct = t;
-            cfg.tree = TreeStrategy::Flat;
-            cfg.comp_delay_ms = comp;
-            points.push((comp, sweep.run(&cfg).loss_pct()));
-        }
-        fig.push_series(Series::new(format!("T={}", t as i64), points));
-    }
+    let ts = scale.t_grid();
+    let g = sweep::grid(&ts, &COMP_GRID, |&t_stringent_pct, &comp_delay_ms| SimConfig {
+        t_stringent_pct,
+        tree: TreeStrategy::Flat,
+        comp_delay_ms,
+        ..scale.base_config()
+    });
+    g.plot(&mut fig, ts.iter().map(t_label), COMP_GRID, RunReport::loss_pct);
     fig.note("loss worsens with computational delay, most for stringent T (paper §6.3.2)");
-    fig.sweep = Some(sweep.counters());
     fig
 }
 

@@ -6,10 +6,11 @@ use d3t_core::dissemination::{Disseminator, Protocol};
 use d3t_core::graph::D3g;
 use d3t_core::item::ItemId;
 use d3t_core::overlay::{NodeIdx, SOURCE};
+use d3t_sim::{RunReport, SimConfig};
 
-use crate::figure::{Figure, Series};
+use crate::figure::Figure;
 use crate::scale::Scale;
-use crate::sweep::SerialSweep;
+use crate::sweep;
 
 /// Figure 4: replays the paper's worked example (S → P at c=0.3 → Q at
 /// c=0.5; source values 1.0, 1.2, 1.4, 1.5, 1.7, 2.0) under the naive and
@@ -63,32 +64,19 @@ pub fn fig11(scale: &Scale) -> Figure {
         "0=centralized 1=distributed",
         "counts",
     );
-    let mut sweep = SerialSweep::new();
-    let mut results = Vec::new();
-    for (i, protocol) in [Protocol::Centralized, Protocol::Distributed].into_iter().enumerate() {
-        let mut cfg = scale.base_config();
-        cfg.coop_res = 4;
-        cfg.protocol = protocol;
-        let r = sweep.run(&cfg);
-        results.push((i as f64, r));
-    }
-    fig.push_series(Series::new(
-        "source checks",
-        results.iter().map(|(x, r)| (*x, r.metrics.source_checks as f64)).collect(),
-    ));
-    fig.push_series(Series::new(
-        "total checks",
-        results.iter().map(|(x, r)| (*x, r.metrics.total_checks() as f64)).collect(),
-    ));
-    fig.push_series(Series::new(
-        "messages",
-        results.iter().map(|(x, r)| (*x, r.metrics.messages as f64)).collect(),
-    ));
-    fig.push_series(Series::new(
-        "loss %",
-        results.iter().map(|(x, r)| (*x, r.loss_pct())).collect(),
-    ));
-    let (c, d) = (&results[0].1, &results[1].1);
+    let protocols = [Protocol::Centralized, Protocol::Distributed];
+    let g = sweep::grid(&[()], &protocols, |_, &protocol| SimConfig {
+        coop_res: 4,
+        protocol,
+        ..scale.base_config()
+    });
+    // One row, plotted once per count.
+    let xs = [0.0, 1.0];
+    g.plot(&mut fig, ["source checks"], xs, |r| r.metrics.source_checks as f64);
+    g.plot(&mut fig, ["total checks"], xs, |r| r.metrics.total_checks() as f64);
+    g.plot(&mut fig, ["messages"], xs, |r| r.metrics.messages as f64);
+    g.plot(&mut fig, ["loss %"], xs, RunReport::loss_pct);
+    let (c, d) = (&g.reports[0][0], &g.reports[0][1]);
     fig.note(format!(
         "centralized source does {:.0}% more checks than distributed \
          (paper: nearly 50% more)",
@@ -98,7 +86,6 @@ pub fn fig11(scale: &Scale) -> Figure {
         "messages: centralized {} vs distributed {} (paper: equal counts)",
         c.metrics.messages, d.metrics.messages
     ));
-    fig.sweep = Some(sweep.counters());
     fig
 }
 

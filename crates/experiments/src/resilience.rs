@@ -168,23 +168,6 @@ fn burst_grid(n_repos: usize) -> [usize; 2] {
     [1, (n_repos / 5).max(2)]
 }
 
-/// Mean survivor loss over windows starting in `[lo_us, hi_us)`, weighted
-/// by covered span.
-fn phase_loss(obs: &WindowedFidelity, lo_us: u64, hi_us: u64) -> f64 {
-    let mut viol = 0u64;
-    let mut covered = 0u64;
-    for w in obs.windows() {
-        if w.start_us >= lo_us && w.start_us < hi_us {
-            viol += w.violation_pair_us;
-            covered += w.covered_us;
-        }
-    }
-    if covered == 0 || obs.n_pairs() == 0 {
-        return 0.0;
-    }
-    viol as f64 / (covered as f64 * obs.n_pairs() as f64) * 100.0
-}
-
 /// Runs the full sweep at the given scale and returns the figure plus
 /// every cell.
 pub fn resilience_report(scale: &Scale) -> ResilienceReport {
@@ -221,7 +204,7 @@ pub fn resilience_report(scale: &Scale) -> ResilienceReport {
         let (base_rep, _base_m, base_obs) = p
             .session_observing(SurvivorFidelity::new(window_us, survivor_pairs, victim.clone()))
             .finish();
-        let baseline_post = phase_loss(&base_obs.inner, post_us, end_us);
+        let baseline_post = base_obs.inner.loss_pct_between(post_us, end_us);
         if burst == heavy {
             fig.push_series(Series::new("baseline", base_obs.inner.series()));
             fig.note(format!(
@@ -268,7 +251,7 @@ pub fn resilience_report(scale: &Scale) -> ResilienceReport {
                     loss_rate,
                     policy,
                     loss_pct: rep.loss_pct,
-                    post_loss_pct: phase_loss(&sf.inner, post_us, end_us),
+                    post_loss_pct: sf.inner.loss_pct_between(post_us, end_us),
                     baseline_post_loss_pct: baseline_post,
                     mttr_ms: monitor.mttr_ms(),
                     fault_window_loss_pct: monitor.fault_window_loss_pct(survivor_pairs),

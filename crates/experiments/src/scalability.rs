@@ -14,7 +14,7 @@ pub const REPO_GRID: [usize; 3] = [100, 200, 300];
 /// Runs the scalability study at `T = 50%` with controlled cooperation.
 ///
 /// The physical network keeps the paper's 1:7 repository-to-node ratio.
-/// The grid cells fan out over the parallel [`sweep`] runner — they are
+/// The grid cells fan out over [`sweep::par_map`] — they are
 /// the most expensive cells in the whole reproduction (up to 2100-node
 /// networks), and results are identical to the serial path.
 pub fn scale_study(scale: &Scale) -> Figure {
@@ -45,7 +45,7 @@ pub fn scale_study(scale: &Scale) -> Figure {
         .collect();
     let points: Vec<(f64, f64)> = repo_counts
         .iter()
-        .zip(sweep::run_cells(&cells))
+        .zip(sweep::par_map(cells, |cfg| d3t_sim::run(&cfg)))
         .map(|(&n_repos, r)| (n_repos as f64, r.loss_pct()))
         .collect();
     let first = points.first().map(|&(_, y)| y).unwrap_or(0.0);

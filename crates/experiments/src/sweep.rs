@@ -1,5 +1,5 @@
-//! The two sweep runners: a parallel fan-out over independent work
-//! items, and a serial walk over one figure's cells that re-targets one
+//! The sweep runners: a parallel fan-out over independent work items,
+//! and a serial walk over one figure's cells that re-targets one
 //! [`Prepared`] from cell to cell.
 //!
 //! Every figure/table of the paper is a sweep over a grid of
@@ -7,43 +7,33 @@
 //! grids, repository counts, …). Each cell derives all of its randomness
 //! from its own config via [`SimConfig::sub_seed`], and a run touches no
 //! shared mutable state, so cells are **embarrassingly parallel** — and
-//! because [`run_cells`] writes each result into the slot of its input
+//! because [`par_map`] writes each result into the slot of its input
 //! index, the output is *byte-identical* to the serial path regardless of
 //! thread count or completion order. What fans out today is whole
 //! figures (`repro`'s [`par_map`] over the requested ids) and the three
-//! large cells of `scale` ([`run_cells`]).
+//! large cells of `scale`.
 //!
-//! Inside every other figure the cells run serially through one
-//! [`SerialSweep`]: a figure varies one or two knobs over a fixed trace
-//! ensemble and (mostly) a fixed network, so each cell keeps what the
-//! previous one built and rebuilds only the stages its knob invalidates
-//! ([`Prepared::retarget`]); when Eq. (2) lands on the degree already in
-//! force the cell *is* the previous one, and its report is reused.
+//! Every other figure is one [`grid`]: a list of series and a list of x
+//! values, one configuration per `(series, x)` cell. The cells run
+//! series-major through one [`SerialSweep`]: a figure varies one or
+//! two knobs over a fixed trace ensemble and (mostly) a fixed network, so
+//! each cell keeps what the previous one built and rebuilds only the
+//! stages its knob invalidates ([`Prepared::retarget`]); when Eq. (2)
+//! lands on the degree already in force the cell *is* the previous one,
+//! and its report is reused. [`Grid::plot`] turns the rows into the
+//! figure's series.
 //!
 //! `RAYON_NUM_THREADS` bounds the worker count (unset/0 → all cores).
 
 use d3t_sim::{Prepared, RunReport, SimConfig};
 use rayon::prelude::*;
 
-/// Runs every cell, in parallel, preserving input order.
-///
-/// Equivalent to `cfgs.iter().map(d3t_sim::run).collect()` — verified
-/// bit-for-bit by the determinism tests below — but wall-clock scales
-/// with available cores.
-pub fn run_cells(cfgs: &[SimConfig]) -> Vec<RunReport> {
-    cfgs.par_iter().map(d3t_sim::run).collect()
-}
+use crate::figure::{Figure, Series};
 
-/// The serial reference path (kept public so tests and benchmarks can
-/// compare against it).
-pub fn run_cells_serial(cfgs: &[SimConfig]) -> Vec<RunReport> {
-    cfgs.iter().map(d3t_sim::run).collect()
-}
-
-/// Generic parallel map with order-preserving output, for sweeps whose
-/// cells are not plain `SimConfig`s (e.g. whole-figure fan-out in the
-/// `repro` binary). The closure must be a pure function of its item for
-/// the parallel/serial equivalence to hold.
+/// Generic parallel map with order-preserving output (whole-figure
+/// fan-out in the `repro` binary, the large cells of `scale`). The
+/// closure must be a pure function of its item for the parallel/serial
+/// equivalence to hold.
 pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -146,6 +136,52 @@ impl SerialSweep {
     }
 }
 
+/// One figure's cells: `reports[s][x]` is the report of series `s` at
+/// x value `x`, less its per-pair and per-repository losses.
+#[derive(Debug)]
+pub struct Grid {
+    /// Row-major by series, as [`grid`] ran them.
+    pub reports: Vec<Vec<RunReport>>,
+    /// What the grid's [`SerialSweep`] did.
+    pub counters: SweepCounters,
+}
+
+/// Runs every `(series, x)` cell — `cell(s, x)` is its configuration —
+/// series-major through one [`SerialSweep`]. A grid keeps every report
+/// until it is plotted, so each one's per-pair and per-repository losses
+/// (the bulk of a report's memory, read by no figure) are emptied as its
+/// cell ends.
+pub fn grid<S, X>(series: &[S], xs: &[X], mut cell: impl FnMut(&S, &X) -> SimConfig) -> Grid {
+    let mut sweep = SerialSweep::new();
+    let mut run = |s, x| {
+        let mut report = sweep.run(&cell(s, x));
+        report.fidelity.pair_losses = Vec::new();
+        report.fidelity.per_repo_loss_pct = Vec::new();
+        report
+    };
+    let reports = series.iter().map(|s| xs.iter().map(|x| run(s, x)).collect()).collect();
+    Grid { reports, counters: sweep.counters() }
+}
+
+impl Grid {
+    /// Adds one series per row to `fig` — `labels` in row order, the
+    /// points `(xs[i], y(reports[row][i]))` — and records the grid's
+    /// counters as the figure's [`Figure::sweep`].
+    pub fn plot<L: Into<String>>(
+        &self,
+        fig: &mut Figure,
+        labels: impl IntoIterator<Item = L>,
+        xs: impl IntoIterator<Item = f64> + Clone,
+        y: impl Fn(&RunReport) -> f64,
+    ) {
+        for (label, row) in labels.into_iter().zip(&self.reports) {
+            let points = xs.clone().into_iter().zip(row).map(|(x, r)| (x, y(r))).collect();
+            fig.push_series(Series::new(label, points));
+        }
+        fig.sweep = Some(self.counters);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,7 +189,7 @@ mod tests {
     use d3t_core::lela::PreferenceFunction;
     use d3t_sim::TreeStrategy;
 
-    fn grid() -> Vec<SimConfig> {
+    fn mixed_cells() -> Vec<SimConfig> {
         let mut cells = Vec::new();
         for degree in [1usize, 2, 4] {
             for t in [0.0, 50.0] {
@@ -169,13 +205,21 @@ mod tests {
         cells
     }
 
+    fn run_parallel(cells: &[SimConfig]) -> Vec<RunReport> {
+        par_map(cells.to_vec(), |cfg| d3t_sim::run(&cfg))
+    }
+
+    fn run_serial(cells: &[SimConfig]) -> Vec<RunReport> {
+        cells.iter().map(d3t_sim::run).collect()
+    }
+
     /// The headline guarantee: the parallel runner's output equals the
     /// serial runner's, cell for cell, bit for bit.
     #[test]
     fn parallel_sweep_is_byte_identical_to_serial() {
-        let cells = grid();
-        let par = run_cells(&cells);
-        let ser = run_cells_serial(&cells);
+        let cells = mixed_cells();
+        let par = run_parallel(&cells);
+        let ser = run_serial(&cells);
         assert_eq!(par.len(), ser.len());
         for (i, (p, s)) in par.iter().zip(&ser).enumerate() {
             assert_eq!(p, s, "cell {i} diverged");
@@ -188,10 +232,10 @@ mod tests {
     /// Forcing any pool width must not change results either.
     #[test]
     fn sweep_is_thread_count_invariant() {
-        let cells: Vec<SimConfig> = grid().into_iter().take(3).collect();
-        let baseline = run_cells(&cells);
+        let cells: Vec<SimConfig> = mixed_cells().into_iter().take(3).collect();
+        let baseline = run_parallel(&cells);
         for width in [1usize, 2, 5] {
-            let pinned = rayon::with_num_threads(width, || run_cells(&cells));
+            let pinned = rayon::with_num_threads(width, || run_parallel(&cells));
             assert_eq!(baseline, pinned, "width {width} diverged");
         }
     }
@@ -200,14 +244,47 @@ mod tests {
     /// trees and degrees back to back) is `d3t_sim::run` per cell.
     #[test]
     fn serial_sweep_matches_independent_runs() {
-        let cells = grid();
+        let cells = mixed_cells();
         let mut sweep = SerialSweep::new();
         let swept: Vec<RunReport> = cells.iter().map(|cfg| sweep.run(cfg)).collect();
-        assert_eq!(swept, run_cells_serial(&cells));
+        assert_eq!(swept, run_serial(&cells));
         let c = sweep.counters();
         assert_eq!((c.cells(), c.reused), (cells.len(), 0), "{c}");
         // First cell, and the differently sized flat one.
         assert_eq!(c.full_builds, 2, "{c}");
+    }
+
+    /// A grid is `d3t_sim::run` per cell less the two loss vectors,
+    /// visited series-major by one runner that builds once.
+    #[test]
+    fn grid_runs_every_cell_series_major_through_one_runner() {
+        let (series, xs) = ([0.0, 50.0], [1usize, 2, 4]);
+        let cell = |&t: &f64, &coop_res: &usize| SimConfig {
+            coop_res,
+            ..SimConfig::small_for_tests(8, 4, 200, t)
+        };
+        let mut visited = Vec::new();
+        let g = grid(&series, &xs, |s, x| {
+            visited.push((*s, *x));
+            cell(s, x)
+        });
+        let series_major: Vec<(f64, usize)> =
+            series.iter().flat_map(|&s| xs.iter().map(move |&x| (s, x))).collect();
+        assert_eq!(visited, series_major);
+        assert_eq!(g.reports.len(), series.len());
+        for (s, row) in series.iter().zip(&g.reports) {
+            assert_eq!(row.len(), xs.len());
+            for (x, report) in xs.iter().zip(row) {
+                let mut full = d3t_sim::run(&cell(s, x));
+                assert!(!full.fidelity.pair_losses.is_empty());
+                full.fidelity.pair_losses.clear();
+                full.fidelity.per_repo_loss_pct.clear();
+                assert_eq!(*report, full, "T={s} degree={x}");
+            }
+        }
+        let c = g.counters;
+        assert_eq!(c.cells(), series.len() * xs.len(), "{c}");
+        assert_eq!(c.full_builds, 1, "{c}");
     }
 
     /// The cells fig3 / fig7a / fig9 / fig10 issue, in their loops' order.

@@ -10,32 +10,19 @@
 //! branch from the warm state; each branch's run-to-end is
 //! bit-identical to its cold twin (the `equal=` field on every
 //! `WHATIF` line is an always-on CI gate, compared via the shared
-//! FNV-1a report digest), so the speedup is pure amortization, never
-//! approximation.
+//! FNV-1a report digest), so what branching saves is pure
+//! amortization, never approximation.
 //!
 //! The trail `repro whatif` prints, greppable by `ci.sh`:
 //!
 //! ```text
-//! WHATIF branch=failure-burst-1 loss_pct=… cold_wall_us=… warm_wall_us=… report_hash=0x… equal=true
-//! SNAPSHOT bytes=… capture_us=… restore_us=… pending_events=… digest=0x…
-//! AMORTIZATION branches=… prefix_wall_us=… cold_total_us=… warm_total_us=… speedup=…
+//! WHATIF branch=failure-burst-1 loss_pct=… report_hash=0x… equal=true
+//! SNAPSHOT bytes=… pending_events=… digest=0x…
 //! ```
 //!
-//! The amortization figure of merit divides the summed **per-cell**
-//! walls, so it is invariant to how the sweep runner schedules cells
-//! across cores:
-//!
-//! ```text
-//!   speedup = Σ cold_wall / (prefix_wall + capture + Σ warm_wall)
-//! ```
-//!
-//! With the fork at half the horizon and branch suffixes roughly as
-//! expensive as the cold second half, N branches approach
-//! `N / (0.5 + N·0.5)` → 2× as N grows. The walls here are a reader's
-//! illustration at whatever scale was asked for; the tracked numbers are
-//! `d3t-bench`'s `wall_s` and `snapshot.*` extras on `whatif-600r`.
-
-use std::time::Instant;
+//! What the fan-out saves is measured by `d3t-bench` on `whatif-600r`
+//! (`wall_s`, `snapshot.amortization_x`, `snapshot.capture_s`,
+//! `snapshot.restore_s`), not here.
 
 use d3t_core::coherency::Coherency;
 use d3t_core::digest::debug_hash;
@@ -66,20 +53,15 @@ struct Branch {
     action: Action,
 }
 
-/// One branch's outcome: both drives of the same scenario, their walls
-/// and their report digests.
+/// One branch's outcome: the report digests of both drives of the same
+/// scenario — cold (fresh session, full prefix, then the scenario) and
+/// warm (restore from the shared snapshot, then the scenario).
 #[derive(Debug, Clone)]
 pub struct WhatIfCell {
     /// Scenario label (template name + branch index).
     pub name: String,
     /// Overall loss of fidelity the branch ends with (%).
     pub loss_pct: f64,
-    /// Wall time of the cold drive: fresh session, full prefix, then
-    /// the scenario (µs).
-    pub cold_wall_us: u64,
-    /// Wall time of the warm drive: restore from the shared snapshot,
-    /// then the scenario (µs) — restore cost included.
-    pub warm_wall_us: u64,
     /// FNV-1a digest of the cold drive's `(fidelity, metrics)` report.
     pub cold_hash: u64,
     /// FNV-1a digest of the warm drive's report.
@@ -95,30 +77,19 @@ impl WhatIfCell {
     /// The greppable `WHATIF` line.
     pub fn machine_line(&self) -> String {
         format!(
-            "WHATIF branch={} loss_pct={:.4} cold_wall_us={} warm_wall_us={} \
-             report_hash={:#018x} equal={}",
+            "WHATIF branch={} loss_pct={:.4} report_hash={:#018x} equal={}",
             self.name,
             self.loss_pct,
-            self.cold_wall_us,
-            self.warm_wall_us,
             self.warm_hash,
             self.equal(),
         )
     }
 }
 
-/// The full fan-out: shared-prefix/snapshot telemetry plus every
-/// branch cell.
+/// The full fan-out: the shared snapshot plus every branch cell.
 #[derive(Debug, Clone)]
 pub struct WhatIfReport {
-    /// Wall time of the one shared prefix drive (µs).
-    pub prefix_wall_us: u64,
-    /// Wall time of the snapshot capture (µs).
-    pub capture_us: u64,
-    /// Wall time of one restore (µs; also paid inside every warm cell).
-    pub restore_us: u64,
-    /// Captured snapshot size (bytes, from the session's
-    /// `PhaseStats::snapshot` telemetry).
+    /// Captured snapshot size (bytes).
     pub snapshot_bytes: u64,
     /// Arrivals in flight in the snapshot at the fork.
     pub pending_events: usize,
@@ -130,31 +101,11 @@ pub struct WhatIfReport {
 }
 
 impl WhatIfReport {
-    /// The greppable `SNAPSHOT` telemetry line.
+    /// The greppable `SNAPSHOT` line.
     pub fn snapshot_line(&self) -> String {
         format!(
-            "SNAPSHOT bytes={} capture_us={} restore_us={} pending_events={} digest={:#018x}",
-            self.snapshot_bytes,
-            self.capture_us,
-            self.restore_us,
-            self.pending_events,
-            self.state_digest,
-        )
-    }
-
-    /// The closing `AMORTIZATION` line: what N independent cold runs
-    /// cost over what the shared prefix, one capture and N warm resumes
-    /// cost (the module doc's figure of merit).
-    pub fn amortization_line(&self) -> String {
-        let cold: u64 = self.cells.iter().map(|c| c.cold_wall_us).sum();
-        let warm: u64 = self.cells.iter().map(|c| c.warm_wall_us).sum();
-        let shared = self.prefix_wall_us + self.capture_us + warm;
-        format!(
-            "AMORTIZATION branches={} prefix_wall_us={} cold_total_us={cold} \
-             warm_total_us={warm} speedup={:.2}",
-            self.cells.len(),
-            self.prefix_wall_us,
-            cold as f64 / shared.max(1) as f64,
+            "SNAPSHOT bytes={} pending_events={} digest={:#018x}",
+            self.snapshot_bytes, self.pending_events, self.state_digest,
         )
     }
 }
@@ -281,75 +232,39 @@ fn apply<Q: EventQueue<EventKind>, O: Observer>(session: &mut Session<Q, O>, act
     }
 }
 
-/// Runs `f` twice and returns its first result with the *minimum* of
-/// the two wall times (µs). Every drive here is deterministic, so the
-/// second run is a pure re-measurement: the min strips one-off
-/// first-touch and scheduler spikes that would otherwise dominate a
-/// single sample on a busy CI core, symmetrically for cold and warm.
-fn min_of_two<T>(mut f: impl FnMut() -> T) -> (T, u64) {
-    let t = Instant::now();
-    let out = f();
-    let first = t.elapsed().as_micros().max(1) as u64;
-    let t = Instant::now();
-    drop(f());
-    let second = t.elapsed().as_micros().max(1) as u64;
-    (out, first.min(second))
-}
-
 /// Runs the what-if fan-out: one shared prefix to `end_us / 2`, one
 /// snapshot, then `n_branches` scenario branches — each driven both
 /// cold (fresh session, full prefix) and warm (resume from the shared
-/// snapshot) over the parallel sweep runner, digests compared. All
-/// wall times are min-of-two samples ([`min_of_two`]).
+/// snapshot) over the parallel sweep runner, digests compared.
 pub fn whatif_report(scale: &Scale, n_branches: usize) -> WhatIfReport {
     let prepared = scale.prepared();
     let fork_us = prepared.end_us / 2;
 
-    let (mut prefix, prefix_wall_us) = min_of_two(|| {
-        let mut s = prepared.session();
-        s.run_until(fork_us);
-        s
-    });
-
-    let ((), capture_us) = min_of_two(|| {
-        prefix.snapshot();
-    });
+    let mut prefix = prepared.session();
+    prefix.run_until(fork_us);
     let snap = prefix.snapshot();
-    let snapshot_bytes = prefix.phase_stats().snapshot.bytes;
-
-    let (restored, restore_us) = min_of_two(|| prepared.resume(&snap));
-    let state_digest = restored.state_digest();
-    drop(restored);
+    let state_digest = prepared.resume(&snap).state_digest();
 
     let cells = sweep::par_map(branches(&prepared, fork_us, n_branches), |b| {
-        let (cold_out, cold_wall_us) = min_of_two(|| {
-            let mut cold = prepared.session();
-            cold.run_until(fork_us);
-            apply(&mut cold, &b.action);
-            cold.run_to_end()
-        });
+        let mut cold = prepared.session();
+        cold.run_until(fork_us);
+        apply(&mut cold, &b.action);
+        let cold_out = cold.run_to_end();
 
-        let (warm_out, warm_wall_us) = min_of_two(|| {
-            let mut warm = prepared.resume_with::<CalendarQueue<EventKind>, _>(&snap, NoopObserver);
-            apply(&mut warm, &b.action);
-            warm.run_to_end()
-        });
+        let mut warm = prepared.resume_with::<CalendarQueue<EventKind>, _>(&snap, NoopObserver);
+        apply(&mut warm, &b.action);
+        let warm_out = warm.run_to_end();
 
         WhatIfCell {
             name: b.name,
             loss_pct: warm_out.0.loss_pct,
-            cold_wall_us,
-            warm_wall_us,
             cold_hash: debug_hash(&cold_out),
             warm_hash: debug_hash(&warm_out),
         }
     });
 
     WhatIfReport {
-        prefix_wall_us,
-        capture_us,
-        restore_us,
-        snapshot_bytes,
+        snapshot_bytes: snap.size_bytes() as u64,
         pending_events: snap.pending_events(),
         state_digest,
         cells,
@@ -394,7 +309,6 @@ mod tests {
         let rep = report();
         assert!(rep.snapshot_bytes > 0);
         assert!(rep.state_digest != 0);
-        assert!(rep.capture_us >= 1 && rep.restore_us >= 1);
         let line = rep.snapshot_line();
         assert!(line.starts_with("SNAPSHOT bytes=") && line.contains("digest=0x"));
         for c in &rep.cells {

@@ -70,7 +70,7 @@
 //!   crate/file-scoped exemptions. One entry per line:
 //!
 //!   ```text
-//!   D002 examples/whatif.rs -- demo prints prefix/capture/branch wall times
+//!   D001 crates/net/src/topology.rs -- HashSet used for contains/insert dedup only
 //!   ```
 //!
 //!   A trailing `/` makes the path a directory prefix. Entries that stop

@@ -64,7 +64,8 @@
 //! tolerance renegotiation (the disseminator patches its compiled CSR
 //! forwarding table in place), and item hot-swaps. Violation accounting
 //! is re-evaluated at exactly the mutation instant. See the `dynamics`
-//! experiment and `examples/failover.rs` for the end-to-end picture.
+//! and `resilience` experiments (`repro dynamics`, `repro resilience`)
+//! for the end-to-end picture.
 //!
 //! # Failure model
 //!

@@ -274,6 +274,19 @@ impl WindowedFidelity {
     pub fn series(&self) -> Vec<(f64, f64)> {
         self.windows.iter().map(|w| (w.start_us as f64 / 1e6, w.loss_pct(self.n_pairs))).collect()
     }
+
+    /// Loss of fidelity in percent over the windows starting in
+    /// `[lo_us, hi_us)`, merged into one window — each weighted by the
+    /// span it covers (0 when they cover none).
+    pub fn loss_pct_between(&self, lo_us: u64, hi_us: u64) -> f64 {
+        let (viol, covered) = self
+            .windows
+            .iter()
+            .filter(|w| (lo_us..hi_us).contains(&w.start_us))
+            .fold((0, 0), |(v, c), w| (v + w.violation_pair_us, c + w.covered_us));
+        WindowPoint { start_us: lo_us, covered_us: covered, violation_pair_us: viol }
+            .loss_pct(self.n_pairs)
+    }
 }
 
 impl Observer for WindowedFidelity {
@@ -451,6 +464,28 @@ mod tests {
         assert_eq!(last.covered_us, 50_000);
         assert_eq!(last.violation_pair_us, 30_000);
         assert!((last.loss_pct(1) - 60.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn loss_between_merges_the_windows_starting_in_range() {
+        // Windows of 100 ms over 2 pairs: one pair violating 50..250 ms,
+        // and a partial last window (300..350 ms) fully violating.
+        let mut w = WindowedFidelity::new(100_000, 2);
+        w.on_violation_open(50_000, 0, ItemId(0));
+        w.on_violation_close(250_000, 0, ItemId(0));
+        w.on_violation_open(300_000, 1, ItemId(0));
+        w.on_end(350_000);
+        // Window 0: 50k of 200k pair-µs; window 1: 100k of 200k.
+        assert!((w.loss_pct_between(0, 100_000) - 25.0).abs() < 1e-9);
+        assert!((w.loss_pct_between(0, 200_000) - 37.5).abs() < 1e-9);
+        // A window counts by its start: [150 ms, 300 ms) holds window 2
+        // (50k of 200k) only.
+        assert!((w.loss_pct_between(150_000, 300_000) - 25.0).abs() < 1e-9);
+        // The partial window weighs by the 50 ms it covers: windows 2 + 3
+        // hold 50k + 50k violating pair-µs over (100k + 50k) × 2 pairs.
+        assert!((w.loss_pct_between(200_000, u64::MAX) - 100.0 / 3.0).abs() < 1e-9);
+        assert_eq!(w.loss_pct_between(400_000, 500_000), 0.0, "no window starts there");
+        assert_eq!(WindowedFidelity::new(100_000, 0).loss_pct_between(0, u64::MAX), 0.0);
     }
 
     #[test]

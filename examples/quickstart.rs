@@ -9,8 +9,9 @@
 //! degree of cooperation, runs the distributed dissemination protocol, and
 //! prints fidelity and overhead numbers — then replays the same inputs
 //! through the steppable [`Session`](d3t::sim::Session) API to show the
-//! two surfaces are bit-identical. See `examples/failover.rs` for
-//! mid-run dynamics (`Session::inject`).
+//! two surfaces are bit-identical. For mid-run dynamics
+//! (`Session::inject`) and fault plans see `repro dynamics` and
+//! `repro resilience` (`crates/experiments/src/{dynamics,resilience}.rs`).
 
 use d3t::sim::{run, Prepared, SimConfig};
 
