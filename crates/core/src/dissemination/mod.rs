@@ -55,10 +55,9 @@
 //!   not, no early exit) — so Figure 11's check counts compare protocols
 //!   apples-to-apples. The invariant is pinned by
 //!   `checks_count_one_evaluation_per_candidate` below.
-//! * A row that fosters re-parented children (`RepairPolicy::Reparent`
-//!   in `d3t-sim`) follows its CSR scan with one scattered edge check
-//!   per adoptee, found through the row record it has already loaded —
-//!   see the `adoption` module; every other row is unaffected.
+//! * A child re-parented by `RepairPolicy::Reparent` (in `d3t-sim`)
+//!   moves into its foster's CSR row: repair pays O(item holders + live
+//!   adoptions) per operation, decisions pay nothing (`adoption` module).
 //! * The row table is tens of MB at scale, so an event loop that knows
 //!   its next few deliveries hints them with
 //!   [`Disseminator::prefetch_row`] a short distance ahead (see
@@ -153,8 +152,7 @@ pub struct Disseminator {
     /// Per-row hot metadata, one 32-byte record per
     /// `item * n_nodes + node` row — everything an arrival needs to know
     /// about its row in **one cache line touch** (CSR bounds, own
-    /// effective coherency, the edge slot in the parent's row, the
-    /// row's adoptee list).
+    /// effective coherency, the edge slot in the parent's row).
     rows: Vec<RowMeta>,
     /// CSR forwarding table compiled from the d3g at construction:
     /// `child_edges[start..start + len]` (bounds from [`RowMeta`]) are
@@ -171,19 +169,14 @@ pub struct Disseminator {
     parent: Vec<u32>,
     /// Fail-stop state per node: an inactive repository neither records
     /// nor forwards updates (see [`Disseminator::set_node_active`]).
-    /// Fixed length, hence a boxed slice: with the registry's index
-    /// pointer the header stays the size it was, so a fault-free
-    /// `state_bytes` reads what it always did.
+    /// Fixed length, hence a boxed slice.
     active: Box<[bool]>,
     /// Live re-parenting registry (see [`Disseminator::reparent`]):
-    /// children currently served by a foster parent because their
-    /// original parent crashed. A decision reaches its row's adoptees
-    /// through [`RowMeta::adoptees`], which it has already loaded: a
-    /// row fostering nobody — every row of a fault-free run — pays one
-    /// predictable branch on that field, and a row with `k` adoptees
-    /// pays `k` scattered edge checks on top of its CSR scan, whatever
-    /// the number of adoptions elsewhere in the overlay.
-    adoptions: adoption::Registry,
+    /// children served by a foster parent because their original parent
+    /// crashed. Each adoptee's edge sits in its foster's CSR row: repair
+    /// pays O(item holders + live adoptions) per operation, decisions
+    /// pay nothing.
+    adoptions: Vec<adoption::Adoption>,
 }
 
 /// Hot per-row record: the node's current copy of the row's item, CSR
@@ -213,10 +206,10 @@ struct RowMeta {
     /// per-edge mirror write and the renegotiation patch O(1) instead
     /// of a parent-row scan.
     parent_edge: u32,
-    /// The row's adoptee list in the adoption registry's index
-    /// ([`NO_ADOPTEES`] while the row fosters nobody — always, in a
-    /// fault-free run). Derived from the registry, so not digested.
-    adoptees: u32,
+    /// The `parent_edge` compilation gave the node: its place among its
+    /// original parent's children when a repair rebuilds the item's
+    /// span. Fixed at construction, so not digested.
+    home: u32,
 }
 
 const _: () = assert!(std::mem::size_of::<RowMeta>() == 32);
@@ -225,8 +218,6 @@ const _: () = assert!(std::mem::size_of::<RowMeta>() == 32);
 const NO_PARENT: u32 = u32::MAX;
 /// `parent_edge` sentinel: the row's node sits in no parent's CSR row.
 const NO_EDGE: u32 = u32::MAX;
-/// `adoptees` sentinel: the row fosters no re-parented child.
-const NO_ADOPTEES: u32 = u32::MAX;
 
 impl Disseminator {
     /// Initializes protocol state for `d3g`, with every node assumed
@@ -266,12 +257,13 @@ impl Disseminator {
                     start,
                     len: child_edges.len() as u32 - start,
                     parent_edge: NO_EDGE,
-                    adoptees: NO_ADOPTEES,
+                    home: NO_EDGE,
                 });
             }
         }
         for (row, pe) in rows.iter_mut().zip(parent_edge) {
             row.parent_edge = pe;
+            row.home = pe;
         }
         let source_lists = if protocol == Protocol::Centralized {
             (0..n_items)
@@ -300,7 +292,7 @@ impl Disseminator {
             child_edges,
             parent,
             active: vec![true; n_nodes].into_boxed_slice(),
-            adoptions: adoption::Registry::default(),
+            adoptions: Vec::new(),
         }
     }
 
@@ -424,8 +416,6 @@ impl Disseminator {
                 out.checks = kernel::flood(&self.child_edges[r], &mut out.to);
             }
         }
-        let u = out.update;
-        out.checks += self.adopted_into(SOURCE, u, self.adoptees_of(SOURCE, item), &mut out.to);
     }
 
     /// Handles an update arriving at repository `node`: records the new
@@ -463,7 +453,6 @@ impl Disseminator {
             }
             Protocol::FloodAll => kernel::flood(&self.child_edges[r], &mut out.to),
         };
-        out.checks += self.adopted_into(node, update, meta.adoptees, &mut out.to);
     }
 
     /// Handles a raw source tick through the branchy **scalar oracle**,
@@ -473,7 +462,7 @@ impl Disseminator {
     /// it reads the receiver-indexed array, so the tests also pin the
     /// per-edge `child_last` mirror.
     pub fn on_source_update(&mut self, item: ItemId, value: f64) -> Forwarding {
-        let mut fwd = match self.protocol {
+        match self.protocol {
             Protocol::Centralized => self.centralized_source(item, value),
             Protocol::Naive | Protocol::Distributed => {
                 self.record(item, SOURCE, value);
@@ -483,10 +472,7 @@ impl Disseminator {
                 self.record(item, SOURCE, value);
                 self.flood(SOURCE, Update { item, value, tag: None })
             }
-        };
-        fwd.checks +=
-            self.adopted_into(SOURCE, fwd.update, self.adoptees_of(SOURCE, item), &mut fwd.to);
-        fwd
+        }
     }
 
     /// Scalar-oracle counterpart of [`Disseminator::on_repo_update_into`]
@@ -501,14 +487,11 @@ impl Disseminator {
             return Forwarding { to: Vec::new(), update, checks: 0 };
         }
         self.record(update.item, node, update.value);
-        let mut fwd = match self.protocol {
+        match self.protocol {
             Protocol::Centralized => centralized::forward(self, node, update),
             Protocol::Naive | Protocol::Distributed => self.per_child_filter(node, update),
             Protocol::FloodAll => self.flood(node, update),
-        };
-        fwd.checks +=
-            self.adopted_into(node, fwd.update, self.adoptees_of(node, update.item), &mut fwd.to);
-        fwd
+        }
     }
 
     /// The last value `node` received for `item` (its current copy).
@@ -675,7 +658,8 @@ impl Disseminator {
     /// coherency.
     ///
     /// The effective coherency is re-derived as `user_c` tightened by
-    /// every dependent the node keeps relaying for, then the sender-side
+    /// every dependent in the node's CSR row (adoptees included; children
+    /// adopted away re-tighten it when restored), then the sender-side
     /// CSR entry in the parent's row is patched in place (an O(1) write
     /// through `parent_edge`). Tightening propagates **up** the parent
     /// chain so Eq. (1) (`c_parent ≤ c_child` on every edge) keeps
@@ -700,11 +684,19 @@ impl Disseminator {
         for e in self.row_range(node, item) {
             new_eff = new_eff.tighten(Coherency::new(self.child_edges[e].c));
         }
-        self.rows[base + node.index()].eff = new_eff.value();
-        // Walk up: patch this node's entry in its parent's row, and keep
-        // tightening ancestors while the child is now more stringent.
+        self.settle_eff(node, item, new_eff);
+        new_eff
+    }
+
+    /// Installs `c` as `node`'s effective coherency for `item`, then
+    /// walks up: patches the node's entry in its parent's row and keeps
+    /// tightening ancestors while the child is now more stringent
+    /// (Eq. (1); ancestors are never relaxed). Rebuilds the centralized
+    /// source list.
+    fn settle_eff(&mut self, node: NodeIdx, item: ItemId, c: Coherency) {
+        let base = item.index() * self.n_nodes;
+        self.rows[base + node.index()].eff = c.value();
         let mut child = node;
-        let c = new_eff;
         loop {
             let parent = self.parent[base + child.index()];
             if parent == NO_PARENT {
@@ -721,7 +713,6 @@ impl Disseminator {
         if self.protocol == Protocol::Centralized {
             self.rebuild_source_list(item);
         }
-        new_eff
     }
 
     /// The dissemination parent `node` currently receives `item` from
@@ -834,7 +825,7 @@ impl Disseminator {
             + self.child_edges.len() * std::mem::size_of::<EdgeState>()
             + self.parent.len() * std::mem::size_of::<u32>()
             + self.active.len()
-            + self.adoptions.state_bytes()
+            + self.adoptions.len() * std::mem::size_of::<adoption::Adoption>()
             + self
                 .source_lists
                 .iter()
@@ -868,7 +859,10 @@ impl Disseminator {
         for &a in &self.active {
             h.write_u8(u8::from(a));
         }
-        self.adoptions.digest_into(h);
+        h.write_usize(self.adoptions.len());
+        for a in &self.adoptions {
+            a.digest_into(h);
+        }
         for list in &self.source_lists {
             h.write_usize(list.c.len());
             for (&c, &last) in list.c.iter().zip(&list.last) {

@@ -24,22 +24,19 @@
 //! mechanism: dependents of a crashed parent detect the silence after a
 //! detection timeout (a lease on expected traffic), then re-parent onto
 //! the nearest surviving ancestor with capped, per-dependent staggered
-//! backoff — patching the compiled CSR forwarding table in place via the
-//! adoption machinery (`Disseminator::reparent`). Recovery re-attaches
-//! the original edges (`Disseminator::restore_children_of`).
+//! backoff — moving the child's edge into its foster's row of the
+//! compiled CSR forwarding table (`Disseminator::reparent`). Recovery
+//! re-attaches the original edges (`Disseminator::restore_children_of`).
 //!
 //! # Cost
 //!
 //! Without a plan the drive pays one predictable branch per pop and per
-//! send. With one it pays for what fires: each control once; one RNG
-//! draw per send while a loss or degradation window is open; and, once
-//! children are re-parented, one scattered edge check per adoptee *of
-//! the row making the decision* — rows that foster nobody stay on the
-//! fault-free path, whatever the number of live adoptions. Re-parenting,
-//! restoring and enumerating a crashed node's dependents each cost the
-//! entries they touch (the registry is indexed by child, by foster row
-//! and by original parent), so a burst is linear in its orphans, not
-//! quadratic.
+//! send. With one it pays for what fires: each control once, and one RNG
+//! draw per send while a loss or degradation window is open. A
+//! re-parented child's edge sits in its foster's CSR row, so repair
+//! pays O(item holders + live adoptions) per operation (re-parenting,
+//! restoring, enumerating a crashed node's dependents) and decisions
+//! pay nothing: a repaired overlay forwards on the fault-free path.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -96,10 +96,11 @@
 //! [`RepairPolicy::Reparent`], the dependents of a crashed parent detect
 //! the silence after a detection timeout (a lease on expected traffic)
 //! and re-home onto the nearest surviving ancestor with capped,
-//! per-dependent staggered backoff — patching the compiled CSR
-//! forwarding table in place through the disseminator's adoption
-//! machinery, preserving the serial-send arithmetic of Eq. (1). Recovery
-//! re-attaches the original edges. Under [`RepairPolicy::None`] the
+//! per-dependent staggered backoff — moving the child's edge into its
+//! foster's row of the compiled CSR forwarding table and tightening the
+//! foster chain to keep Eq. (1). Repair pays O(item holders + live
+//! adoptions) per operation; decisions pay nothing. Recovery re-attaches
+//! the original edges. Under [`RepairPolicy::None`] the
 //! orphaned subtrees simply starve — the passive fail-stop baseline.
 //! [`Metrics`] counts `lost`, `retransmits`, and `reparented`; the
 //! [`FaultMonitor`] observer tracks per-incident MTTR and

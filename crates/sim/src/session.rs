@@ -182,12 +182,11 @@ pub struct Session<Q: EventQueue<EventKind> = CalendarQueue<EventKind>, O: Obser
     /// repair heap, and the live loss/degradation state the send paths
     /// consult. Inert — one predictable branch per pop and per send —
     /// unless a plan was installed. An installed plan costs its
-    /// controls, one RNG draw per send inside a loss or degradation
-    /// window, and, under `RepairPolicy::Reparent`, one scattered edge
-    /// check per adoptee of the deciding row (not per live adoption:
-    /// see `d3t_core::dissemination`'s adoption registry) — what a
-    /// faulted drive, repaired crash burst included, costs over the
-    /// fault-free one is `d3t-bench`'s `fault.overhead_x` on `whatif-600r`.
+    /// controls and one RNG draw per send inside a loss or degradation
+    /// window; under `RepairPolicy::Reparent`, repair pays O(item
+    /// holders + live adoptions) per operation, decisions pay nothing.
+    /// What a faulted drive, repaired crash burst included, costs over
+    /// the fault-free one is `d3t-bench`'s `fault.overhead_x` on `whatif-600r`.
     faults: FaultState,
 }
 

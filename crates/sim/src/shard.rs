@@ -845,9 +845,9 @@ pub(crate) fn snapshot_sharded(prepared: &Prepared, t_us: u64) -> Option<Snapsho
 /// * **disseminator** — shard 0's replica (authoritative for the
 ///   source row and `source_lists`), every other node's received value
 ///   and parent-edge mirror adopted from its owner — the shard that
-///   processed its real deliveries (stale adopted-away edges agree
-///   everywhere: the last write any replica saw for them is the last
-///   pre-crash delivery);
+///   processed its real deliveries (every replica replays the same
+///   repairs, so a re-parented child's edge sits in the same slot of
+///   its foster's row everywhere);
 /// * **fidelity** — a fresh full-workload tracker (correct
 ///   measured-pair census where every shard's is partial), source
 ///   column from shard 0, each repository column from its owner;
