@@ -10,6 +10,9 @@ cargo fmt --all --check
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== API docs (rustdoc lints deny via the workspace's warnings = deny) =="
+cargo doc --workspace --no-deps
+
 echo "== d3t-lint (determinism & safety rule pack) =="
 # The workspace self-lint must be clean: every suppression is either an
 # inline `// d3t-lint: allow(CODE) -- reason` pragma or a reasoned entry

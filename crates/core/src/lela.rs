@@ -22,6 +22,10 @@
 //! matters once the degree of cooperation is controlled — which this
 //! implementation reproduces.
 //!
+//! The communication delays are a [`DelayMatrix`]: the shortest-path
+//! delays among the overlay nodes, index 0 the source. LeLA reads it in
+//! ms; the engine reads its one-time rounding into µs, [`DelayMicros`].
+//!
 //! # The scoring kernel
 //!
 //! Scoring is candidates × items per join — the quadratic half of the
@@ -116,24 +120,9 @@ impl LelaConfig {
     }
 }
 
-/// Provider of overlay communication delays, implemented by the simulator
-/// over the physical network and by [`DelayMatrix`] for standalone use.
-pub trait OverlayDelays {
-    /// Expected one-way communication delay between two overlay nodes, ms.
-    fn delay_ms(&self, a: NodeIdx, b: NodeIdx) -> f64;
-
-    /// Mean pairwise delay among all overlay nodes — feeds Eq. (2).
-    fn mean_delay_ms(&self) -> f64;
-
-    /// The delays out of `a`, indexed by destination, when the provider
-    /// holds them as one contiguous row — lets a consumer of whole rows
-    /// skip the per-pair call. `None` (the default) when it does not.
-    fn row_ms(&self, _a: NodeIdx) -> Option<&[f64]> {
-        None
-    }
-}
-
-/// A dense symmetric delay matrix over overlay nodes.
+/// A dense symmetric matrix of one-way communication delays (ms) over
+/// the overlay nodes: overlay index 0 is the source, `i + 1` the `i`-th
+/// repository.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DelayMatrix {
     n: usize,
@@ -222,12 +211,60 @@ impl DelayMatrix {
     pub fn is_empty(&self) -> bool {
         self.n == 0
     }
+
+    /// Expected one-way communication delay between two overlay nodes, ms.
+    pub fn delay_ms(&self, a: NodeIdx, b: NodeIdx) -> f64 {
+        self.delays[a.index() * self.n + b.index()]
+    }
+
+    /// The delays out of `a`, ms, indexed by destination.
+    pub fn row_ms(&self, a: NodeIdx) -> &[f64] {
+        &self.delays[a.index() * self.n..][..self.n]
+    }
+
+    /// Mean delay over the unordered pairs `i < j` — the paper's "average
+    /// node-node delay", which feeds Eq. (2). `0.0` for fewer than two
+    /// nodes.
+    pub fn mean_delay_ms(&self) -> f64 {
+        if self.n < 2 {
+            return 0.0;
+        }
+        let mut sum = 0.0;
+        for i in 0..self.n {
+            for j in (i + 1)..self.n {
+                sum += self.delays[i * self.n + j];
+            }
+        }
+        sum / (self.n * (self.n - 1) / 2) as f64
+    }
+
+    /// Multiplies every cell by `target_ms / mean_delay_ms()`, so that the
+    /// mean becomes `target_ms` — how the communication-delay sweeps
+    /// (Figures 5, 7b) set their x-axis. Shortest paths are invariant
+    /// under uniform scaling, so no path is recomputed.
+    ///
+    /// # Panics
+    /// Panics if `target_ms` is not positive, if the mean is zero, or if
+    /// the scaled matrix fails [`Self::new`]'s checks.
+    pub fn scale_to_mean_delay(&mut self, target_ms: f64) {
+        assert!(target_ms > 0.0, "target delay must be positive");
+        let current = self.mean_delay_ms();
+        assert!(current > 0.0, "cannot rescale a zero-delay network");
+        let factor = target_ms / current;
+        assert!(factor > 0.0 && factor.is_finite(), "scale factor must be positive");
+        for d in &mut self.delays {
+            *d *= factor;
+        }
+        if !Self::is_valid(self.n, &self.delays) {
+            Self::reject(self.n, &self.delays);
+        }
+    }
 }
 
 /// A flat `n × n` matrix of one-way delays in **integer microseconds** —
 /// the discrete-event engine's scheduling currency.
 ///
-/// Built once per run from any [`OverlayDelays`] provider: each pair's
+/// Built once per run from the [`DelayMatrix`]: each pair's
 /// float delay is rounded to µs exactly once here, so the event loop does
 /// pure integer arithmetic with no per-event `f64 ↔ u64` round-trips (and
 /// is therefore bit-deterministic by construction).
@@ -246,21 +283,12 @@ pub struct DelayMicros {
 
 impl DelayMicros {
     /// Rounds every pair of `delays` into µs. `n` is the overlay size.
-    pub fn from_delays<D: OverlayDelays + ?Sized>(delays: &D, n: usize) -> Self {
+    pub fn from_delays(delays: &DelayMatrix, n: usize) -> Self {
         let mut us = vec![0u32; n * n];
         let mut min_offdiag_us = u32::MAX;
         let min_of = |cells: &[u32]| cells.iter().copied().min().unwrap_or(u32::MAX);
-        let mut gathered = Vec::new();
         for (a, row) in us.chunks_exact_mut(n.max(1)).enumerate() {
-            let from = NodeIdx(a as u32);
-            let ms = match delays.row_ms(from) {
-                Some(ms) => &ms[..n],
-                None => {
-                    gathered.clear();
-                    gathered.extend((0..n).map(|b| delays.delay_ms(from, NodeIdx(b as u32))));
-                    &gathered
-                }
-            };
+            let ms = &delays.row_ms(NodeIdx(a as u32))[..n];
             if !Self::round_row(ms, row) {
                 Self::reject_row(ms, a);
             }
@@ -356,35 +384,12 @@ impl DelayMicros {
     }
 }
 
-impl OverlayDelays for DelayMatrix {
-    fn delay_ms(&self, a: NodeIdx, b: NodeIdx) -> f64 {
-        self.delays[a.index() * self.n + b.index()]
-    }
-
-    fn row_ms(&self, a: NodeIdx) -> Option<&[f64]> {
-        Some(&self.delays[a.index() * self.n..][..self.n])
-    }
-
-    fn mean_delay_ms(&self) -> f64 {
-        if self.n < 2 {
-            return 0.0;
-        }
-        let mut sum = 0.0;
-        for i in 0..self.n {
-            for j in (i + 1)..self.n {
-                sum += self.delays[i * self.n + j];
-            }
-        }
-        sum / (self.n * (self.n - 1) / 2) as f64
-    }
-}
-
 /// Runs LeLA over the whole workload and returns the constructed d3g.
 ///
 /// Every repository in the workload joins (in the configured order); the
 /// result satisfies all [`D3g::validate`] invariants with the configured
 /// dependent cap.
-pub fn build_d3g<D: OverlayDelays>(workload: &Workload, delays: &D, cfg: &LelaConfig) -> D3g {
+pub fn build_d3g(workload: &Workload, delays: &DelayMatrix, cfg: &LelaConfig) -> D3g {
     let mut builder = LelaBuilder::new(workload, delays, cfg);
     for repo in join_order(workload, cfg) {
         builder.join(repo);
@@ -416,9 +421,9 @@ fn join_order(workload: &Workload, cfg: &LelaConfig) -> Vec<usize> {
 
 /// Incremental LeLA state, exposed so examples can narrate insertions one
 /// repository at a time.
-pub struct LelaBuilder<'a, D: OverlayDelays> {
+pub struct LelaBuilder<'a> {
     workload: &'a Workload,
-    delays: &'a D,
+    delays: &'a DelayMatrix,
     cfg: LelaConfig,
     g: D3g,
     /// `levels[l]` = overlay nodes at level `l` (level 0 = the source).
@@ -445,9 +450,9 @@ pub struct LelaBuilder<'a, D: OverlayDelays> {
     scores_checked: usize,
 }
 
-impl<'a, D: OverlayDelays> LelaBuilder<'a, D> {
+impl<'a> LelaBuilder<'a> {
     /// A builder with only the source placed.
-    pub fn new(workload: &'a Workload, delays: &'a D, cfg: &LelaConfig) -> Self {
+    pub fn new(workload: &'a Workload, delays: &'a DelayMatrix, cfg: &LelaConfig) -> Self {
         Self {
             workload,
             delays,
@@ -806,6 +811,19 @@ mod tests {
         assert_eq!(dm.len(), 4);
     }
 
+    #[test]
+    fn scale_to_mean_delay_hits_target() {
+        let before = ragged_delays(&mut StdRng::seed_from_u64(9), 21);
+        let factor = 75.0 / before.mean_delay_ms();
+        let mut dm = before.clone();
+        dm.scale_to_mean_delay(75.0);
+        assert!((dm.mean_delay_ms() - 75.0).abs() < 1e-9);
+        // One `*=` per cell, mirrored cells included.
+        for (scaled, d) in dm.delays.iter().zip(&before.delays) {
+            assert_eq!(scaled.to_bits(), (d * factor).to_bits());
+        }
+    }
+
     /// A random matrix whose mirrored cells differ in their last bits, as
     /// the overlay APSP's do: symmetric to `1e-9`, not bit for bit.
     fn ragged_delays(rng: &mut StdRng, n: usize) -> DelayMatrix {
@@ -954,17 +972,6 @@ mod tests {
         (ms * 1000.0).round() as u64
     }
 
-    /// A provider with no contiguous rows: exercises the gathered path.
-    struct PerPair(DelayMatrix);
-    impl OverlayDelays for PerPair {
-        fn delay_ms(&self, a: NodeIdx, b: NodeIdx) -> f64 {
-            self.0.delay_ms(a, b)
-        }
-        fn mean_delay_ms(&self) -> f64 {
-            self.0.mean_delay_ms()
-        }
-    }
-
     #[test]
     fn delay_micros_cells_match_per_cell_rounding_including_ties() {
         // Delays whose µs value lands exactly on `x.5`, plus random ones.
@@ -990,8 +997,6 @@ mod tests {
         }
         let dm = DelayMatrix::new(n, m);
         let us = DelayMicros::from_delays(&dm, n);
-        assert_eq!(us, DelayMicros::from_delays(&PerPair(dm.clone()), n));
-        assert_eq!(us, DelayMicros::from_delays(&dm as &dyn OverlayDelays, n));
         let mut min = u64::MAX;
         for a in 0..n {
             for b in 0..n {
@@ -1050,9 +1055,13 @@ mod tests {
                 "{too_long}: {got:?}"
             );
         }
+        // Cells `DelayMatrix::new` would refuse, planted past it: every pair
+        // 1 ms apart except `1 -> 2`.
         for (bad, in_msg) in [(f64::NAN, "NaN"), (-1.0, "-1"), (f64::INFINITY, "inf")] {
+            let mut delays = vec![1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0];
+            (delays[0], delays[5]) = (0.0, bad);
             let got = panic_message(move || {
-                DelayMicros::from_delays(&PerPair2(bad), 3);
+                DelayMicros::from_delays(&DelayMatrix { n: 3, delays }, 3);
             });
             assert!(
                 got.as_deref().is_some_and(|m| {
@@ -1060,21 +1069,6 @@ mod tests {
                 }),
                 "{bad}: {got:?}"
             );
-        }
-    }
-
-    /// Every pair 1 ms apart except `1 -> 2`, which is the given value.
-    struct PerPair2(f64);
-    impl OverlayDelays for PerPair2 {
-        fn delay_ms(&self, a: NodeIdx, b: NodeIdx) -> f64 {
-            if (a.0, b.0) == (1, 2) {
-                self.0
-            } else {
-                f64::from(u8::from(a != b))
-            }
-        }
-        fn mean_delay_ms(&self) -> f64 {
-            1.0
         }
     }
 }

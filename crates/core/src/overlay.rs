@@ -3,7 +3,7 @@
 //! The dissemination layer never deals with routers: its world is the
 //! *overlay* of `1 + R` nodes — the source plus `R` repositories. Overlay
 //! indices are dense: `0` is always the source, `1..=R` are repositories.
-//! The mapping to physical [`d3t_net::NodeId`]s is owned by whoever builds
+//! The mapping to physical `d3t_net::NodeId`s is owned by whoever builds
 //! the delay matrix (see `d3t-sim`).
 
 use serde::{Deserialize, Serialize};

@@ -250,6 +250,10 @@ fn main() {
                  with experiment ids",
             );
         }
+        // A one-tick trace spans no time, so no fault window fits in it.
+        if (run_resilience || run_whatif) && scale.n_ticks < 2 {
+            usage("`resilience`/`whatif` inject faults over time and need `--ticks` of at least 2");
+        }
         if run_filter {
             filter_smoke(&scale);
         }

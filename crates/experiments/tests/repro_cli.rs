@@ -79,6 +79,9 @@ fn usage_errors_exit_2_with_one_line_and_no_panic() {
         &["fig11", "--tiny", "--repos", "0"],
         &["fig11", "--tiny", "--items", "0"],
         &["fig11", "--tiny", "--ticks", "0"],
+        // A one-tick trace has no room for a fault window.
+        &["whatif", "--tiny", "--ticks", "1"],
+        &["resilience", "--tiny", "--ticks", "1"],
         // Cell commands do not combine with experiment ids.
         &["filter", "fig4"],
         // One preset at most.

@@ -13,8 +13,8 @@
 //! fixed-size tasks. Nothing `V`-wide outlives a source and no source
 //! allocates:
 //!
-//! * a task owns one workspace — the `V`-wide `(delay, hops)` label
-//!   arrays and the queue — refilled per source, and itself copies the
+//! * a task owns one workspace — the `V`-wide delay labels and the
+//!   queue — refilled per source, and itself copies the
 //!   `m` overlay columns of each finished search into that source's row
 //!   of the result, so memory is `O(m² + threads · V)`;
 //! * pendant trees that hold no overlay node are stripped first
@@ -26,20 +26,17 @@
 //!   a binary heap's `O(m · E log V)`.
 //!
 //! Results are bit-identical regardless of thread count (each source is
-//! solved independently and written to its own row) and to the
-//! binary-heap Dijkstra this engine replaced, which the tests keep as
-//! the reference. A node's label is the lexicographic minimum of
-//! (left-to-right `f64` sum of link delays, hop count) over its
-//! neighbors' final labels; the queue only decides in which order labels
+//! solved independently and written to its own row) and to a binary-heap
+//! [`dijkstra`], which the tests keep as the reference. A node's label is
+//! the minimum, over its neighbors' final labels, of the left-to-right
+//! `f64` sum of link delays; the queue only decides in which order labels
 //! are tried. With buckets as wide as the smallest link — every paper
 //! configuration — no relaxation lands in the bucket being drained (bar
 //! a last-place rounding at its upper edge), so nodes are relaxed from
 //! final labels only, exactly as under the heap. Otherwise (link delays
 //! spanning more than `MAX_BUCKET_SPAN`) a node can also be relaxed
 //! from a label its neighbor later improves, and the drain relaxes it
-//! again; the outcome can differ from the heap's only where two
-//! different path sums round to the same `f64` after one more link, and
-//! then only in the hop count.
+//! again from the improved one, so the minimum is the same.
 //!
 //! Two cheaper-looking routes would change bits and are not taken.
 //! `D[i][j]` and `D[j][i]` add the same links in opposite orders and
@@ -49,13 +46,7 @@
 //!
 //! [`Apsp::floyd_warshall`] is kept as the independent oracle the property
 //! tests compare against (and it remains the reference implementation of
-//! the paper's routing construction).
-//!
-//! Tie-breaking: among equal-delay paths, [`OverlayApsp`] prefers fewer
-//! hops (lexicographic `(delay, hops)` labels). Floyd–Warshall keeps the
-//! first strictly-shorter path it encounters, so on graphs with exact
-//! equal-delay alternatives its hop counts can exceed the overlay engine's;
-//! with continuously distributed link delays the two agree.
+//! the paper's routing construction, hop counts included).
 
 use rayon::prelude::*;
 
@@ -172,8 +163,8 @@ impl Apsp {
     }
 }
 
-/// Shortest paths *among a set of overlay nodes*: the `m × m` delay and
-/// hop matrices the dissemination layer actually queries, computed without
+/// Shortest paths *among a set of overlay nodes*: the `m × m` delay
+/// matrix the dissemination layer actually queries, computed without
 /// touching the other `V − m` rows of the full APSP problem.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverlayApsp {
@@ -181,55 +172,40 @@ pub struct OverlayApsp {
     nodes: Vec<NodeId>,
     /// Row-major `m × m` delay matrix (ms); `f64::INFINITY` if unreachable.
     delay: Vec<f64>,
-    /// Row-major `m × m` hop matrix; `u32::MAX` if unreachable.
-    hops: Vec<u32>,
 }
 
 impl OverlayApsp {
-    /// Runs one `(delay, hops)`-lexicographic shortest-path search per
-    /// overlay node over a CSR view of `topo`, in parallel, keeping only
-    /// the overlay columns of each row.
+    /// Runs one shortest-delay search per overlay node over a CSR view of
+    /// `topo`, in parallel, keeping only the overlay columns of each row.
     ///
     /// # Panics
     /// Panics if `overlay` contains an out-of-range node id.
     pub fn compute(topo: &Topology, overlay: &[NodeId]) -> Self {
-        Self::compute_csr(&topo.csr(), overlay)
-    }
-
-    /// As [`Self::compute`], over a prebuilt CSR (callers that already
-    /// hold one avoid rebuilding it per overlay set).
-    pub fn compute_csr(csr: &Csr, overlay: &[NodeId]) -> Self {
-        let n = csr.n_nodes();
+        let n = topo.n_nodes();
         for &node in overlay {
             assert!(node < n, "overlay node {node} out of range");
         }
         let m = overlay.len();
-        let graph = csr.strip_pendant_trees(overlay);
+        let graph = topo.csr().strip_pendant_trees(overlay);
         let queue = BucketLayout::of(&graph);
         // Zero pages, first touched by the worker that fills them: the
         // gather below overwrites every cell.
         let mut delay = vec![0.0; m * m];
-        let mut hops = vec![0u32; m * m];
         // One independent single-source problem per overlay node, each
         // written to its own row: any pool width gives the serial result.
         let row_block = (SOURCES_PER_TASK * m).max(1);
-        let tasks: Vec<_> = overlay
-            .chunks(SOURCES_PER_TASK)
-            .zip(delay.chunks_mut(row_block))
-            .zip(hops.chunks_mut(row_block))
-            .collect();
-        tasks.into_par_iter().for_each(|((sources, delay_rows), hop_rows)| {
+        let tasks: Vec<_> =
+            overlay.chunks(SOURCES_PER_TASK).zip(delay.chunks_mut(row_block)).collect();
+        tasks.into_par_iter().for_each(|(sources, delay_rows)| {
             let mut search = Search::new(n, queue);
-            let rows = delay_rows.chunks_mut(m).zip(hop_rows.chunks_mut(m));
-            for (&src, (delay_row, hop_row)) in sources.iter().zip(rows) {
+            for (&src, delay_row) in sources.iter().zip(delay_rows.chunks_mut(m)) {
                 search.run(&graph, src);
-                for ((d, h), &dst) in delay_row.iter_mut().zip(hop_row).zip(overlay) {
+                for (d, &dst) in delay_row.iter_mut().zip(overlay) {
                     *d = search.dist[dst];
-                    *h = search.hops[dst];
                 }
             }
         });
-        Self { nodes: overlay.to_vec(), delay, hops }
+        Self { nodes: overlay.to_vec(), delay }
     }
 
     /// Number of overlay nodes covered.
@@ -252,14 +228,10 @@ impl OverlayApsp {
         self.delay[i * self.nodes.len() + j]
     }
 
-    /// Hop count between the `i`-th and `j`-th overlay nodes.
-    pub fn hops_at(&self, i: usize, j: usize) -> u32 {
-        self.hops[i * self.nodes.len() + j]
-    }
-
-    /// Consumes the result into `(nodes, delay, hops)` flat matrices.
-    pub fn into_parts(self) -> (Vec<NodeId>, Vec<f64>, Vec<u32>) {
-        (self.nodes, self.delay, self.hops)
+    /// Consumes the result into its row-major `m × m` delay matrix, rows
+    /// and columns in [`Self::nodes`] order.
+    pub fn into_delays(self) -> Vec<f64> {
+        self.delay
     }
 }
 
@@ -298,19 +270,17 @@ impl BucketLayout {
     }
 }
 
-/// A queued label: `node` reached at `(dist, hops)`.
+/// A queued label: `node` reached at `dist`.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     dist: f64,
-    hops: u32,
     node: u32,
 }
 
 /// The per-task workspace of the single-source search: the `V`-wide label
-/// arrays and a monotone bucket queue keyed on `floor(dist / width)`.
+/// array and a monotone bucket queue keyed on `floor(dist / width)`.
 struct Search {
     dist: Vec<f64>,
-    hops: Vec<u32>,
     buckets: Vec<Vec<Entry>>,
     inv_width: f64,
 }
@@ -319,14 +289,13 @@ impl Search {
     fn new(n_nodes: usize, queue: BucketLayout) -> Self {
         Self {
             dist: vec![f64::INFINITY; n_nodes],
-            hops: vec![u32::MAX; n_nodes],
             buckets: vec![Vec::new(); queue.n_buckets],
             inv_width: queue.inv_width,
         }
     }
 
-    /// Labels every node reachable from `src` with its lexicographically
-    /// minimal `(delay, hops)`; the rest keep `(INFINITY, u32::MAX)`.
+    /// Labels every node reachable from `src` with its minimal delay; the
+    /// rest keep `INFINITY`.
     ///
     /// Buckets are drained in increasing order. A label only ever moves
     /// forward (`d + w >= d`, and the bucket index is monotone in the
@@ -334,38 +303,35 @@ impl Search {
     /// one of its nodes is either final or inside it; an improvement that
     /// lands inside it is appended and relaxed again in the same drain.
     fn run(&mut self, csr: &Csr, src: NodeId) {
-        let Self { dist, hops, buckets, inv_width } = self;
+        let Self { dist, buckets, inv_width } = self;
         dist.fill(f64::INFINITY);
-        hops.fill(u32::MAX);
         dist[src] = 0.0;
-        hops[src] = 0;
         let mask = buckets.len() - 1;
-        buckets[0].push(Entry { dist: 0.0, hops: 0, node: src as u32 });
+        buckets[0].push(Entry { dist: 0.0, node: src as u32 });
         let (mut current, mut last) = (0usize, 0usize);
         while current <= last {
             let slot = current & mask;
             let mut next = 0;
-            while let Some(&Entry { dist: d, hops: h, node: u }) = buckets[slot].get(next) {
+            while let Some(&Entry { dist: d, node: u }) = buckets[slot].get(next) {
                 next += 1;
                 let u = u as usize;
                 // Labels only improve, so a superseded entry differs.
-                if d != dist[u] || h != hops[u] {
+                if d != dist[u] {
                     continue;
                 }
                 let (targets, weights) = csr.neighbors(u);
                 for (&v, &w) in targets.iter().zip(weights) {
                     let vu = v as usize;
                     let alt = d + w;
-                    let alt_h = h + 1;
-                    // A sum that overflowed to infinity is no path: only
-                    // finite labels are stored, so `bucket` is in range.
-                    if alt < dist[vu] || (alt == dist[vu] && alt_h < hops[vu] && alt.is_finite()) {
+                    // A sum that overflowed to infinity is no path: it is
+                    // not below the unreached label, so only finite labels
+                    // are stored and `bucket` is in range.
+                    if alt < dist[vu] {
                         dist[vu] = alt;
-                        hops[vu] = alt_h;
                         let bucket = (alt * *inv_width) as usize;
                         debug_assert!(bucket >= current && bucket - current <= mask);
                         last = last.max(bucket);
-                        buckets[bucket & mask].push(Entry { dist: alt, hops: alt_h, node: v });
+                        buckets[bucket & mask].push(Entry { dist: alt, node: v });
                     }
                 }
             }
@@ -376,8 +342,8 @@ impl Search {
 }
 
 /// Single-source Dijkstra over link delays — the independent oracle used by
-/// tests to validate Floyd–Warshall, and handy when only one row of the
-/// matrix is needed.
+/// tests to validate Floyd–Warshall and, bit for bit, [`OverlayApsp`]; and
+/// handy when only one row of the matrix is needed.
 pub fn dijkstra(topo: &Topology, src: NodeId) -> Vec<f64> {
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
@@ -429,85 +395,23 @@ mod tests {
     use super::*;
     use crate::topology::Link;
 
-    /// The engine [`OverlayApsp`] replaced, kept as its bit-for-bit
-    /// reference: single-source binary-heap Dijkstra over a CSR graph,
-    /// minimizing `(delay, hops)` lexicographically, ties beyond that toward
-    /// lower node ids.
-    fn dijkstra_with_hops_csr(csr: &Csr, src: NodeId) -> (Vec<f64>, Vec<u32>) {
-        use std::cmp::Ordering;
-        use std::collections::BinaryHeap;
-
-        #[derive(PartialEq)]
-        struct Entry {
-            dist: f64,
-            hops: u32,
-            node: u32,
-        }
-        impl Eq for Entry {}
-        impl Ord for Entry {
-            fn cmp(&self, other: &Self) -> Ordering {
-                // Min-heap: reversed comparisons.
-                other
-                    .dist
-                    .partial_cmp(&self.dist)
-                    .unwrap_or(Ordering::Equal)
-                    .then_with(|| other.hops.cmp(&self.hops))
-                    .then_with(|| other.node.cmp(&self.node))
-            }
-        }
-        impl PartialOrd for Entry {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-
-        let n = csr.n_nodes();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut hops = vec![u32::MAX; n];
-        dist[src] = 0.0;
-        hops[src] = 0;
-        let mut heap = BinaryHeap::with_capacity(n / 4);
-        heap.push(Entry { dist: 0.0, hops: 0, node: src as u32 });
-        while let Some(Entry { dist: d, hops: h, node: u }) = heap.pop() {
-            let u = u as usize;
-            if d > dist[u] || (d == dist[u] && h > hops[u]) {
-                continue;
-            }
-            let (targets, weights) = csr.neighbors(u);
-            for (&v, &w) in targets.iter().zip(weights) {
-                let vu = v as usize;
-                let alt = d + w;
-                let alt_h = h + 1;
-                if alt < dist[vu] || (alt == dist[vu] && alt_h < hops[vu]) {
-                    dist[vu] = alt;
-                    hops[vu] = alt_h;
-                    heap.push(Entry { dist: alt, hops: alt_h, node: v });
-                }
-            }
-        }
-        (dist, hops)
-    }
-
-    /// What `OverlayApsp::compute` returned before the bucket-queue
-    /// engine: one heap Dijkstra per overlay node, overlay columns kept.
-    fn heap_reference(topo: &Topology, overlay: &[NodeId]) -> (Vec<f64>, Vec<u32>) {
-        let csr = topo.csr();
-        let (mut delay, mut hops) = (Vec::new(), Vec::new());
+    /// The bit-for-bit reference for [`OverlayApsp::compute`]: one heap
+    /// [`dijkstra`] per overlay node over the whole graph, overlay columns
+    /// kept.
+    fn heap_reference(topo: &Topology, overlay: &[NodeId]) -> Vec<f64> {
+        let mut delay = Vec::new();
         for &src in overlay {
-            let (dist_row, hop_row) = dijkstra_with_hops_csr(&csr, src);
+            let dist_row = dijkstra(topo, src);
             delay.extend(overlay.iter().map(|&dst| dist_row[dst]));
-            hops.extend(overlay.iter().map(|&dst| hop_row[dst]));
         }
-        (delay, hops)
+        delay
     }
 
-    /// `==` on both matrices: every delay bit and every hop count.
+    /// `==` on the matrix: every delay bit.
     fn assert_equals_heap_reference(topo: &Topology, overlay: &[NodeId], what: &str) {
-        let (nodes, delay, hops) = OverlayApsp::compute(topo, overlay).into_parts();
-        let (ref_delay, ref_hops) = heap_reference(topo, overlay);
-        assert_eq!(nodes, overlay, "{what}: node order");
-        assert!(delay == ref_delay, "{what}: delays differ from the heap reference");
-        assert!(hops == ref_hops, "{what}: hops differ from the heap reference");
+        let ov = OverlayApsp::compute(topo, overlay);
+        assert_eq!(ov.nodes(), overlay, "{what}: node order");
+        assert!(ov.into_delays() == heap_reference(topo, overlay), "{what}: delays differ");
     }
 
     fn line_graph(n: usize) -> Topology {
@@ -579,7 +483,7 @@ mod tests {
 
     /// Property: on random topologies with continuously distributed link
     /// delays, the overlay-targeted engine reproduces the Floyd–Warshall
-    /// oracle's delays *and* hop counts for every overlay pair.
+    /// oracle's delays for every overlay pair.
     #[test]
     fn overlay_apsp_matches_floyd_warshall_oracle() {
         use rand::Rng;
@@ -601,22 +505,15 @@ mod tests {
                         ov.delay_ms_at(i, j),
                         fw.delay_ms(a, b),
                     );
-                    assert_eq!(
-                        ov.hops_at(i, j),
-                        fw.hops(a, b),
-                        "seed {seed}: hop mismatch {a}->{b}",
-                    );
                 }
             }
         }
     }
 
-    /// With quantized delays, equal-delay alternatives exist; the overlay
-    /// engine must still agree on delay and never take *more* hops than
-    /// the oracle (it minimizes hops among shortest paths; FW is
-    /// arbitrary).
+    /// With quantized delays, equal-delay alternatives exist; whichever
+    /// one each engine settles on, the delays agree.
     #[test]
-    fn overlay_apsp_on_tied_paths_takes_minimal_hops() {
+    fn overlay_apsp_on_tied_paths_matches_floyd_warshall_delays() {
         for seed in 0..4u64 {
             let topo = Topology::random(70, 4.0, seed, |_| 5.0);
             let overlay: Vec<NodeId> = (0..70).step_by(5).collect();
@@ -625,12 +522,6 @@ mod tests {
             for (i, &a) in overlay.iter().enumerate() {
                 for (j, &b) in overlay.iter().enumerate() {
                     assert!((ov.delay_ms_at(i, j) - fw.delay_ms(a, b)).abs() < 1e-9);
-                    assert!(
-                        ov.hops_at(i, j) <= fw.hops(a, b),
-                        "seed {seed}: overlay took {} hops, oracle {}",
-                        ov.hops_at(i, j),
-                        fw.hops(a, b),
-                    );
                 }
             }
         }
@@ -672,7 +563,7 @@ mod tests {
         use rand::Rng;
         match family {
             0 => rng.gen_range(1.0..30.0),
-            // Equal-delay alternatives everywhere: the hop tie-break.
+            // Equal-delay alternatives everywhere.
             1 => 5.0,
             2 => [1.0, 2.0, 3.0][rng.gen_range(0..3usize)],
             3 => 10f64.powf(rng.gen_range(-3.0..3.0)),
@@ -681,7 +572,7 @@ mod tests {
     }
 
     /// Property: the bucket-queue engine returns the heap reference's
-    /// matrices bit for bit — over five link-delay families, average
+    /// matrix bit for bit — over five link-delay families, average
     /// degrees 2.0–4.5 (2.0 is a pure tree, nearly all of it pruned),
     /// overlay densities 1/2–1/8 with sizes off the task size, and pool
     /// widths 1, 2 and 7.
@@ -734,25 +625,26 @@ mod tests {
             ],
         );
         let ov = OverlayApsp::compute(&split, &[0, 2, 4, 5]);
-        assert_eq!((ov.delay_ms_at(0, 1), ov.hops_at(0, 1)), (4.0, 2));
-        assert_eq!((ov.delay_ms_at(1, 0), ov.hops_at(1, 0)), (4.0, 2));
+        assert_eq!(ov.delay_ms_at(0, 1), 4.0);
+        assert_eq!(ov.delay_ms_at(1, 0), 4.0);
         for (i, j) in [(0, 2), (2, 0), (1, 2), (0, 3), (3, 0), (2, 3), (3, 2)] {
             assert_eq!(ov.delay_ms_at(i, j), f64::INFINITY, "({i},{j})");
-            assert_eq!(ov.hops_at(i, j), u32::MAX, "({i},{j})");
         }
         for i in 0..4 {
-            assert_eq!((ov.delay_ms_at(i, i), ov.hops_at(i, i)), (0.0, 0));
+            assert_eq!(ov.delay_ms_at(i, i), 0.0);
         }
         assert_equals_heap_reference(&split, &[0, 2, 4, 5], "disconnected");
 
         let topo = Topology::random(50, 3.0, 17, |rng| link_delay(0, rng));
         let empty = OverlayApsp::compute(&topo, &[]);
         assert!(empty.is_empty());
-        assert_eq!(empty.into_parts(), (vec![], vec![], vec![]));
-        assert_eq!(OverlayApsp::compute(&topo, &[7]).into_parts(), (vec![7], vec![0.0], vec![0]));
+        assert_eq!(empty.into_delays(), vec![]);
+        let one = OverlayApsp::compute(&topo, &[7]);
+        assert_eq!(one.nodes(), [7]);
+        assert_eq!(one.into_delays(), vec![0.0]);
 
         let dup = OverlayApsp::compute(&topo, &[3, 9, 3]);
-        assert_eq!((dup.delay_ms_at(0, 2), dup.hops_at(0, 2)), (0.0, 0));
+        assert_eq!(dup.delay_ms_at(0, 2), 0.0);
         assert_eq!(dup.delay_ms_at(0, 1), dup.delay_ms_at(2, 1));
         assert_eq!(dup.delay_ms_at(1, 0), dup.delay_ms_at(1, 2));
         assert_equals_heap_reference(&topo, &[3, 9, 3], "duplicate ids");
@@ -775,7 +667,7 @@ mod tests {
             ],
         );
         let ov = OverlayApsp::compute(&parallel, &[0, 2]);
-        assert_eq!((ov.delay_ms_at(0, 1), ov.hops_at(0, 1)), (3.0, 2));
+        assert_eq!(ov.delay_ms_at(0, 1), 3.0);
         assert_equals_heap_reference(&parallel, &[0, 1, 2], "parallel links");
 
         // A path sum that overflows f64 is no path, not a label.
@@ -784,6 +676,6 @@ mod tests {
             vec![Link { a: 0, b: 1, delay_ms: 1e308 }, Link { a: 1, b: 2, delay_ms: 1e308 }],
         );
         let ov = OverlayApsp::compute(&huge, &[0, 2]);
-        assert_eq!((ov.delay_ms_at(0, 1), ov.hops_at(0, 1)), (f64::INFINITY, u32::MAX));
+        assert_eq!(ov.delay_ms_at(0, 1), f64::INFINITY);
     }
 }

@@ -150,16 +150,6 @@ impl Topology {
     pub fn csr(&self) -> Csr {
         Csr::from_topology(self)
     }
-
-    /// Multiplies every link delay by `factor` — used to sweep average
-    /// communication delay while keeping the topology fixed (Figures 5
-    /// and 7b of the paper).
-    pub fn scale_delays(&mut self, factor: f64) {
-        assert!(factor > 0.0 && factor.is_finite(), "scale factor must be positive");
-        for l in &mut self.links {
-            l.delay_ms *= factor;
-        }
-    }
 }
 
 /// Compressed-sparse-row adjacency: all neighbor lists in two flat arrays,
@@ -304,15 +294,6 @@ mod tests {
             assert_ne!(l.a, l.b);
             let k = if l.a < l.b { (l.a, l.b) } else { (l.b, l.a) };
             assert!(seen.insert(k), "duplicate link {k:?}");
-        }
-    }
-
-    #[test]
-    fn scale_delays_multiplies_all() {
-        let mut t = Topology::random(50, 3.0, 2, fixed_delay);
-        t.scale_delays(2.5);
-        for l in t.links() {
-            assert!((l.delay_ms - 2.5).abs() < 1e-12);
         }
     }
 

@@ -51,8 +51,9 @@ pub struct SimConfig {
     pub join_order: JoinOrder,
     /// Per-dependent computational delay at every node, ms (paper: 12.5).
     pub comp_delay_ms: f64,
-    /// If set, the physical network's delays are rescaled so the mean
-    /// overlay delay equals this value (the x-axis of Figures 5 and 7b).
+    /// If set, the overlay delay matrix is scaled uniformly so that its
+    /// mean pairwise delay equals this value, ms (the x-axis of Figures 5
+    /// and 7b); the topology and its shortest paths stay as generated.
     pub target_mean_comm_delay_ms: Option<f64>,
     /// Physical network shape. `n_repositories` is overridden by
     /// `n_repos`.

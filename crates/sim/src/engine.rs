@@ -57,7 +57,7 @@
 //!   into a percentage only when the report is produced.
 //! * Events are ordered by `(time_us, sequence number)`; ties resolve in
 //!   creation order. The scheduler is a type parameter behind the
-//!   [`EventQueue`](crate::queue::EventQueue) trait; every product
+//!   [`EventQueue`] trait; every product
 //!   drive uses the two-tier [`CalendarQueue`], and the
 //!   [`HeapQueue`](crate::queue::HeapQueue) oracle is what the property
 //!   tests compare it against. Ordering is bit-identical across the two
@@ -103,7 +103,7 @@
 //!   this scale too (its pending set is a few thousand arrivals, so
 //!   `log n` is short and cache-hot; `queue.calendar_vs_heap_x`).
 //! * **Scaling past one core is spatial, not per-event.** The drain is
-//!   compute-bound at roughly 100 ns/event, so [`crate::shard`]
+//!   compute-bound at roughly 100 ns/event, so `crate::shard`
 //!   partitions the overlay into per-core shards (tolerance-weighted
 //!   cut minimization over the d3g CSR) and runs the same per-event
 //!   kernels over popped runs once per shard inside the
@@ -126,7 +126,7 @@ use d3t_core::dissemination::{Disseminator, Update};
 use d3t_core::fidelity::{FidelityReport, FidelityTracker};
 use d3t_core::graph::D3g;
 use d3t_core::item::ItemId;
-use d3t_core::lela::{DelayMicros, OverlayDelays};
+use d3t_core::lela::{DelayMatrix, DelayMicros};
 use d3t_core::overlay::NodeIdx;
 use d3t_core::workload::Workload;
 
@@ -179,7 +179,7 @@ const SOURCE_EVENT: u32 = u32::MAX;
 /// Side table resolving the NaN-boxed ids of centralized tagged arrivals
 /// to the `(value, tag)` pair the update carries. Grows by one entry per
 /// *tagged source update* (relays reuse the incoming event's id, see
-/// [`EventKind::arrival_template`]); untagged protocols never touch it.
+/// `EventKind::arrival_template`); untagged protocols never touch it.
 #[derive(Debug, Clone, Default)]
 pub struct TagTable {
     pairs: Vec<(f64, f64)>,
@@ -287,7 +287,7 @@ impl EventKind {
     }
 
     /// Packs an update arrival at `node` (scalar construction; hot loops
-    /// build one [`EventKind::arrival_template`] per send group instead).
+    /// build one `EventKind::arrival_template` per send group instead).
     #[inline]
     pub fn arrival(node: NodeIdx, update: Update, tags: &mut TagTable) -> Self {
         Self::arrival_template(update, None, tags).at_node(node)
@@ -415,17 +415,17 @@ impl Engine {
     ///
     /// * `workload` — the *user* needs (fidelity is measured against
     ///   these, not against LeLA-augmented requirements);
-    /// * `delays` — overlay delay provider, flattened once into µs;
+    /// * `delays` — the overlay delay matrix, flattened once into µs;
     /// * `changes` — the merged, time-sorted source change stream;
     /// * `initial_values[item]` — the value every node starts coherent at;
     /// * `comp_delay_ms` — per-dependent CPU time (converted once to µs);
     /// * `end_us` — the observation horizon in µs (normally the trace
     ///   duration).
     #[allow(clippy::too_many_arguments)] // one parameter per §6.1 experiment input
-    pub fn new<D: OverlayDelays>(
+    pub fn new(
         d3g: &D3g,
         workload: &Workload,
-        delays: &D,
+        delays: &DelayMatrix,
         disseminator: Disseminator,
         changes: &[SourceChange],
         initial_values: &[f64],
@@ -449,10 +449,10 @@ impl<Q: EventQueue<EventKind>> Engine<Q> {
     /// [`Engine::new`] with an explicit scheduler backend:
     /// `Engine::<HeapQueue<EventKind>>::with_queue(...)`.
     #[allow(clippy::too_many_arguments)] // one parameter per §6.1 experiment input
-    pub fn with_queue<D: OverlayDelays>(
+    pub fn with_queue(
         d3g: &D3g,
         workload: &Workload,
-        delays: &D,
+        delays: &DelayMatrix,
         disseminator: Disseminator,
         changes: &[SourceChange],
         initial_values: &[f64],

@@ -8,7 +8,8 @@ use d3t_core::graph::D3g;
 use d3t_core::item::ItemId;
 use d3t_core::lela::{build_d3g, DelayMatrix, DelayMicros, LelaConfig};
 use d3t_core::workload::{Workload, WorkloadConfig};
-use d3t_net::PhysicalNetwork;
+use d3t_net::placement::Placement;
+use d3t_net::{NetworkConfig, OverlayApsp, Pareto, Topology};
 use d3t_traces::{generate_ensemble, EnsembleConfig, Trace};
 
 use crate::config::{SimConfig, TreeStrategy};
@@ -27,8 +28,9 @@ pub struct Prepared {
     pub traces: Vec<Trace>,
     /// The user workload (fidelity is measured against this).
     pub workload: Workload,
-    /// Overlay delay matrix extracted from the physical network
-    /// (index 0 = source, `i + 1` = repository `i`).
+    /// Shortest-path delays among the physical network's overlay nodes
+    /// (index 0 = source, `i + 1` = repository `i`), rescaled to
+    /// [`SimConfig::target_mean_comm_delay_ms`] when that is set.
     pub delays: DelayMatrix,
     /// The constructed dissemination graph.
     pub d3g: D3g,
@@ -460,24 +462,28 @@ fn build_overlay(
     }
 }
 
-/// Extracts the overlay delay matrix from a freshly generated physical
-/// network, optionally rescaled to a target mean delay, with its mean
-/// pairwise delay (the same sum, in the same order, as the matrix's own
-/// [`OverlayDelays::mean_delay_ms`](d3t_core::lela::OverlayDelays)).
+/// Generates the physical network, computes the shortest-path delays
+/// among its overlay nodes, optionally rescales them to a target mean
+/// delay, and returns them with their mean pairwise delay.
 fn build_delays(cfg: &SimConfig) -> (DelayMatrix, f64) {
-    let net_cfg = d3t_net::NetworkConfig { n_repositories: cfg.n_repos, ..cfg.network.clone() };
-    assert!(
-        net_cfg.n_nodes > cfg.n_repos,
-        "network must have room for repositories plus the source"
-    );
-    let mut net = PhysicalNetwork::generate(&net_cfg, cfg.sub_seed("topology"));
+    let net = NetworkConfig { n_repositories: cfg.n_repos, ..cfg.network.clone() };
+    assert!(net.n_nodes > cfg.n_repos, "network must have room for repositories plus the source");
+    let seed = cfg.sub_seed("topology");
+    let pareto = Pareto::with_mean(net.link_delay_min_ms, net.link_delay_mean_ms);
+    let topo = Topology::random(net.n_nodes, net.avg_degree, seed, |rng| {
+        pareto.sample_capped(rng, net.link_delay_cap_ms)
+    });
+    assert!(topo.is_connected(), "physical network must be connected");
+    // Overlay index 0 = source, i + 1 = i-th repository (sorted node ids).
+    let overlay =
+        Placement::random(net.n_nodes, net.n_repositories, seed.wrapping_add(1)).overlay_nodes();
+    let apsp = OverlayApsp::compute(&topo, &overlay);
+    let mut delays = DelayMatrix::new(overlay.len(), apsp.into_delays());
     if let Some(target) = cfg.target_mean_comm_delay_ms {
-        net.scale_to_mean_delay(target);
+        delays.scale_to_mean_delay(target);
     }
-    let mean = net.mean_overlay_delay_ms();
-    // Overlay index 0 = source, i+1 = i-th repository (sorted node ids):
-    // the order the network already keeps its matrix in.
-    (DelayMatrix::new(cfg.n_repos + 1, net.into_overlay_delays()), mean)
+    let mean = delays.mean_delay_ms();
+    (delays, mean)
 }
 
 fn effective_degree(cfg: &SimConfig, mean_comm_ms: f64) -> usize {
@@ -633,7 +639,6 @@ mod tests {
     /// to recompute per call, bit for bit — rescaled delays included.
     #[test]
     fn report_carries_the_overlay_statistics_of_the_build() {
-        use d3t_core::lela::OverlayDelays;
         for target in [None, Some(80.0)] {
             let mut cfg = SimConfig::small_for_tests(12, 6, 100, 70.0);
             cfg.target_mean_comm_delay_ms = target;
@@ -659,11 +664,42 @@ mod tests {
         let mut cfg = SimConfig::small_for_tests(10, 4, 100, 50.0);
         cfg.target_mean_comm_delay_ms = Some(80.0);
         let p = Prepared::build(&cfg);
-        use d3t_core::lela::OverlayDelays;
+        // The rescale targets the mean of this very matrix.
         let mean = p.delays.mean_delay_ms();
-        // The overlay matrix mean differs slightly from the full-network
-        // mean the rescale targets (the source is included in both here).
-        assert!((mean - 80.0).abs() < 25.0, "mean {mean}");
+        assert!((mean - 80.0).abs() < 1e-9, "mean {mean}");
+    }
+
+    /// `delays` is the overlay APSP in `Placement::overlay_nodes` order —
+    /// source first, then the repositories by node id — bit for bit, and
+    /// with a target it is that matrix rescaled.
+    #[test]
+    fn delays_are_the_overlay_apsp_in_placement_order() {
+        for target in [None, Some(40.0)] {
+            let mut cfg = SimConfig::small_for_tests(12, 4, 100, 50.0);
+            cfg.target_mean_comm_delay_ms = target;
+            let net = &cfg.network;
+            let seed = cfg.sub_seed("topology");
+            let pareto = Pareto::with_mean(net.link_delay_min_ms, net.link_delay_mean_ms);
+            let topo = Topology::random(net.n_nodes, net.avg_degree, seed, |rng| {
+                pareto.sample_capped(rng, net.link_delay_cap_ms)
+            });
+            let placement = Placement::random(net.n_nodes, cfg.n_repos, seed.wrapping_add(1));
+            let mut order = vec![placement.source];
+            order.extend_from_slice(&placement.repositories);
+            assert_eq!(order, placement.overlay_nodes());
+            let apsp = OverlayApsp::compute(&topo, &order);
+            let mut expected = DelayMatrix::new(order.len(), apsp.into_delays());
+            if let Some(target) = target {
+                expected.scale_to_mean_delay(target);
+            }
+            let delays = Prepared::build(&cfg).delays;
+            assert_eq!(delays.len(), cfg.n_repos + 1);
+            for a in 0..order.len() {
+                let a = d3t_core::overlay::NodeIdx(a as u32);
+                let (got, want) = (delays.row_ms(a), expected.row_ms(a));
+                assert!(got.iter().map(|d| d.to_bits()).eq(want.iter().map(|d| d.to_bits())));
+            }
+        }
     }
 
     #[test]

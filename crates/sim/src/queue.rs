@@ -126,7 +126,7 @@
 //!   pops over a deep overflow tier has days too fine for the backlog;
 //!   the width is re-derived from a stride sample of the overflow tier's
 //!   spread (it can move either way).
-//! * **Overload width shrink** — a single bucket collecting [`OVERLOAD`]
+//! * **Overload width shrink** — a single bucket collecting `OVERLOAD`
 //!   events with distinct timestamps means the local density outgrew the
 //!   day width; the width shrinks 4×, the year shrinks with it, and the
 //!   year's far end demotes back to the overflow heap.

@@ -56,9 +56,10 @@ use crate::engine::{EventKind, TagTable};
 use crate::fault::FaultState;
 use crate::metrics::Metrics;
 
-/// Domain seed separating [`Session::state_digest`] values from plain
-/// report hashes (both are FNV-1a; equal byte streams must not
-/// collide across the two uses).
+/// Domain seed separating
+/// [`Session::state_digest`](crate::session::Session::state_digest)
+/// values from plain report hashes (both are FNV-1a; equal byte streams
+/// must not collide across the two uses).
 pub const STATE_DIGEST_SEED: u64 = 0x5eed_d161_e575_a7e5;
 
 /// A compact owned checkpoint of a live session. Construct with

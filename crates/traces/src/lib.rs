@@ -28,7 +28,6 @@
 //! ```
 
 pub mod generator;
-pub mod io;
 pub mod model;
 pub mod profiles;
 pub mod stats;

@@ -16,7 +16,7 @@
 
 use d3t::core::coherency::Coherency;
 use d3t::core::lela::{
-    build_d3g, DelayMatrix, JoinOrder, LelaBuilder, LelaConfig, OverlayDelays, PreferenceFunction,
+    build_d3g, DelayMatrix, JoinOrder, LelaBuilder, LelaConfig, PreferenceFunction,
 };
 use d3t::core::overlay::NodeIdx;
 use d3t::core::workload::Workload;
@@ -177,7 +177,7 @@ fn hot_item_tree_depth_is_bounded() {
 /// tests, where they are visible; here the check is at the public
 /// boundary: the parents each join ends up with.)
 fn reference_preference(
-    builder: &LelaBuilder<'_, DelayMatrix>,
+    builder: &LelaBuilder<'_>,
     delays: &DelayMatrix,
     cfg: &LelaConfig,
     p: NodeIdx,
