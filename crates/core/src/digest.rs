@@ -98,22 +98,45 @@ impl Default for Fnv1a {
     }
 }
 
+/// Hashing formatted text as it is produced: FNV-1a folds bytes in
+/// sequence, so the digest of the pieces is the digest of their
+/// concatenation.
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write_bytes(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// Unseeded FNV-1a over the `Debug` rendering of any value — the
 /// one report-hash helper, so `repro whatif`'s `equal=` gate, the
 /// snapshot digests and `d3t-bench`'s output hashes share one
 /// implementation. Every float bit pattern, counter and pair loss in
 /// the rendering lands in the digest, so two runs agreeing on the
-/// hash agree on the whole rendering.
+/// hash agree on the whole rendering. The rendering is streamed into
+/// the hasher, never materialised: a 2 500-repository report renders
+/// to ≈ 14 MB.
 #[must_use]
 pub fn debug_hash(value: &impl std::fmt::Debug) -> u64 {
+    use std::fmt::Write;
     let mut h = Fnv1a::new();
-    h.write_bytes(format!("{value:?}").as_bytes());
+    // d3t-lint: allow(P001) -- a Debug impl that fails is a bug `format!` would panic on too
+    write!(h, "{value:?}").expect("Debug rendering failed");
     h.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Streaming the rendering gives the digest of the whole string.
+    #[test]
+    fn debug_hash_equals_the_hash_of_the_rendering() {
+        let value = (vec![1.5f64, -0.0, f64::NAN], "pair", Some(7u64), [(); 3]);
+        let mut h = Fnv1a::new();
+        h.write_bytes(format!("{value:?}").as_bytes());
+        assert_eq!(debug_hash(&value), h.finish());
+    }
 
     #[test]
     fn matches_the_reference_vectors() {

@@ -4,7 +4,9 @@
 //!
 //! A re-parented child is *adopted*: recorded in a registry, served by
 //! its foster parent, and handed back when the original parent recovers.
-//! Its edge moves into the foster's CSR row: each item's rows tile one
+//! Its edge moves into the foster's CSR row, re-stamped with the
+//! foster→child delay (so a send never travels a stale one), and back,
+//! re-stamped again, on restore: each item's rows tile one
 //! contiguous span with one edge per holder, and a repair rebuilds the
 //! touched item's span so that, in node order, each row lists the node's
 //! own compiled children still attached to it (in compiled order, kept
@@ -163,7 +165,8 @@ impl Disseminator {
     /// Rebuilds `item`'s span in the row order the module doc pins. Every
     /// edge is re-read from its child's row record — `record_at` and the
     /// Eq. (1) walks keep the edge's `(c, last)` equal to the child's
-    /// `(eff, last)` — so only the layout changes.
+    /// `(eff, last)` — and re-stamped with its row's delay to the child,
+    /// so only the layout and the delays of moved edges change.
     fn recompile(&mut self, item: ItemId) {
         let (n, base) = (self.n_nodes, item.index() * self.n_nodes);
         let (start, last) = (self.rows[base].start, self.rows[base + n - 1]);
@@ -193,13 +196,20 @@ impl Disseminator {
             at += meta.len;
         }
         for (row, child) in placed {
+            let delay_us = self.delay_us(NodeIdx(row), NodeIdx(child));
             let slot = &mut cursor[row as usize];
             let meta = &mut self.rows[base + child as usize];
             meta.parent_edge = *slot;
             self.child_edges[*slot as usize] =
-                EdgeState { c: meta.eff, last: meta.last, node: child };
+                EdgeState { c: meta.eff, last: meta.last, node: child, delay_us };
             *slot += 1;
         }
+    }
+
+    /// The µs delay of the edge `from → to` a repair moves: the stamped
+    /// matrix's, or 0 on a disseminator never stamped.
+    fn delay_us(&self, from: NodeIdx, to: NodeIdx) -> u32 {
+        self.delays.as_ref().map_or(0, |d| d.us(from, to))
     }
 
     /// Number of currently re-parented subscriptions.
@@ -210,8 +220,8 @@ impl Disseminator {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{c, figure4_graph};
-    use super::super::{ForwardScratch, Protocol, Update};
+    use super::super::tests::{c, figure4_graph, target_nodes};
+    use super::super::{ForwardScratch, Protocol, Target, Update};
     use super::*;
     use crate::coherency::VALUE_EPSILON;
     use crate::graph::D3g;
@@ -265,13 +275,13 @@ mod tests {
         for v in [1.2, 1.4, 1.7, 2.6, 2.61] {
             let f = oracle.on_source_update(ItemId(0), v);
             kern.on_source_update_into(ItemId(0), v, &mut scratch);
-            assert_eq!(scratch.to(), &f.to[..], "adopted targets must match at {v}");
+            assert_eq!(target_nodes(&scratch), f.to, "adopted targets must match at {v}");
             assert_eq!(scratch.checks(), f.checks, "adopted checks must match at {v}");
             for &n in &f.to {
                 if oracle.is_active(n) || n == q {
                     let fr = oracle.on_repo_update(n, f.update);
                     kern.on_repo_update_into(n, f.update, &mut scratch);
-                    assert_eq!(scratch.to(), &fr.to[..]);
+                    assert_eq!(target_nodes(&scratch), fr.to);
                 }
             }
         }
@@ -345,12 +355,13 @@ mod tests {
 
     /// Filters `node`'s adoptees for `update.item`, in registry order,
     /// into `out_to` with exactly the kernel's predicates (same bias, same
-    /// epsilon), one check per candidate.
+    /// epsilon), one check per candidate; each target carries the
+    /// foster→child delay.
     fn filter_adopted(
         o: &Disseminator,
         node: NodeIdx,
         update: Update,
-        out_to: &mut Vec<NodeIdx>,
+        out_to: &mut Vec<Target>,
     ) -> u64 {
         // A quiet centralized source tick never enters the tree: the row
         // scan is skipped (and not counted), so adopted edges are too.
@@ -372,7 +383,8 @@ mod tests {
                 Protocol::FloodAll => true,
             };
             if keep {
-                out_to.push(NodeIdx(a.child));
+                let child = NodeIdx(a.child);
+                out_to.push(Target { node: child, delay_us: o.delay_us(node, child) });
             }
         }
         checks
@@ -488,18 +500,21 @@ mod tests {
     ) {
         let (mut ds, mut os) = (ForwardScratch::new(), ForwardScratch::new());
         lockstep_decide(label, d, o, None, Update { item, value, tag: None }, &mut ds, &mut os);
-        let mut stack: Vec<(NodeIdx, Update)> = ds.to().iter().map(|&n| (n, ds.update())).collect();
+        let mut stack: Vec<(NodeIdx, Update)> =
+            ds.to().iter().map(|t| (t.node, ds.update())).collect();
         while let Some((node, update)) = stack.pop() {
             lockstep_decide(label, d, o, Some(node), update, &mut ds, &mut os);
-            stack.extend(ds.to().iter().map(|&n| (n, ds.update())));
+            stack.extend(ds.to().iter().map(|t| (t.node, ds.update())));
         }
     }
 
     /// The compiled CSR after any mutation: each item's rows tile one
     /// contiguous span in node order; every holder appears exactly once,
     /// inside its current parent's row; `parent_edge` points at that
-    /// slot; the edge mirrors the child's row record bit for bit; and
-    /// every edge satisfies Eq. (1), `eff(parent) ≤ eff(child)`.
+    /// slot; the edge mirrors the child's row record bit for bit; it
+    /// carries the delay from its current row's node to the child,
+    /// `round(delay_ms · 1000)` µs (0 unstamped); and every edge
+    /// satisfies Eq. (1), `eff(parent) ≤ eff(child)`.
     fn assert_csr_consistent(label: &str, d: &Disseminator) {
         let mut at = 0u32;
         for i in 0..d.n_items {
@@ -518,6 +533,14 @@ mod tests {
                         (edge.c.to_bits(), edge.last.to_bits()),
                         (child.eff.to_bits(), child.last.to_bits()),
                         "{label}: edge {e} mirrors its child's row"
+                    );
+                    let (from, to) = (NodeIdx(n as u32), NodeIdx(edge.node));
+                    let want_us =
+                        d.delays.as_ref().map_or(0.0, |m| (m.delay_ms(from, to) * 1000.0).round());
+                    assert_eq!(
+                        f64::from(edge.delay_us),
+                        want_us,
+                        "{label}: edge {e} carries the delay {from} -> {to}"
                     );
                     assert!(meta.eff <= child.eff, "{label}: Eq. (1) at edge {e}");
                     edges += 1;
@@ -573,10 +596,25 @@ mod tests {
         build_d3g(&workload, &delays, &LelaConfig::new(degree, rng.gen_range(0..64)))
     }
 
+    /// A symmetric matrix with a distinct random delay per pair, so an
+    /// edge that kept a previous row's delay reads wrong.
+    fn ragged_delays(seed: u64, n: usize) -> DelayMatrix {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let mut m = vec![0.0; n * n];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let d = rng.gen_range(0.5..200.0);
+                (m[i * n + j], m[j * n + i]) = (d, d);
+            }
+        }
+        DelayMatrix::new(n, m)
+    }
+
     /// Random crash / re-parent / re-adopt-after-foster-crash / recover /
     /// renegotiate / update sequences: after every step the rebuilt CSR
-    /// is consistent and agrees with the linear oracle on everything
-    /// observable.
+    /// is consistent — every edge stamped with its current row's delay —
+    /// and agrees with the linear oracle on everything observable, the
+    /// delay each target is sent over included.
     #[test]
     fn indexed_registry_matches_linear_oracle_on_random_sequences() {
         let protocols =
@@ -590,6 +628,8 @@ mod tests {
                 let n_repos = g.n_nodes() - 1;
                 let init: Vec<f64> = (0..n_items).map(|i| 10.0 + i as f64).collect();
                 let mut d = Disseminator::new(protocol, &g, &init);
+                d.stamp_delays(&ragged_delays(seed, g.n_nodes()));
+                assert_csr_consistent("stamped", &d);
                 let mut o = d.clone();
                 // Orphans awaiting their staggered repair: (child, item, dead).
                 let mut pending: Vec<(NodeIdx, ItemId, NodeIdx)> = Vec::new();
@@ -698,13 +738,13 @@ mod tests {
         let update = Update { item, value: 2.0, tag: None };
         let (mut s, mut os) = (ForwardScratch::new(), ForwardScratch::new());
         lockstep_decide("before", &mut d, &mut o, Some(f), update, &mut s, &mut os);
-        assert_eq!(s.to(), &[q, x, y], "own row first, then adoptees in registry order");
+        assert_eq!(target_nodes(&s), [q, x, y], "own row first, then adoptees in registry order");
         // R recovers: entry 0 goes, the tail (y→F) fills the hole.
         assert_eq!(d.restore_children_of(r_), 1);
         assert_eq!(linear_restore_children_of(&mut o, r_), 1);
         assert_matches_oracle("after restore", &d, &o);
         lockstep_decide("after", &mut d, &mut o, Some(f), update, &mut s, &mut os);
-        assert_eq!(s.to(), &[q, y, x], "F's adoptees swapped places");
+        assert_eq!(target_nodes(&s), [q, y, x], "F's adoptees swapped places");
         assert_eq!(d.dependents_of(f), vec![(item, q), (item, y), (item, x)]);
         assert_eq!(d.children_of_compiled(gg, item), vec![(r_, c(0.1))], "G's row is its own");
     }
@@ -747,7 +787,7 @@ mod tests {
         let mut s = ForwardScratch::new();
         d.on_source_update_into(item, 5.0, &mut s);
         let (mut decisions, mut checks) = (1u64, s.checks());
-        let mut stack: Vec<NodeIdx> = s.to().to_vec();
+        let mut stack: Vec<NodeIdx> = target_nodes(&s);
         while let Some(node) = stack.pop() {
             if !d.is_active(node) {
                 continue;
@@ -755,7 +795,7 @@ mod tests {
             decisions += 1;
             d.on_repo_update_into(node, s.update(), &mut s);
             checks += s.checks();
-            stack.extend_from_slice(s.to());
+            stack.extend(target_nodes(&s));
         }
         assert_eq!(decisions, 1 + FOSTERS as u64 + n as u64);
         // Own edges: the source's 10 fosters and the fosters' 1 000 dead

@@ -5,10 +5,12 @@
 //! value address?* The row data is compiled flat by
 //! [`Disseminator`](super::Disseminator): per edge, one interleaved
 //! 24-byte [`EdgeState`] record carries the dependent's effective
-//! coherency, the last value sent to it, and its overlay index, so the
-//! whole decision streams one array sequentially with **no gather** —
-//! the per-edge `last_sent` mirror is exactly what makes the deviation
-//! check `|value − last| > threshold` a pure contiguous sweep.
+//! coherency, the last value sent to it, its overlay index and the
+//! edge's µs delay, so the whole decision streams one array sequentially
+//! with **no gather** — the per-edge `last_sent` mirror is exactly what
+//! makes the deviation check `|value − last| > threshold` a pure
+//! contiguous sweep, and the per-edge delay is what lets the sender
+//! schedule its sends without a lookup in an n² delay table.
 //!
 //! # Kernel shape
 //!
@@ -22,7 +24,8 @@
 //!    a move-mask.
 //! 2. **Sparse compaction.** Matches are rare on the steady-state path
 //!    (most checks do *not* forward), so set bits are extracted with
-//!    `trailing_zeros`, preserving row order. There is no per-element
+//!    `trailing_zeros`, preserving row order, each into one [`Target`]:
+//!    the dependent with its edge's delay. There is no per-element
 //!    `Vec::push` and no branch on the fast all-zeroes path.
 //!
 //! The caller owns the output buffer through [`ForwardScratch`]; its
@@ -58,9 +61,10 @@ use crate::overlay::NodeIdx;
 use super::Update;
 
 /// One CSR edge: the dependent's effective coherency, the last value
-/// sent to it, and its overlay index, **interleaved** into one 24-byte
-/// record so a whole forwarding decision — predicate scan plus target
-/// extraction — streams a single array instead of three parallel ones.
+/// sent to it, its overlay index and the edge's delay, **interleaved**
+/// into one 24-byte record so a whole forwarding decision — predicate
+/// scan plus target extraction — streams a single array instead of four
+/// parallel ones.
 #[derive(Debug, Clone, Copy)]
 pub struct EdgeState {
     /// The dependent's effective coherency (raw value).
@@ -69,6 +73,32 @@ pub struct EdgeState {
     pub last: f64,
     /// The dependent's overlay node index.
     pub node: u32,
+    /// One-way delay from the row's node to the dependent, µs
+    /// ([`DelayMatrix::us`](crate::lela::DelayMatrix::us)) — stamped by
+    /// [`Disseminator::stamp_delays`](super::Disseminator::stamp_delays)
+    /// and on every repair; `0` on an unstamped disseminator. It sits in
+    /// what would otherwise be the record's padding.
+    pub delay_us: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<EdgeState>() == 24);
+
+impl EdgeState {
+    /// The edge as a send target.
+    #[inline(always)]
+    fn target(&self) -> Target {
+        Target { node: NodeIdx(self.node), delay_us: self.delay_us }
+    }
+}
+
+/// One selected dependent and the delay of the edge the update travels
+/// to it — everything the sender needs to schedule the send.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Target {
+    /// The dependent.
+    pub node: NodeIdx,
+    /// One-way delay of the edge to it, µs.
+    pub delay_us: u32,
 }
 
 /// Chunk width of the mask-accumulate loops. Eight 64-bit lanes span two
@@ -87,7 +117,7 @@ const LANES: usize = 8;
 #[derive(Debug, Clone)]
 pub struct ForwardScratch {
     /// Dependents the update must be pushed to (row order).
-    pub(super) to: Vec<NodeIdx>,
+    pub(super) to: Vec<Target>,
     /// The update as it should be forwarded (tag attached by the source).
     pub(super) update: Update,
     /// Filter evaluations performed making this decision.
@@ -111,9 +141,10 @@ impl ForwardScratch {
         }
     }
 
-    /// Dependents selected by the last decision, in CSR row order.
+    /// Dependents selected by the last decision, in CSR row order, each
+    /// with its edge's delay.
     #[inline]
-    pub fn to(&self) -> &[NodeIdx] {
+    pub fn to(&self) -> &[Target] {
         &self.to
     }
 
@@ -143,10 +174,11 @@ impl ForwardScratch {
 /// Batched deviation check over one CSR row: keeps candidate `j` iff
 /// `|value − edges[j].last| > edges[j].c − bias + ε`. With `bias = 0`
 /// this is Eq. (3); with `bias = c_self` it is the single-comparison
-/// form of Eq. (3) ∨ Eq. (7). Selected nodes are appended to `out` in
-/// row order. Returns the number of checks (one per candidate).
+/// form of Eq. (3) ∨ Eq. (7). Selected edges are appended to `out` as
+/// [`Target`]s in row order. Returns the number of checks (one per
+/// candidate).
 #[inline]
-pub fn deviation_scan(value: f64, bias: f64, edges: &[EdgeState], out: &mut Vec<NodeIdx>) -> u64 {
+pub fn deviation_scan(value: f64, bias: f64, edges: &[EdgeState], out: &mut Vec<Target>) -> u64 {
     let n = edges.len();
     out.reserve(n);
     let mut base = 0usize;
@@ -163,14 +195,14 @@ pub fn deviation_scan(value: f64, bias: f64, edges: &[EdgeState], out: &mut Vec<
         // Sparse compaction: only set bits pay for a push.
         while mask != 0 {
             let lane = mask.trailing_zeros() as usize;
-            out.push(NodeIdx(edges[base + lane].node));
+            out.push(edges[base + lane].target());
             mask &= mask - 1;
         }
         base += LANES;
     }
     for e in &edges[base..] {
         if (value - e.last).abs() > e.c - bias + VALUE_EPSILON {
-            out.push(NodeIdx(e.node));
+            out.push(e.target());
         }
     }
     n as u64
@@ -205,7 +237,7 @@ pub fn tag_scan(value: f64, cs: &[f64], lasts: &mut [f64]) -> (Option<usize>, u6
 /// `edges[j].c ≤ tag`. Same chunked mask-accumulate shape as
 /// [`deviation_scan`]; returns one check per candidate.
 #[inline]
-pub fn tag_filter(tag: f64, edges: &[EdgeState], out: &mut Vec<NodeIdx>) -> u64 {
+pub fn tag_filter(tag: f64, edges: &[EdgeState], out: &mut Vec<Target>) -> u64 {
     let n = edges.len();
     out.reserve(n);
     let mut base = 0usize;
@@ -217,14 +249,14 @@ pub fn tag_filter(tag: f64, edges: &[EdgeState], out: &mut Vec<NodeIdx>) -> u64 
         }
         while mask != 0 {
             let lane = mask.trailing_zeros() as usize;
-            out.push(NodeIdx(edges[base + lane].node));
+            out.push(edges[base + lane].target());
             mask &= mask - 1;
         }
         base += LANES;
     }
     for e in &edges[base..] {
         if e.c <= tag {
-            out.push(NodeIdx(e.node));
+            out.push(e.target());
         }
     }
     n as u64
@@ -233,8 +265,8 @@ pub fn tag_filter(tag: f64, edges: &[EdgeState], out: &mut Vec<NodeIdx>) -> u64 
 /// The unfiltered Figure-8 baseline: every candidate is kept. Still one
 /// check per candidate, so flood rows are comparable on the checks axis.
 #[inline]
-pub fn flood(edges: &[EdgeState], out: &mut Vec<NodeIdx>) -> u64 {
-    out.extend(edges.iter().map(|e| NodeIdx(e.node)));
+pub fn flood(edges: &[EdgeState], out: &mut Vec<Target>) -> u64 {
+    out.extend(edges.iter().map(EdgeState::target));
     edges.len() as u64
 }
 
@@ -242,25 +274,31 @@ pub fn flood(edges: &[EdgeState], out: &mut Vec<NodeIdx>) -> u64 {
 mod tests {
     use super::*;
 
+    /// An edge whose delay is derived from its node, so every test below
+    /// also checks each target carries its own edge's delay.
+    fn edge(c: f64, last: f64, node: u32) -> EdgeState {
+        EdgeState { c, last, node, delay_us: 1000 + 7 * node }
+    }
+
+    fn target(e: &EdgeState) -> Target {
+        Target { node: NodeIdx(e.node), delay_us: 1000 + 7 * e.node }
+    }
+
     /// Row longer than one chunk with matches in chunk body, chunk seam,
     /// and scalar tail; order must be preserved.
     #[test]
     fn deviation_scan_matches_scalar_on_seams() {
         let n = 21; // 2 full chunks + 5 tail
         let edges: Vec<EdgeState> = (0..n)
-            .map(|j| EdgeState {
-                c: 0.05 + (j % 7) as f64 * 0.02,
-                last: 1.0 + j as f64 * 0.01,
-                node: j as u32 + 1,
-            })
+            .map(|j| edge(0.05 + (j % 7) as f64 * 0.02, 1.0 + j as f64 * 0.01, j as u32 + 1))
             .collect();
         for (value, bias) in [(1.07, 0.0), (1.13, 0.02), (0.5, 0.0), (1.0, 0.05)] {
             let mut out = Vec::new();
             let checks = deviation_scan(value, bias, &edges, &mut out);
             assert_eq!(checks, n as u64);
-            let expected: Vec<NodeIdx> = (0..n)
+            let expected: Vec<Target> = (0..n)
                 .filter(|&j| (value - edges[j].last).abs() > edges[j].c - bias + VALUE_EPSILON)
-                .map(|j| NodeIdx(edges[j].node))
+                .map(|j| target(&edges[j]))
                 .collect();
             assert_eq!(out, expected, "value {value} bias {bias}");
         }
@@ -268,13 +306,12 @@ mod tests {
 
     #[test]
     fn deviation_scan_appends_after_reset_not_into_garbage() {
-        let mut out = vec![NodeIdx(99)];
+        let mut out = vec![Target { node: NodeIdx(99), delay_us: 0 }];
         out.clear();
-        let edges: Vec<EdgeState> =
-            [7, 8, 9].iter().map(|&n| EdgeState { c: 0.5, last: 1.0, node: n }).collect();
+        let edges: Vec<EdgeState> = [7, 8, 9].iter().map(|&n| edge(0.5, 1.0, n)).collect();
         let checks = deviation_scan(2.0, 0.0, &edges, &mut out);
         assert_eq!(checks, 3);
-        assert_eq!(out, vec![NodeIdx(7), NodeIdx(8), NodeIdx(9)]);
+        assert_eq!(out, edges.iter().map(target).collect::<Vec<_>>());
     }
 
     #[test]
@@ -302,23 +339,21 @@ mod tests {
     #[test]
     fn tag_filter_keeps_covered_children_in_row_order() {
         let n = 19;
-        let edges: Vec<EdgeState> = (0..n)
-            .map(|j| EdgeState { c: (j % 5) as f64 * 0.1, last: 0.0, node: j as u32 + 1 })
-            .collect();
+        let edges: Vec<EdgeState> =
+            (0..n).map(|j| edge((j % 5) as f64 * 0.1, 0.0, j as u32 + 1)).collect();
         let mut out = Vec::new();
         let checks = tag_filter(0.2, &edges, &mut out);
         assert_eq!(checks, n as u64);
-        let expected: Vec<NodeIdx> =
-            (0..n).filter(|&j| edges[j].c <= 0.2).map(|j| NodeIdx(edges[j].node)).collect();
+        let expected: Vec<Target> =
+            (0..n).filter(|&j| edges[j].c <= 0.2).map(|j| target(&edges[j])).collect();
         assert_eq!(out, expected);
     }
 
     #[test]
     fn flood_keeps_everything_and_counts_every_candidate() {
         let mut out = Vec::new();
-        let edges: Vec<EdgeState> =
-            [3, 1, 2].iter().map(|&n| EdgeState { c: 0.1, last: 0.0, node: n }).collect();
+        let edges: Vec<EdgeState> = [3, 1, 2].iter().map(|&n| edge(0.1, 0.0, n)).collect();
         assert_eq!(flood(&edges, &mut out), 3);
-        assert_eq!(out, vec![NodeIdx(3), NodeIdx(1), NodeIdx(2)]);
+        assert_eq!(out, edges.iter().map(target).collect::<Vec<_>>());
     }
 }

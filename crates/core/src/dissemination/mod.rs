@@ -55,9 +55,13 @@
 //!   not, no early exit) — so Figure 11's check counts compare protocols
 //!   apples-to-apples. The invariant is pinned by
 //!   `checks_count_one_evaluation_per_candidate` below.
+//! * Each edge also carries its own µs delay
+//!   ([`Disseminator::stamp_delays`]): a decision hands the sender each
+//!   target with its edge's delay, so the drive holds no n² µs table.
 //! * A child re-parented by `RepairPolicy::Reparent` (in `d3t-sim`)
-//!   moves into its foster's CSR row: repair pays O(item holders + live
-//!   adoptions) per operation, decisions pay nothing (`adoption` module).
+//!   moves into its foster's CSR row, stamped with the foster's delay:
+//!   repair pays O(item holders + live adoptions) per operation,
+//!   decisions pay nothing (`adoption` module).
 //! * The row table is tens of MB at scale, so an event loop that knows
 //!   its next few deliveries hints them with
 //!   [`Disseminator::prefetch_row`] a short distance ahead (see
@@ -74,9 +78,10 @@ use serde::{Deserialize, Serialize};
 use crate::coherency::Coherency;
 use crate::graph::D3g;
 use crate::item::ItemId;
+use crate::lela::DelayMatrix;
 use crate::overlay::{NodeIdx, SOURCE};
 
-pub use kernel::{EdgeState, ForwardScratch};
+pub use kernel::{EdgeState, ForwardScratch, Target};
 
 /// Which dissemination policy a [`Disseminator`] applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -157,9 +162,10 @@ pub struct Disseminator {
     /// CSR forwarding table compiled from the d3g at construction:
     /// `child_edges[start..start + len]` (bounds from [`RowMeta`]) are
     /// the dependents of a row, each edge one interleaved
-    /// `(effective coherency, last sent, node)` record, so a forwarding
-    /// decision streams through one flat array instead of chasing the
-    /// d3g's nested `Vec`s and re-deriving `effective()` per event.
+    /// `(effective coherency, last sent, node, delay)` record, so a
+    /// forwarding decision streams through one flat array instead of
+    /// chasing the d3g's nested `Vec`s and re-deriving `effective()` per
+    /// event.
     child_edges: Vec<EdgeState>,
     /// Parent per `item * n_nodes + node` row ([`NO_PARENT`] for the
     /// source and for nodes not holding the item). Every holder has
@@ -177,6 +183,10 @@ pub struct Disseminator {
     /// pays O(item holders + live adoptions) per operation, decisions
     /// pay nothing.
     adoptions: Vec<adoption::Adoption>,
+    /// The overlay delays the edges were stamped from (a shared clone),
+    /// kept so a repair stamps the edges it moves. `None` until
+    /// [`Disseminator::stamp_delays`]: every edge then carries 0 µs.
+    delays: Option<DelayMatrix>,
 }
 
 /// Hot per-row record: the node's current copy of the row's item, CSR
@@ -249,6 +259,7 @@ impl Disseminator {
                         c: c.value(),
                         last: initial_values[i],
                         node: ch.0,
+                        delay_us: 0,
                     });
                 }
                 rows.push(RowMeta {
@@ -293,7 +304,27 @@ impl Disseminator {
             parent,
             active: vec![true; n_nodes].into_boxed_slice(),
             adoptions: Vec::new(),
+            delays: None,
         }
+    }
+
+    /// Stamps every CSR edge with its one-way delay in µs —
+    /// [`DelayMatrix::us`] from the row's node to the dependent — and
+    /// keeps a clone of `delays` (a pointer copy), so a repair stamps
+    /// the edges it moves. The drive schedules every send from these
+    /// stamps; callers stamp right after compiling.
+    ///
+    /// # Panics
+    /// Panics if `delays` covers fewer nodes than the overlay.
+    pub fn stamp_delays(&mut self, delays: &DelayMatrix) {
+        assert!(delays.len() >= self.n_nodes, "the delay matrix must cover every overlay node");
+        for (r, meta) in self.rows.iter().enumerate() {
+            let node = NodeIdx((r % self.n_nodes) as u32);
+            for e in &mut self.child_edges[meta.start as usize..][..meta.len as usize] {
+                e.delay_us = delays.us(node, NodeIdx(e.node));
+            }
+        }
+        self.delays = Some(delays.clone());
     }
 
     /// The protocol in force.
@@ -589,12 +620,12 @@ impl Disseminator {
         for (item, value) in updates {
             self.on_source_update_into(item, value, &mut scratch);
             checks += scratch.checks();
-            stack.extend(scratch.to().iter().map(|&n| (n, scratch.update())));
+            stack.extend(scratch.to().iter().map(|t| (t.node, scratch.update())));
             while let Some((node, update)) = stack.pop() {
                 messages += 1;
                 self.on_repo_update_into(node, update, &mut scratch);
                 checks += scratch.checks();
-                stack.extend(scratch.to().iter().map(|&n| (n, scratch.update())));
+                stack.extend(scratch.to().iter().map(|t| (t.node, scratch.update())));
             }
             // After the cascade settles, record any coherency violation.
             for n in 1..d3g.n_nodes() {
@@ -836,7 +867,9 @@ impl Disseminator {
     /// Folds the disseminator's complete logical state — structure and
     /// values, every float by bit pattern — into `h`. Two disseminators
     /// digesting equal are byte-equal in every field a future decision
-    /// can read, which is what the snapshot `state_digest` gates on.
+    /// can read, which is what the snapshot `state_digest` gates on. An
+    /// edge's delay is a function of its row and dependent under the
+    /// run's fixed delay matrix, so it is not digested.
     pub fn digest_into(&self, h: &mut crate::digest::Fnv1a) {
         h.write_u64(self.protocol as u64);
         h.write_usize(self.n_items);
@@ -893,6 +926,12 @@ mod tests {
 
     pub(super) fn c(v: f64) -> Coherency {
         Coherency::new(v)
+    }
+
+    /// The nodes a kernel decision selected, for comparison with the
+    /// scalar oracle's `Forwarding::to` (which carries no delays).
+    pub(super) fn target_nodes(scratch: &ForwardScratch) -> Vec<NodeIdx> {
+        scratch.to().iter().map(|t| t.node).collect()
     }
 
     /// The exact Figure-4 scenario: S → P (c=0.3) → Q (c=0.5), values
@@ -1119,7 +1158,7 @@ mod tests {
             for v in [1.2, 1.4, 1.5, 1.7, 2.0] {
                 let f = oracle.on_source_update(ItemId(0), v);
                 kern.on_source_update_into(ItemId(0), v, &mut scratch);
-                assert_eq!(scratch.to(), &f.to[..], "{protocol:?} source targets");
+                assert_eq!(target_nodes(&scratch), f.to, "{protocol:?} source targets");
                 assert_eq!(scratch.update(), f.update, "{protocol:?} source update");
                 assert_eq!(scratch.checks(), f.checks, "{protocol:?} source checks");
                 let mut pending: Vec<(NodeIdx, Update)> =
@@ -1127,7 +1166,7 @@ mod tests {
                 while let Some((node, update)) = pending.pop() {
                     let f = oracle.on_repo_update(node, update);
                     kern.on_repo_update_into(node, update, &mut scratch);
-                    assert_eq!(scratch.to(), &f.to[..], "{protocol:?} repo targets");
+                    assert_eq!(target_nodes(&scratch), f.to, "{protocol:?} repo targets");
                     assert_eq!(scratch.checks(), f.checks, "{protocol:?} repo checks");
                     pending.extend(f.to.iter().map(|&n| (n, f.update)));
                 }

@@ -24,7 +24,8 @@
 //!
 //! The communication delays are a [`DelayMatrix`]: the shortest-path
 //! delays among the overlay nodes, index 0 the source. LeLA reads it in
-//! ms; the engine reads its one-time rounding into µs, [`DelayMicros`].
+//! ms; the drive reads each d3g edge's delay rounded once into µs
+//! ([`DelayMatrix::us`]), stamped into the edge record.
 //!
 //! # The scoring kernel
 //!
@@ -53,6 +54,8 @@
 //! cells of a pair routinely differ in their last bits, and a last-bit
 //! difference in a preference factor can reorder the band and so change
 //! the d3g.
+
+use std::sync::Arc; // d3t-lint: allow(D003) -- Arc shares the immutable delay cells by refcount; no locks, no scheduling
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -123,10 +126,14 @@ impl LelaConfig {
 /// A dense symmetric matrix of one-way communication delays (ms) over
 /// the overlay nodes: overlay index 0 is the source, `i + 1` the `i`-th
 /// repository.
+///
+/// The cells sit behind an [`Arc`], so a clone is a pointer copy: every
+/// session of a prepared run keeps the matrix for repair-time lookups
+/// without a second n² table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DelayMatrix {
     n: usize,
-    delays: Vec<f64>,
+    delays: Arc<Vec<f64>>,
 }
 
 impl DelayMatrix {
@@ -140,7 +147,7 @@ impl DelayMatrix {
         if !Self::is_valid(n, &delays) {
             Self::reject(n, &delays);
         }
-        Self { n, delays }
+        Self { n, delays: Arc::new(delays) }
     }
 
     /// Side of the square tiles [`Self::is_valid`] walks the matrix in:
@@ -241,7 +248,8 @@ impl DelayMatrix {
     /// Multiplies every cell by `target_ms / mean_delay_ms()`, so that the
     /// mean becomes `target_ms` — how the communication-delay sweeps
     /// (Figures 5, 7b) set their x-axis. Shortest paths are invariant
-    /// under uniform scaling, so no path is recomputed.
+    /// under uniform scaling, so no path is recomputed. Copy-on-write: a
+    /// matrix no clone shares (as at build) is scaled in place.
     ///
     /// # Panics
     /// Panics if `target_ms` is not positive, if the mean is zero, or if
@@ -252,30 +260,120 @@ impl DelayMatrix {
         assert!(current > 0.0, "cannot rescale a zero-delay network");
         let factor = target_ms / current;
         assert!(factor > 0.0 && factor.is_finite(), "scale factor must be positive");
-        for d in &mut self.delays {
+        let delays = Arc::make_mut(&mut self.delays);
+        for d in delays.iter_mut() {
             *d *= factor;
         }
-        if !Self::is_valid(self.n, &self.delays) {
-            Self::reject(self.n, &self.delays);
+        if !Self::is_valid(self.n, delays) {
+            Self::reject(self.n, delays);
         }
+    }
+
+    /// One-way delay between two overlay nodes in integer µs, rounded
+    /// half away from zero — the one rounding every µs delay the drive
+    /// schedules with goes through, cell for cell what
+    /// [`DelayMicros::from_delays`] stores. Exact for every matrix
+    /// [`Self::min_offdiag_us`] accepts.
+    #[inline]
+    pub fn us(&self, a: NodeIdx, b: NodeIdx) -> u32 {
+        round_us(self.delay_ms(a, b) * 1000.0)
+    }
+
+    /// The smallest delay between two *distinct* overlay nodes, µs
+    /// (`u64::MAX` below two nodes): a lower bound on how far in the
+    /// future any transmission can land — the drive's batch window.
+    /// Rounds every cell into one reused row, so the pass writes O(n),
+    /// not n².
+    ///
+    /// # Panics
+    /// Panics, naming the pair, on a cell that is not finite, is
+    /// negative, or rounds past the `u32` µs an edge record holds.
+    pub fn min_offdiag_us(&self) -> u64 {
+        let mut row = vec![0u32; self.n];
+        let min = (0..self.n).map(|a| self.round_row_checked(a, &mut row)).min();
+        match min {
+            Some(min) if self.n >= 2 => u64::from(min),
+            _ => u64::MAX,
+        }
+    }
+
+    /// Rounds the first `row.len()` delays out of node `a` into `row`,
+    /// panicking as [`Self::min_offdiag_us`] documents on a cell that
+    /// does not fit, and returns the row's smallest off-diagonal cell
+    /// (`u32::MAX` when it has none).
+    fn round_row_checked(&self, a: usize, row: &mut [u32]) -> u32 {
+        let ms = &self.row_ms(NodeIdx(a as u32))[..row.len()];
+        if !round_row(ms, row) {
+            reject_row(ms, a);
+        }
+        let min_of = |cells: &[u32]| cells.iter().copied().min().unwrap_or(u32::MAX);
+        min_of(&row[..a]).min(min_of(&row[a + 1..]))
     }
 }
 
-/// A flat `n × n` matrix of one-way delays in **integer microseconds** —
-/// the discrete-event engine's scheduling currency.
+/// `ms * 1000.0` rounds (half away from zero) into a `u32` exactly when
+/// it is below this.
+const US_LIMIT: f64 = u32::MAX as f64 + 0.5;
+
+/// `x.round() as u32` for `0 <= x < US_LIMIT` in plain arithmetic the
+/// compiler vectorises (`round` is a libm call, `as u32` a scalar
+/// conversion): round to even, step up the ties that went down — `x -
+/// even` is exact — and read the integer out of the mantissa. Garbage
+/// outside that range; callers check.
+#[inline(always)]
+fn round_us(x: f64) -> u32 {
+    /// 2^52: adding it to `0 <= x < 2^52` rounds `x` to an integer (ties
+    /// to even) held in the sum's low mantissa bits.
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    let even = (x + TWO_52) - TWO_52;
+    let away = even + f64::from(u8::from(x - even >= 0.5));
+    (away + TWO_52).to_bits() as u32
+}
+
+/// Rounds one row of ms delays into its µs cells; false when some delay
+/// is not finite, negative or too large for a cell (the cells are then
+/// garbage). One flag per row instead of two asserts per cell keeps the
+/// loop free of calls and branches.
+fn round_row(ms: &[f64], us: &mut [u32]) -> bool {
+    let mut ok = true;
+    for (cell, &ms) in us.iter_mut().zip(ms) {
+        let x = ms * 1000.0;
+        ok &= ms >= 0.0 && x < US_LIMIT;
+        *cell = round_us(x);
+    }
+    ok
+}
+
+/// The per-cell checks behind the rounding panics, run only on a row
+/// (the delays out of node `a`) that [`round_row`] refused.
+#[cold]
+fn reject_row(ms: &[f64], a: usize) -> ! {
+    for (b, &ms) in ms.iter().enumerate() {
+        assert!(
+            ms.is_finite() && ms >= 0.0,
+            "overlay delay {a}->{b} must be finite and >= 0, got {ms}"
+        );
+        let rounded = (ms * 1000.0).round() as u64;
+        assert!(
+            rounded <= u32::MAX as u64,
+            "overlay delay {a}->{b} of {ms} ms exceeds the u32-µs cell (~71 min)"
+        );
+    }
+    unreachable!("a refused row fails one of the cell checks");
+}
+
+/// A flat `n × n` matrix of one-way delays in **integer microseconds**,
+/// each cell [`DelayMatrix::us`] of its pair.
 ///
-/// Built once per run from the [`DelayMatrix`]: each pair's
-/// float delay is rounded to µs exactly once here, so the event loop does
-/// pure integer arithmetic with no per-event `f64 ↔ u64` round-trips (and
-/// is therefore bit-deterministic by construction).
+/// The drive holds none: each d3g edge carries its own µs delay and the
+/// batch window comes from [`DelayMatrix::min_offdiag_us`]. This
+/// whole-matrix rounding is for `d3t-bench`'s staged build, which times
+/// it as a stage of its own.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DelayMicros {
     n: usize,
-    /// `u32` cells, not `u64`: the matrix is the event loop's largest
-    /// gather target (n² entries touched once per message), so halving
-    /// the cell halves the cache lines the sends stream through. 2³² µs
-    /// is ~71 minutes of one-way delay — far beyond any physical
-    /// configuration; construction asserts the fit.
+    /// `u32` cells: 2³² µs is ~71 minutes of one-way delay — far beyond
+    /// any physical configuration; construction asserts the fit.
     us: Vec<u32>,
     /// The smallest off-diagonal cell, recorded while rounding.
     min_offdiag_us: u64,
@@ -283,65 +381,19 @@ pub struct DelayMicros {
 
 impl DelayMicros {
     /// Rounds every pair of `delays` into µs. `n` is the overlay size.
+    ///
+    /// # Panics
+    /// As [`DelayMatrix::min_offdiag_us`].
     pub fn from_delays(delays: &DelayMatrix, n: usize) -> Self {
         let mut us = vec![0u32; n * n];
-        let mut min_offdiag_us = u32::MAX;
-        let min_of = |cells: &[u32]| cells.iter().copied().min().unwrap_or(u32::MAX);
-        for (a, row) in us.chunks_exact_mut(n.max(1)).enumerate() {
-            let ms = &delays.row_ms(NodeIdx(a as u32))[..n];
-            if !Self::round_row(ms, row) {
-                Self::reject_row(ms, a);
-            }
-            min_offdiag_us = min_offdiag_us.min(min_of(&row[..a])).min(min_of(&row[a + 1..]));
-        }
-        let min_offdiag_us = if n < 2 { u64::MAX } else { u64::from(min_offdiag_us) };
+        let min = us
+            .chunks_exact_mut(n.max(1))
+            .enumerate()
+            .map(|(a, row)| delays.round_row_checked(a, row))
+            .min()
+            .unwrap_or(u32::MAX);
+        let min_offdiag_us = if n < 2 { u64::MAX } else { u64::from(min) };
         Self { n, us, min_offdiag_us }
-    }
-
-    /// Rounds one row of ms delays into its µs cells; false when some
-    /// delay is not finite, negative or too large for a cell (the cells
-    /// are then garbage). One flag per row instead of two asserts per
-    /// cell keeps the loop free of calls and branches.
-    fn round_row(ms: &[f64], us: &mut [u32]) -> bool {
-        /// `ms * 1000.0` rounds (half away from zero) into a `u32` exactly
-        /// when it is below this.
-        const LIMIT: f64 = u32::MAX as f64 + 0.5;
-        /// 2^52: adding it to `0 <= x < 2^52` rounds `x` to an integer
-        /// (ties to even) held in the sum's low mantissa bits.
-        const TWO_52: f64 = 4_503_599_627_370_496.0;
-        let mut ok = true;
-        for (cell, &ms) in us.iter_mut().zip(ms) {
-            let x = ms * 1000.0;
-            ok &= ms >= 0.0 && x < LIMIT;
-            // `x.round() as u32` for `0 <= x < LIMIT` in plain arithmetic
-            // the compiler vectorises (`round` is a libm call, `as u32` a
-            // scalar conversion): round to even, step up the ties that
-            // went down — `x - even` is exact — and read the integer out
-            // of the mantissa.
-            let even = (x + TWO_52) - TWO_52;
-            let away = even + f64::from(u8::from(x - even >= 0.5));
-            *cell = (away + TWO_52).to_bits() as u32;
-        }
-        ok
-    }
-
-    /// The per-cell checks behind [`Self::from_delays`]'s panics, run only
-    /// on a row (the delays out of node `a`) that [`Self::round_row`]
-    /// refused.
-    #[cold]
-    fn reject_row(ms: &[f64], a: usize) -> ! {
-        for (b, &ms) in ms.iter().enumerate() {
-            assert!(
-                ms.is_finite() && ms >= 0.0,
-                "overlay delay {a}->{b} must be finite and >= 0, got {ms}"
-            );
-            let rounded = (ms * 1000.0).round() as u64;
-            assert!(
-                rounded <= u32::MAX as u64,
-                "overlay delay {a}->{b} of {ms} ms exceeds the u32-µs cell (~71 min)"
-            );
-        }
-        unreachable!("a refused row fails one of the cell checks");
     }
 
     /// One-way delay between two overlay nodes, µs.
@@ -350,25 +402,8 @@ impl DelayMicros {
         u64::from(self.us[a.index() * self.n + b.index()])
     }
 
-    /// All one-way delays out of `a` in µs, indexed by destination —
-    /// lets a sender's fan-out loop hoist the row lookup.
-    #[inline]
-    pub fn row(&self, a: NodeIdx) -> &[u32] {
-        &self.us[a.index() * self.n..(a.index() + 1) * self.n]
-    }
-
-    /// Hints the CPU to pull the `a → b` delay cell — lets an event loop
-    /// that already knows its recipients overlap the matrix gather with
-    /// unrelated work. No-op off x86-64; never faults.
-    #[inline]
-    pub fn prefetch(&self, a: NodeIdx, b: NodeIdx) {
-        crate::prefetch::read(&self.us[a.index() * self.n + b.index()]);
-    }
-
     /// The smallest delay between two *distinct* overlay nodes, µs
-    /// (`u64::MAX` for a 0/1-node overlay). A lower bound on how far in
-    /// the future any transmission can land — what lets the simulator
-    /// pop a short run of already-ordered events ahead of time.
+    /// (`u64::MAX` for a 0/1-node overlay).
     pub fn min_offdiag_us(&self) -> u64 {
         self.min_offdiag_us
     }
@@ -819,7 +854,7 @@ mod tests {
         dm.scale_to_mean_delay(75.0);
         assert!((dm.mean_delay_ms() - 75.0).abs() < 1e-9);
         // One `*=` per cell, mirrored cells included.
-        for (scaled, d) in dm.delays.iter().zip(&before.delays) {
+        for (scaled, d) in dm.delays.iter().zip(before.delays.iter()) {
             assert_eq!(scaled.to_bits(), (d * factor).to_bits());
         }
     }
@@ -931,7 +966,7 @@ mod tests {
             .is_some_and(|m| m.contains("matrix must be n x n")));
         for n in [1, 2, TILE - 1, TILE, TILE + 1, 2 * TILE + 3] {
             let mut rng = StdRng::seed_from_u64(n as u64);
-            let valid = ragged_delays(&mut rng, n).delays;
+            let valid = ragged_delays(&mut rng, n).delays.to_vec();
             assert_eq!(first_offence(n, &valid), None);
             // A cell of the first tile, of the last (partial) tile, and on
             // either side of the first tile edge — where `n` has them.
@@ -1002,19 +1037,24 @@ mod tests {
             for b in 0..n {
                 let (a, b) = (NodeIdx(a as u32), NodeIdx(b as u32));
                 assert_eq!(us.us(a, b), round_us(dm.delay_ms(a, b)), "{a}->{b}");
+                // The per-cell rounding edges are stamped with agrees.
+                assert_eq!(u64::from(dm.us(a, b)), us.us(a, b), "{a}->{b}");
                 if a != b {
                     min = min.min(us.us(a, b));
                 }
             }
         }
         assert_eq!(us.min_offdiag_us(), min);
+        assert_eq!(dm.min_offdiag_us(), min);
     }
 
     #[test]
     fn delay_micros_min_offdiag_matches_a_scan() {
         for n in [0usize, 1] {
-            let us = DelayMicros::from_delays(&DelayMatrix::uniform(n, 3.0), n);
+            let dm = DelayMatrix::uniform(n, 3.0);
+            let us = DelayMicros::from_delays(&dm, n);
             assert_eq!(us.min_offdiag_us(), u64::MAX);
+            assert_eq!(dm.min_offdiag_us(), u64::MAX);
             assert_eq!(us.len(), n);
         }
         for (n, seed) in [(2usize, 1u64), (5, 2), (33, 3), (64, 4)] {
@@ -1026,12 +1066,15 @@ mod tests {
                 .map(|(a, b)| us.us(NodeIdx(a as u32), NodeIdx(b as u32)))
                 .min();
             assert_eq!(Some(us.min_offdiag_us()), scan, "n {n}");
+            assert_eq!(Some(dm.min_offdiag_us()), scan, "n {n}");
         }
         // The minimum may sit anywhere, including the last cell of a row.
         let mut m = vec![9.0; 9];
         (m[0], m[4], m[8]) = (0.0, 0.0, 0.0);
         (m[5], m[7]) = (1.0, 1.0);
-        assert_eq!(DelayMicros::from_delays(&DelayMatrix::new(3, m), 3).min_offdiag_us(), 1000);
+        let dm = DelayMatrix::new(3, m);
+        assert_eq!(DelayMicros::from_delays(&dm, 3).min_offdiag_us(), 1000);
+        assert_eq!(dm.min_offdiag_us(), 1000);
     }
 
     /// ROADMAP 5d's u32-µs boundary: exactly `u32::MAX` µs fits a cell,
@@ -1046,14 +1089,21 @@ mod tests {
 
         let over = 4_294_967.295_5;
         assert_eq!(round_us(over), u64::from(u32::MAX) + 1);
+        assert_eq!(DelayMatrix::uniform(2, fits).min_offdiag_us(), u64::from(u32::MAX));
         for too_long in [over, 4_294_967.296, 1e300] {
-            let got = panic_message(move || {
-                DelayMicros::from_delays(&DelayMatrix::uniform(2, too_long), 2);
-            });
-            assert!(
-                got.as_deref().is_some_and(|m| m.contains("0->1") && m.contains("exceeds the u32")),
-                "{too_long}: {got:?}"
-            );
+            let dm = DelayMatrix::uniform(2, too_long);
+            for got in [
+                panic_message(|| drop(DelayMicros::from_delays(&dm, 2))),
+                panic_message(|| {
+                    dm.min_offdiag_us();
+                }),
+            ] {
+                assert!(
+                    got.as_deref()
+                        .is_some_and(|m| m.contains("0->1") && m.contains("exceeds the u32")),
+                    "{too_long}: {got:?}"
+                );
+            }
         }
         // Cells `DelayMatrix::new` would refuse, planted past it: every pair
         // 1 ms apart except `1 -> 2`.
@@ -1061,7 +1111,7 @@ mod tests {
             let mut delays = vec![1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0];
             (delays[0], delays[5]) = (0.0, bad);
             let got = panic_message(move || {
-                DelayMicros::from_delays(&DelayMatrix { n: 3, delays }, 3);
+                DelayMicros::from_delays(&DelayMatrix { n: 3, delays: Arc::new(delays) }, 3);
             });
             assert!(
                 got.as_deref().is_some_and(|m| {

@@ -27,8 +27,8 @@
 use d3t_core::coherency::Coherency;
 use d3t_core::digest::debug_hash;
 use d3t_sim::{
-    CalendarQueue, CrashSpec, DegradeWindow, Dynamic, EventKind, EventQueue, FaultPlan, LossWindow,
-    NoopObserver, Observer, Prepared, RepairPolicy, RepairSpec, Session,
+    CrashSpec, DegradeWindow, Dynamic, EventKind, EventQueue, FaultPlan, LossWindow, Observer,
+    Prepared, RepairPolicy, RepairSpec, Session,
 };
 
 use crate::scale::Scale;
@@ -251,7 +251,7 @@ pub fn whatif_report(scale: &Scale, n_branches: usize) -> WhatIfReport {
         apply(&mut cold, &b.action);
         let cold_out = cold.run_to_end();
 
-        let mut warm = prepared.resume_with::<CalendarQueue<EventKind>, _>(&snap, NoopObserver);
+        let mut warm = prepared.resume(&snap);
         apply(&mut warm, &b.action);
         let warm_out = warm.run_to_end();
 

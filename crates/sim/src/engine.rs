@@ -42,10 +42,13 @@
 //! The engine runs on an **integer-microsecond timebase end to end**:
 //!
 //! * All float inputs are converted to `u64` µs exactly once, at
-//!   construction — the overlay delay matrix is flattened into a
-//!   [`DelayMicros`] (one rounding per node pair), the per-dependent
-//!   computational delay into a single `u64`, and each source change's
-//!   millisecond timestamp via a saturating `× 1000`.
+//!   construction — each d3g edge's delay into its edge record
+//!   ([`Disseminator::stamp_delays`]; the drive reads delays only along
+//!   edges, so it holds no n² µs table), the per-dependent computational
+//!   delay into a single `u64`, and each source change's millisecond
+//!   timestamp via a saturating `× 1000`. This oracle loop instead
+//!   rounds each send's delay through the same [`DelayMatrix::us`],
+//!   which cross-checks the stamps on every run.
 //! * From then on the hot loop — queue pops, CPU-queue accounting
 //!   (`busy_until_us`), arrival scheduling, and horizon checks — is pure
 //!   `u64` arithmetic. There are no per-event `f64 ↔ u64` round-trips, so
@@ -57,12 +60,12 @@
 //!   into a percentage only when the report is produced.
 //! * Events are ordered by `(time_us, sequence number)`; ties resolve in
 //!   creation order. The scheduler is a type parameter behind the
-//!   [`EventQueue`] trait; every product
-//!   drive uses the two-tier [`CalendarQueue`], and the
-//!   [`HeapQueue`](crate::queue::HeapQueue) oracle is what the property
-//!   tests compare it against. Ordering is bit-identical across the two
-//!   on every input, so the queue type changes wall clock only, never
-//!   results.
+//!   [`EventQueue`] trait; every product drive uses the binary
+//!   [`HeapQueue`], and the two-tier
+//!   [`CalendarQueue`](crate::queue::CalendarQueue) is a reference the
+//!   property suites compare it against. Ordering is bit-identical
+//!   across the two on every input, so the queue type changes wall
+//!   clock and memory only, never results.
 //! * **The pre-seeded source changes never enter the queue.** They are
 //!   compiled at construction into a time-sorted `(at_us, payload)`
 //!   stream that the run loops *merge* with the queue: every pre-seeded
@@ -75,17 +78,16 @@
 //!   (thousands), keeping both backends cache-resident.
 //! * Queue traffic is sized and batched for memory bandwidth: the
 //!   payload is packed to 16 bytes ([`EventKind`], with centralized
-//!   tags NaN-boxed through a [`TagTable`] side table), a calendar slot
-//!   carries **no seq tie-breaker** and totals 24 bytes (down from 40 —
-//!   both pinned by compile-time asserts below), the session's transmit
-//!   enqueues each send group with one
+//!   tags NaN-boxed through a [`TagTable`] side table), a heap slot
+//!   totals 32 bytes with its `(at_us, seq)` key (both pinned by
+//!   compile-time asserts below), the session's transmit enqueues each
+//!   send group with one
 //!   [`push_batch`](crate::queue::EventQueue::push_batch), and its
 //!   drain pops reorder-free runs with one
 //!   [`pop_run`](crate::queue::EventQueue::pop_run) inside the
 //!   `comp_delay + min link delay` safety window, then processes the
 //!   run one event at a time while prefetching the row and pair state
-//!   of the arrival four events ahead. See [`crate::queue`] for the
-//!   bucket math and the stability argument behind the seq drop.
+//!   of the arrival four events ahead. See [`crate::queue`].
 //! * The per-event protocol and accounting state is laid out flat and
 //!   hot/cold split: the disseminator walks one 32-byte row record plus
 //!   one interleaved CSR edge run per decision (the batched check
@@ -98,25 +100,14 @@
 //!   so `d3t-bench` times the session beside the sealed `Engine::run` in
 //!   the same process (`engine.session_vs_oracle_x`, e.g. on
 //!   `drive-600r`: 600 repositories / 100 items / 10k ticks, ~13.65 M
-//!   events) and checks both reports — and the heap-queue drive's —
-//!   equal. With the seeded backlog gone the *heap* is competitive at
-//!   this scale too (its pending set is a few thousand arrivals, so
-//!   `log n` is short and cache-hot; `queue.calendar_vs_heap_x`).
-//! * **Scaling past one core is spatial, not per-event.** The drain is
-//!   compute-bound at roughly 100 ns/event, so `crate::shard`
-//!   partitions the overlay into per-core shards (tolerance-weighted
-//!   cut minimization over the d3g CSR) and runs the same per-event
-//!   kernels over popped runs once per shard inside the
-//!   conservative-PDES lookahead bound: with
-//!   `W = comp_delay + min_offdiag_link` (exactly
-//!   `Session::batch_window_us`), an event at time `t` can only cause
-//!   events at `t + W` or later, so every event strictly below
-//!   `min(t_min) + W` — `t_min` probed per epoch via
-//!   [`peek_at`](crate::queue::EventQueue::peek_at) — is reorder-free
-//!   across shards. Cross-shard sends ride per-shard epoch outboxes
-//!   merged at the barrier in global creation order; the 1-shard path
-//!   stays bit-identical to this loop, and fixed `(seed, N)` replays
-//!   bit-identically at any thread schedule.
+//!   events) and checks both reports — and the calendar-queue oracle
+//!   drive's — equal.
+//! * **Scaling past one core is spatial, not per-event:** `crate::shard`
+//!   runs the same per-event kernels once per overlay shard inside the
+//!   conservative-PDES lookahead `W = comp_delay + min link delay`
+//!   (exactly `Session::batch_window_us`; the bound is argued in
+//!   [`crate::queue`]). The 1-shard path stays bit-identical to this
+//!   loop, and fixed `(seed, N)` replays bit-identically.
 //!
 //! Experiment setup cost lives in [`crate::prepared`], not here.
 
@@ -126,12 +117,12 @@ use d3t_core::dissemination::{Disseminator, Update};
 use d3t_core::fidelity::{FidelityReport, FidelityTracker};
 use d3t_core::graph::D3g;
 use d3t_core::item::ItemId;
-use d3t_core::lela::{DelayMatrix, DelayMicros};
+use d3t_core::lela::DelayMatrix;
 use d3t_core::overlay::NodeIdx;
 use d3t_core::workload::Workload;
 
 use crate::metrics::Metrics;
-use crate::queue::{CalendarQueue, EventQueue};
+use crate::queue::{EventQueue, HeapQueue};
 
 /// One source change: `(time_ms, item, value)`.
 pub type SourceChange = (u64, ItemId, f64);
@@ -139,9 +130,9 @@ pub type SourceChange = (u64, ItemId, f64);
 /// Payload of one scheduled event, packed to **16 bytes**. The
 /// scheduling key `(at_us, seq)` lives in the event queue, not here.
 ///
-/// The calendar queue is memory-traffic bound at paper scale (hundreds
-/// of thousands of pending events transiting buckets), so the payload
-/// carries exactly one word of float state: `bits` is the event's value
+/// Queue traffic is memory-traffic bound at paper scale (millions of
+/// pushes and pops per run), so the payload carries exactly one word of
+/// float state: `bits` is the event's value
 /// for source changes and untagged arrivals, or — for centralized tagged
 /// arrivals — a **NaN-boxed [`TagTable`] index** resolving to the
 /// `(value, tag)` pair the update carries. A finite value can never
@@ -150,8 +141,7 @@ pub type SourceChange = (u64, ItemId, f64);
 /// never overlap. The source/arrival distinction collapses into a
 /// node-index sentinel as before.
 ///
-/// Combined with the seq-free calendar slots this packs a queue slot to
-/// 24 bytes, down from 40 — a 40% cut in the bytes every push/pop moves
+/// With its `(at_us, seq)` key this packs a heap slot to 32 bytes
 /// (`size_of` pinned by compile-time asserts below). Use
 /// [`EventKind::classify`] (or `Session::classify`) to get the ergonomic
 /// [`Event`] view back; for untagged events it compiles to a couple of
@@ -324,13 +314,13 @@ impl EventKind {
     }
 }
 
-// The whole point of the packing: a 16-byte payload inside a ≤ 24-byte
-// calendar slot (down from 24 in 40). Checked at compile time so a
-// future field can't silently regrow the hot path's memory traffic.
+// The whole point of the packing: a 16-byte payload inside a 32-byte
+// heap slot. Checked at compile time so a future field can't silently
+// regrow the hot path's memory traffic.
 const _: () = assert!(std::mem::size_of::<EventKind>() == 16);
 const _: () = assert!(
-    <CalendarQueue<EventKind> as EventQueue<EventKind>>::SLOT_BYTES <= 24,
-    "calendar slots must stay within 24 bytes"
+    <HeapQueue<EventKind> as EventQueue<EventKind>>::SLOT_BYTES <= 32,
+    "heap slots must stay within 32 bytes"
 );
 
 /// Rounds a millisecond duration to integer microseconds (used only at
@@ -371,16 +361,18 @@ pub fn build_source_stream(changes: &[SourceChange], end_us: u64) -> Vec<(u64, E
 }
 
 /// The assembled simulator, ready to run one dissemination experiment.
-/// The scheduler backend is a type parameter, defaulting to the calendar
-/// queue; results are backend independent by construction. Everything the
+/// The scheduler backend is a type parameter, defaulting to the binary
+/// heap; results are backend independent by construction. Everything the
 /// event loop needs is compiled into flat owned state at construction —
 /// the d3g is not referenced after [`Engine::new`] returns.
-pub struct Engine<Q: EventQueue<EventKind> = CalendarQueue<EventKind>> {
-    /// Flat µs overlay delay matrix (one float→int rounding per pair,
-    /// done at construction). Shared: every session of the same
-    /// prepared run reads the identical matrix, so warm branches and
-    /// sweep cells clone a pointer instead of re-rounding O(n²) pairs.
-    pub(crate) delays_us: Arc<DelayMicros>,
+pub struct Engine<Q: EventQueue<EventKind> = HeapQueue<EventKind>> {
+    /// The overlay delays (a shared clone): this oracle loop rounds the
+    /// delay of each send from them, where the session reads the delay
+    /// stamped into the edge.
+    delays: DelayMatrix,
+    /// The smallest delay between two distinct overlay nodes, µs — the
+    /// session's batch window less the computational delay.
+    pub(crate) min_link_us: u64,
     /// Per-dependent CPU occupancy, µs.
     pub(crate) comp_delay_us: u64,
     pub(crate) disseminator: Disseminator,
@@ -398,11 +390,9 @@ pub struct Engine<Q: EventQueue<EventKind> = CalendarQueue<EventKind>> {
     /// and time-sorted. They are **streamed**, not enqueued: the run
     /// loops merge this cursor with the queue (stream wins time ties —
     /// every change carries a smaller creation stamp than any arrival),
-    /// so a million pre-seeded changes never transit the overflow heap
-    /// at all. The queue holds in-flight arrivals only. Shared for the
-    /// same reason as the delay matrix: the stream is immutable input,
-    /// and re-materializing ticks × items tuples per session dominates
-    /// warm-branch construction cost.
+    /// so the queue holds in-flight arrivals only. Shared: re-packing
+    /// ticks × items tuples per session dominates warm-branch
+    /// construction cost.
     pub(crate) source_stream: Arc<Vec<(u64, EventKind)>>,
     /// Next unprocessed `source_stream` entry.
     pub(crate) stream_cursor: usize,
@@ -410,12 +400,13 @@ pub struct Engine<Q: EventQueue<EventKind> = CalendarQueue<EventKind>> {
 
 impl Engine {
     /// Builds an engine over a constructed d3g, scheduling with the
-    /// default [`CalendarQueue`]. Use [`Engine::with_queue`] to pick a
+    /// default [`HeapQueue`]. Use [`Engine::with_queue`] to pick a
     /// different backend.
     ///
     /// * `workload` — the *user* needs (fidelity is measured against
     ///   these, not against LeLA-augmented requirements);
-    /// * `delays` — the overlay delay matrix, flattened once into µs;
+    /// * `delays` — the overlay delay matrix, checked and stamped into
+    ///   the disseminator's edges in µs;
     /// * `changes` — the merged, time-sorted source change stream;
     /// * `initial_values[item]` — the value every node starts coherent at;
     /// * `comp_delay_ms` — per-dependent CPU time (converted once to µs);
@@ -447,7 +438,11 @@ impl Engine {
 
 impl<Q: EventQueue<EventKind>> Engine<Q> {
     /// [`Engine::new`] with an explicit scheduler backend:
-    /// `Engine::<HeapQueue<EventKind>>::with_queue(...)`.
+    /// `Engine::<CalendarQueue<EventKind>>::with_queue(...)`.
+    ///
+    /// # Panics
+    /// As [`DelayMatrix::min_offdiag_us`], on a delay that does not fit
+    /// the `u32` µs an edge record holds.
     #[allow(clippy::too_many_arguments)] // one parameter per §6.1 experiment input
     pub fn with_queue(
         d3g: &D3g,
@@ -462,7 +457,8 @@ impl<Q: EventQueue<EventKind>> Engine<Q> {
         Self::with_queue_shared(
             d3g,
             workload,
-            Arc::new(DelayMicros::from_delays(delays, d3g.n_nodes())),
+            delays.clone(),
+            delays.min_offdiag_us(),
             disseminator,
             Arc::new(build_source_stream(changes, end_us)),
             initial_values,
@@ -471,27 +467,31 @@ impl<Q: EventQueue<EventKind>> Engine<Q> {
         )
     }
 
-    /// [`Engine::with_queue`] over *pre-built* shared inputs: the µs
-    /// delay matrix and the packed source stream are immutable for the
-    /// lifetime of a prepared run, so callers constructing many
-    /// sessions of the same inputs (sweep cells, warm what-if branches)
-    /// pass the same two `Arc`s and skip the O(n²) rounding and the
-    /// O(ticks × items) stream materialization per session.
+    /// [`Engine::with_queue`] over *pre-built* shared inputs: the delay
+    /// matrix (already checked, with its smallest off-diagonal µs) and
+    /// the packed source stream are immutable for the lifetime of a
+    /// prepared run, so callers constructing many sessions of the same
+    /// inputs (sweep cells, warm what-if branches) share them and skip
+    /// the O(n²) check and the O(ticks × items) stream materialization
+    /// per session. Stamps the edges of `disseminator`.
     #[allow(clippy::too_many_arguments)] // one parameter per §6.1 experiment input
-    pub fn with_queue_shared(
+    pub(crate) fn with_queue_shared(
         d3g: &D3g,
         workload: &Workload,
-        delays_us: Arc<DelayMicros>,
-        disseminator: Disseminator,
+        delays: DelayMatrix,
+        min_link_us: u64,
+        mut disseminator: Disseminator,
         source_stream: Arc<Vec<(u64, EventKind)>>,
         initial_values: &[f64],
         comp_delay_ms: f64,
         end_us: u64,
     ) -> Self {
         assert!(comp_delay_ms >= 0.0, "computational delay must be >= 0");
+        disseminator.stamp_delays(&delays);
         let n_changes = source_stream.len();
         Self {
-            delays_us,
+            delays,
+            min_link_us,
             comp_delay_us: ms_to_us(comp_delay_ms),
             disseminator,
             fidelity: FidelityTracker::new(workload, initial_values, 0),
@@ -554,7 +554,8 @@ impl<Q: EventQueue<EventKind>> Engine<Q> {
     }
 
     /// Serially prepares and sends `update` from `node` to each recipient.
-    /// Pure integer arithmetic: CPU queueing, link delay, horizon check.
+    /// Integer arithmetic after one rounding per send: CPU queueing, link
+    /// delay, horizon check.
     /// `relayed` is the event being forwarded, when there is one — its
     /// interned tag pair is reused instead of re-interned.
     fn transmit(
@@ -569,12 +570,11 @@ impl<Q: EventQueue<EventKind>> Engine<Q> {
             return;
         }
         let template = EventKind::arrival_template(update, relayed, &mut self.tags);
-        let delay_row = self.delays_us.row(node);
         let mut cpu = self.busy_until_us[node.index()].max(now_us);
         for &child in to {
             cpu += self.comp_delay_us;
             self.metrics.messages += 1;
-            let arrival_us = cpu + u64::from(delay_row[child.index()]);
+            let arrival_us = cpu + u64::from(self.delays.us(node, child));
             if arrival_us > self.end_us {
                 self.metrics.undelivered += 1;
                 continue;
@@ -589,7 +589,7 @@ impl<Q: EventQueue<EventKind>> Engine<Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::HeapQueue;
+    use crate::queue::CalendarQueue;
     use d3t_core::coherency::Coherency;
     use d3t_core::dissemination::Protocol;
     use d3t_core::lela::DelayMatrix;
@@ -691,8 +691,8 @@ mod tests {
         let (g, w) = tiny();
         let delays = DelayMatrix::uniform(2, 7.0);
         let mk = || Disseminator::new(Protocol::Distributed, &g, &[1.0]);
-        let cal = Engine::new(&g, &w, &delays, mk(), &changes, &[1.0], 3.0, 10_000_000).run();
-        let heap = Engine::<HeapQueue<EventKind>>::with_queue(
+        let heap = Engine::new(&g, &w, &delays, mk(), &changes, &[1.0], 3.0, 10_000_000).run();
+        let cal = Engine::<CalendarQueue<EventKind>>::with_queue(
             &g,
             &w,
             &delays,

@@ -6,7 +6,7 @@ use d3t_core::coop::{controlled_degree, CoopParams};
 use d3t_core::dissemination::Disseminator;
 use d3t_core::graph::D3g;
 use d3t_core::item::ItemId;
-use d3t_core::lela::{build_d3g, DelayMatrix, DelayMicros, LelaConfig};
+use d3t_core::lela::{build_d3g, DelayMatrix, LelaConfig};
 use d3t_core::workload::{Workload, WorkloadConfig};
 use d3t_net::placement::Placement;
 use d3t_net::{NetworkConfig, OverlayApsp, Pareto, Topology};
@@ -15,7 +15,7 @@ use d3t_traces::{generate_ensemble, EnsembleConfig, Trace};
 use crate::config::{SimConfig, TreeStrategy};
 use crate::engine::{Engine, EventKind, SourceChange};
 use crate::observer::{NoopObserver, Observer};
-use crate::queue::{CalendarQueue, EventQueue};
+use crate::queue::{EventQueue, HeapQueue};
 use crate::report::RunReport;
 use crate::session::Session;
 use crate::snapshot::Snapshot;
@@ -30,7 +30,11 @@ pub struct Prepared {
     pub workload: Workload,
     /// Shortest-path delays among the physical network's overlay nodes
     /// (index 0 = source, `i + 1` = repository `i`), rescaled to
-    /// [`SimConfig::target_mean_comm_delay_ms`] when that is set.
+    /// [`SimConfig::target_mean_comm_delay_ms`] when that is set. Every
+    /// cell is checked to fit the `u32` µs an edge record holds at
+    /// build. Each session's disseminator stamps its edges from this
+    /// matrix and keeps a clone (a pointer copy) for repairs; no n² µs
+    /// table is built.
     pub delays: DelayMatrix,
     /// The constructed dissemination graph.
     pub d3g: D3g,
@@ -43,12 +47,11 @@ pub struct Prepared {
     /// Observation horizon, µs (the engine's integer timebase).
     pub end_us: u64,
     cfg: SimConfig,
-    /// The flattened µs delay matrix, built once and shared by every
-    /// session/engine of this prepared run (the matrix is O(nodes²) —
-    /// re-rounding it per sweep cell or warm branch dominated session
-    /// construction cost).
-    delays_us: Arc<DelayMicros>,
-    /// The packed `(at_us, payload)` source stream, likewise built once
+    /// The smallest delay between two distinct overlay nodes, µs — the
+    /// drive's batch window less the computational delay. Recorded by
+    /// the same pass that checks the delays, once per network.
+    min_link_us: u64,
+    /// The packed `(at_us, payload)` source stream, built once
     /// and shared (O(ticks × items) tuples).
     source_stream: Arc<Vec<(u64, EventKind)>>,
     /// The overlay statistics every [`RunReport`] carries — constants of
@@ -63,7 +66,7 @@ impl Prepared {
     /// Generates every input deterministically from `cfg`.
     pub fn build(cfg: &SimConfig) -> Self {
         let traces = build_traces(cfg);
-        let (delays, mean_comm_delay_ms) = build_delays(cfg);
+        let (delays, mean_comm_delay_ms, min_link_us) = build_delays(cfg);
         let workload = build_workload(cfg);
         let coop_degree = effective_degree(cfg, mean_comm_delay_ms);
         let d3g = build_overlay(cfg, &workload, &delays, coop_degree);
@@ -72,7 +75,6 @@ impl Prepared {
         let initial_values = first_values(&traces);
         let changes = merge_changes(&traces);
         let end_us = horizon_us(&traces);
-        let delays_us = Arc::new(DelayMicros::from_delays(&delays, d3g.n_nodes()));
         let source_stream = Arc::new(crate::engine::build_source_stream(&changes, end_us));
         Self {
             traces,
@@ -84,7 +86,7 @@ impl Prepared {
             initial_values,
             end_us,
             cfg: cfg.clone(),
-            delays_us,
+            min_link_us,
             source_stream,
             mean_comm_delay_ms,
             max_tree_depth,
@@ -122,8 +124,7 @@ impl Prepared {
         }
         if stale.network {
             self.delays = DelayMatrix::new(0, Vec::new());
-            self.delays_us = Arc::new(DelayMicros::from_delays(&self.delays, 0));
-            (self.delays, self.mean_comm_delay_ms) = build_delays(cfg);
+            (self.delays, self.mean_comm_delay_ms, self.min_link_us) = build_delays(cfg);
         }
         if stale.workload {
             self.workload = Workload::from_needs(Vec::new());
@@ -140,11 +141,6 @@ impl Prepared {
             self.d3g = build_overlay(cfg, &self.workload, &self.delays, coop_degree);
             (self.max_tree_depth, self.mean_tree_depth) = self.d3g.depth_summary();
         }
-        if stale.network {
-            // With the delays, but after the overlay: it also reads
-            // `d3g.n_nodes()`.
-            self.delays_us = Arc::new(DelayMicros::from_delays(&self.delays, self.d3g.n_nodes()));
-        }
         self.cfg = cfg.clone();
         Retargeted {
             traces: stale.traces,
@@ -155,7 +151,7 @@ impl Prepared {
         }
     }
 
-    /// Runs the dissemination simulation on the calendar queue and
+    /// Runs the dissemination simulation on the binary-heap queue and
     /// gathers the report. Configurations with `n_shards > 1` drive the
     /// conservative parallel engine (`crate::shard`); its report is
     /// bit-identical to the sequential drive and deterministic for a
@@ -166,7 +162,7 @@ impl Prepared {
                 return report;
             }
         }
-        self.run_with::<CalendarQueue<EventKind>>()
+        self.run_with::<HeapQueue<EventKind>>()
     }
 
     /// Re-targets this prepared run at a different shard count without
@@ -187,17 +183,14 @@ impl Prepared {
     }
 
     /// A steppable [`Session`] over this prepared run, scheduling with the
-    /// default calendar queue and observing nothing.
+    /// default binary-heap queue and observing nothing.
     pub fn session(&self) -> Session {
-        self.session_with::<CalendarQueue<EventKind>, _>(NoopObserver)
+        self.session_with::<HeapQueue<EventKind>, _>(NoopObserver)
     }
 
-    /// A [`Session`] on the default calendar queue with the given
+    /// A [`Session`] on the default binary-heap queue with the given
     /// observer — the common observed-run entry point.
-    pub fn session_observing<O: Observer>(
-        &self,
-        observer: O,
-    ) -> Session<CalendarQueue<EventKind>, O> {
+    pub fn session_observing<O: Observer>(&self, observer: O) -> Session<HeapQueue<EventKind>, O> {
         self.session_with(observer)
     }
 
@@ -216,7 +209,7 @@ impl Prepared {
     }
 
     /// Reconstructs a live session from a [`Snapshot`] on the default
-    /// calendar queue — the warm-branch entry point. The resumed
+    /// binary-heap queue — the warm-branch entry point. The resumed
     /// session's run-to-end is **bit-identical** to the captured
     /// session run uninterrupted (property-tested across protocols ×
     /// seeds × backends × fault plans). The snapshot must
@@ -224,7 +217,7 @@ impl Prepared {
     /// traces and horizon — debug-asserted), but the queue backend may
     /// differ from the captured session's: capture is backend-neutral.
     pub fn resume(&self, snapshot: &Snapshot) -> Session {
-        self.resume_with::<CalendarQueue<EventKind>, _>(snapshot, NoopObserver)
+        self.resume_with::<HeapQueue<EventKind>, _>(snapshot, NoopObserver)
     }
 
     /// [`Prepared::resume`] with an explicit scheduler backend and a
@@ -270,7 +263,8 @@ impl Prepared {
         Engine::<Q>::with_queue_shared(
             &self.d3g,
             &self.workload,
-            Arc::clone(&self.delays_us),
+            self.delays.clone(),
+            self.min_link_us,
             disseminator,
             Arc::clone(&self.source_stream),
             &self.initial_values,
@@ -279,9 +273,9 @@ impl Prepared {
         )
     }
 
-    /// The shared flattened µs delay matrix of this prepared run.
-    pub(crate) fn delay_micros(&self) -> &Arc<DelayMicros> {
-        &self.delays_us
+    /// The smallest delay between two distinct overlay nodes, µs.
+    pub(crate) fn min_link_us(&self) -> u64 {
+        self.min_link_us
     }
 
     /// Wraps a finished run's outputs with the overlay statistics every
@@ -319,7 +313,7 @@ pub struct Retargeted {
     /// The traces and what derives from them alone: `changes`,
     /// `initial_values`, `end_us` and the source stream.
     pub traces: bool,
-    /// The physical network: `delays`, their mean and the µs flattening.
+    /// The physical network: `delays`, their mean and smallest µs.
     pub network: bool,
     /// The user workload.
     pub workload: bool,
@@ -464,8 +458,13 @@ fn build_overlay(
 
 /// Generates the physical network, computes the shortest-path delays
 /// among its overlay nodes, optionally rescales them to a target mean
-/// delay, and returns them with their mean pairwise delay.
-fn build_delays(cfg: &SimConfig) -> (DelayMatrix, f64) {
+/// delay, and returns them with their mean pairwise delay and their
+/// smallest off-diagonal µs.
+///
+/// # Panics
+/// Panics if a delay does not fit the `u32` µs an edge record holds
+/// ([`DelayMatrix::min_offdiag_us`]).
+fn build_delays(cfg: &SimConfig) -> (DelayMatrix, f64, u64) {
     let net = NetworkConfig { n_repositories: cfg.n_repos, ..cfg.network.clone() };
     assert!(net.n_nodes > cfg.n_repos, "network must have room for repositories plus the source");
     let seed = cfg.sub_seed("topology");
@@ -483,7 +482,8 @@ fn build_delays(cfg: &SimConfig) -> (DelayMatrix, f64) {
         delays.scale_to_mean_delay(target);
     }
     let mean = delays.mean_delay_ms();
-    (delays, mean)
+    let min_link_us = delays.min_offdiag_us();
+    (delays, mean, min_link_us)
 }
 
 fn effective_degree(cfg: &SimConfig, mean_comm_ms: f64) -> usize {
@@ -540,7 +540,7 @@ fn merge_changes(traces: &[Trace]) -> Vec<SourceChange> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::HeapQueue;
+    use crate::queue::CalendarQueue;
     use d3t_core::dissemination::Protocol;
 
     #[test]
@@ -617,6 +617,17 @@ mod tests {
             ],
             "timestamp ties break by item index"
         );
+    }
+
+    /// The µs-overflow check moved from a whole-matrix rounding into the
+    /// build's one checking pass, and did not vanish: a delay past the
+    /// `u32` µs an edge record holds still stops the build.
+    #[test]
+    #[should_panic(expected = "exceeds the u32")]
+    fn build_rejects_delays_past_the_u32_micros() {
+        let mut cfg = SimConfig::small_for_tests(2, 2, 50, 50.0);
+        cfg.target_mean_comm_delay_ms = Some(5.0e6);
+        Prepared::build(&cfg);
     }
 
     #[test]

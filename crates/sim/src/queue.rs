@@ -5,47 +5,43 @@
 //! exactly ascending key order. Two interchangeable backends implement
 //! that contract behind the [`EventQueue`] trait:
 //!
-//! * [`HeapQueue`] — the classic `BinaryHeap<Reverse<_>>`. `O(log n)` per
-//!   operation with branchy `u64` comparisons that walk `log n` cache
-//!   lines of a multi-megabyte array once millions of source changes are
-//!   seeded. Kept as the property-test oracle and as the same-process
-//!   reference `d3t-bench` drives beside the calendar
-//!   (`queue.calendar_vs_heap_x`).
+//! * [`HeapQueue`] — the classic `BinaryHeap<Reverse<_>>`, `O(log n)` per
+//!   operation. The queue every product drive (`Prepared::run`,
+//!   `session`, `resume`) schedules with: the engine streams its
+//!   pre-seeded source changes instead of enqueueing them, so the heap
+//!   holds only the in-flight arrivals — a few thousand, so `log n` is
+//!   short and cache-hot.
 //! * [`CalendarQueue`] — a calendar queue (R. Brown, CACM 1988) with a
 //!   ladder-style twist, specialised to the engine's exact integer-µs
-//!   keys: amortized `O(1)` push and pop for the event-time mix a
-//!   trace-driven simulation actually produces. The queue every product
-//!   drive (`Prepared::run`, `session`, `resume`) schedules with.
+//!   keys: amortized `O(1)` push and pop. Against the heap it never won
+//!   outside noise on any benchmark workload, and its buckets raise a
+//!   2 500-repository drive's peak by ≈ 3.4 MB, so it drives nothing
+//!   but the sharded drive's shard queues. It stays as the reference
+//!   the queue property suites compare the heap against, and because
+//!   `d3t-bench` names it (`engine.oracle_drive`), until the benchmark
+//!   lets go of it; then it goes.
 //!
-//! # Performance model: slim slots and bulk operations
+//! # The calendar's slim slots and bulk operations
 //!
-//! At paper scale the queue is **memory-traffic bound**: ~27 M push/pop
-//! operations per run, each physically moving one slot across a bucket.
-//! The layout and the API are both shaped by that:
+//! The calendar was shaped for memory traffic (~27 M push/pop operations
+//! per paper-scale run):
 //!
-//! * **Calendar slots carry no `seq`** ([`EventQueue::SLOT_BYTES`] pins
-//!   the size; 24 bytes for the engine's 16-byte payload, down from 40
-//!   when slots carried `seq` and the payload was 24 bytes — a 40% cut
-//!   in bytes moved per operation). The tie-breaker is *implicit*: the
-//!   push contract requires `seq` to be strictly increasing across
-//!   pushes (the engine's creation counter is), so FIFO insertion among
-//!   equal `at_us` keys inside a bucket reproduces `(at_us, seq)` order
-//!   exactly — see the stability argument below. The overflow tier and
-//!   the heap backend still store `seq` in their own slot types; they
-//!   are off the hot path.
-//! * **[`EventQueue::push_batch`]** fans a whole send group into buckets
-//!   with one bucket locate per monotone same-day run, instead of one
-//!   full locate-and-check per event. The engine's transmit loop emits
-//!   exactly such groups (arrival times of one CPU's serial sends).
-//! * **[`EventQueue::pop_run`]** hands the caller a contiguous run of
-//!   events from the front of the cursor-day bucket, bounded by a
-//!   caller-provided reorder-free window — one cursor locate and one
-//!   deque sweep per run instead of a full pop per event. The session's
-//!   drain loop uses it with the provable `comp_delay + min link delay`
-//!   window (nothing processing a popped run can schedule may land
-//!   inside the run) and then processes the run one event at a time;
-//!   `run_until` passes its target as one more strict cap, so an event
-//!   past it is never popped.
+//! * **Its slots carry no `seq`** ([`EventQueue::SLOT_BYTES`]: 24 bytes
+//!   for the engine's 16-byte payload, against the heap's 32). The
+//!   tie-breaker is *implicit*: the push contract requires `seq` to be
+//!   strictly increasing across pushes (the engine's creation counter
+//!   is), so FIFO insertion among equal `at_us` keys inside a bucket
+//!   reproduces `(at_us, seq)` order exactly — see the stability
+//!   argument below.
+//! * **[`EventQueue::push_batch`]** fans a send group into buckets with
+//!   one bucket locate per monotone same-day run.
+//! * **[`EventQueue::pop_run`]** sweeps a run of events off the front of
+//!   the cursor-day bucket, bounded by a caller-provided reorder-free
+//!   window. The session's drain loop uses it, on either queue, with the
+//!   provable `comp_delay + min link delay` window — nothing processing
+//!   a popped run can schedule may land inside it — and `run_until`
+//!   passes its target as one more strict cap, so an event past it is
+//!   never popped.
 //!
 //! # The stability argument (why slots need no `seq`)
 //!
@@ -142,18 +138,16 @@
 //!
 //! Absolute rates on the shared CI host drift ~20% between PRs, so
 //! every throughput claim here is *relative to a same-process
-//! reference* and tracked by `d3t-bench` (`queue.calendar_vs_heap_x`
-//! against this module's heap, `engine.session_vs_oracle_x` against the
-//! scalar-oracle engine; nothing gates on speed). Because the engine
-//! *streams* its pre-seeded source changes instead of enqueueing them
-//! (see `d3t_sim::engine`), the pending set is only the in-flight
+//! reference* and tracked by `d3t-bench` (`queue.calendar_vs_heap_x`,
+//! `engine.session_vs_oracle_x`; nothing gates on speed). Because the
+//! engine *streams* its pre-seeded source changes instead of enqueueing
+//! them (see `d3t_sim::engine`), the pending set is only the in-flight
 //! arrivals — shallow enough that the heap is competitive on every
 //! workload the benchmark runs (`queue.calendar_vs_heap_x` has read
 //! 0.85–1.09 across them, never a win outside noise). The calendar's
 //! structural lead — deep backlogs, such as congested configurations
 //! whose CPU queues stack arrivals — follows from the bucket math but is
-//! measured on no workload run here; which single queue type the drives
-//! keep is an open decision, and a one-type swap.
+//! measured on no workload run here, so the drives keep the heap.
 //!
 //! # Sharded drains: the epoch/lookahead bound
 //!
@@ -180,12 +174,8 @@
 //! transits both tiers, which is strictly more work than one heap).
 //!
 //! A **lazy-sorted bucket** variant (append always, stable-sort a bucket
-//! on first cursor contact) was measured against this eager-insert
-//! design on a seed-then-drain micro benchmark at 1 Ki–256 Ki pending
-//! and retired as neutral within noise on every distribution,
-//! including the bursty one it was meant to win. Buckets
-//! average a handful of events and 58% of inserts already take the
-//! append fast path, so there is nothing for laziness to save.
+//! on first cursor contact) measured neutral within noise against this
+//! eager insert: 58% of inserts already take the append fast path.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -56,14 +56,13 @@
 //! prefetched while the current one is processed (without it the
 //! 2 500-repository drive loses 23 %: both tables are tens of MB there).
 //!
-//! Per-phase telemetry ([`PhaseStats`]) is always on. A TSC read costs
-//! ~tens of ns under some hypervisors, so every run is stamped only at
-//! its pop and at its end (chained: the closing stamp opens the next
-//! pop), and one run in `TIMED_RUN_EVERY` is additionally driven with
-//! per-event stamps at the decide → fidelity → transmit → push
-//! boundaries. The exact per-run body cycles are split across `process`
-//! / `fidelity` / `transmit` / queue-push in the timed runs' proportions,
-//! so the four phases still partition the drain's cycles.
+//! Per-phase telemetry ([`PhaseStats`]) is always on, and sampled: a
+//! TSC read costs tens of ns under some hypervisors, a visible share of
+//! a run that averages 8 events, so only one run in `TIMED_RUN_EVERY`
+//! reads the clock — at its pop, at the decide → fidelity → transmit →
+//! push boundaries of each of its events, and at its end. Every other
+//! run reads none. The four phases partition the sampled runs' cycles,
+//! and their shares stand for the drain's.
 //!
 //! Three measured dead ends, recorded so they are not re-tried:
 //!
@@ -73,22 +72,13 @@
 //!   pop-order invisible but ~15 % slower: event-order send groups
 //!   already mostly hit `push_batch`'s append path, and the sorted order
 //!   degrades the calendar's adaptation signals.
-//! * **The five-pass batched pipeline (PR 6, deleted in PR 13)** — gather
-//!   a run into SoA `RunTouch`es, sort by item when ≥ 64 touches, one
-//!   `on_run_into` decision sweep, one `on_run_sink` fidelity sweep,
-//!   then an ordered scatter replaying observer callbacks and staging
-//!   sends (`RunScratch`, a `batch_events` cap knob, a third copy of the
-//!   forwarding decision). Same process, alternating, reports equal: it
-//!   ran at **0.68×** this plain loop *without prefetch* at the paper's
-//!   100 repositories, 0.95× at 600 and 1.10× at 2 500 — and all of the
-//!   2 500 win was the kernels' k+4 row/pair prefetch, not the
-//!   gather/group/scatter staging (a 600-repository run averages ~32
-//!   events over ~100 items, ≈1.3 touches per touched item: nothing to
-//!   group).
-//!   This loop with the same prefetch beat it on every workload:
-//!   `figures-quick` 17.6 → 14.4 s wall and 7.8 → 10.5 M events/s,
-//!   `drive-600r` 8.1 → 9.0 M, `build-2500r` 6.2 → 6.9 M, `whatif-600r`
-//!   4.6 → 4.8 M events/s, in ≈ 750 fewer lines.
+//! * **A five-pass batched pipeline** — gather a run into SoA touches,
+//!   sort by item, one decision sweep, one fidelity sweep, an ordered
+//!   scatter. It ran at **0.68×** this plain loop *without prefetch* at
+//!   100 repositories, 0.95× at 600 and 1.10× at 2 500, all of that win
+//!   the k+4 row/pair prefetch (a 600-repository run averages ~32 events
+//!   over ~100 items: nothing to group). This loop with the same
+//!   prefetch beat it on every workload in ≈ 750 fewer lines.
 //!
 //! # Performance model: snapshot and resume
 //!
@@ -104,16 +94,15 @@
 //! of seconds — comfortably inside the ≤ 5%-of-one-run CI budget, so
 //! forking N what-if branches from a warm snapshot costs N× the
 //! *suffix* plus one prefix instead of N× the whole run. The shared
-//! immutable inputs (µs delay matrix, packed source stream) are `Arc`s
+//! immutable inputs (delay matrix, packed source stream) are `Arc`s
 //! cloned per session, so warm branches and sweep cells don't re-derive
 //! them; capture/restore wall and byte telemetry land in
 //! [`PhaseStats::snapshot`] ([`SnapshotStats`]).
 
 use std::sync::Arc; // d3t-lint: allow(D003) -- Arc shares immutable prepared inputs by refcount; no locks, no scheduling
 
-use d3t_core::dissemination::{Disseminator, ForwardScratch, Update};
+use d3t_core::dissemination::{Disseminator, ForwardScratch, Target, Update};
 use d3t_core::fidelity::{FidelityReport, FidelityTracker};
-use d3t_core::lela::DelayMicros;
 use d3t_core::overlay::{NodeIdx, SOURCE};
 
 use d3t_core::digest::Fnv1a;
@@ -125,16 +114,14 @@ use crate::fault::{
 };
 use crate::metrics::Metrics;
 use crate::observer::{FaultObservation, NoopObserver, Observer};
-use crate::queue::{CalendarQueue, EventQueue};
+use crate::queue::{EventQueue, HeapQueue};
 use crate::snapshot::{Snapshot, STATE_DIGEST_SEED};
 
 /// A live, steppable simulation run. Construct via
 /// [`Prepared::session`](crate::Prepared::session) /
 /// [`session_with`](crate::Prepared::session_with), or from a manually
 /// assembled [`Engine`] with [`Session::from_engine`].
-pub struct Session<Q: EventQueue<EventKind> = CalendarQueue<EventKind>, O: Observer = NoopObserver>
-{
-    delays_us: Arc<DelayMicros>,
+pub struct Session<Q: EventQueue<EventKind> = HeapQueue<EventKind>, O: Observer = NoopObserver> {
     comp_delay_us: u64,
     disseminator: Disseminator,
     fidelity: FidelityTracker,
@@ -173,8 +160,8 @@ pub struct Session<Q: EventQueue<EventKind> = CalendarQueue<EventKind>, O: Obser
     batch_window_us: u64,
     /// Always-on per-phase cycle/op counters for the drain loop.
     phases: PhaseStats,
-    /// The cycle accumulators `phases`' four `cycles` fields are settled
-    /// from at the end of every drain.
+    /// The sampled cycle accumulators `phases`' four `cycles` fields are
+    /// settled from at the end of every drain.
     clock: PhaseClock,
     /// Runtime of the installed [`FaultPlan`]: the compiled control
     /// timeline (merged into the drive loop like the source stream, with
@@ -202,9 +189,9 @@ pub(crate) const RUN_CAP: usize = 128;
 /// at pop time floods the line-fill buffers (measured ~8 % slower).
 const PREFETCH_AHEAD: usize = 4;
 
-/// One run in this many is driven with per-event phase stamps (see
-/// [`PhaseStats`]); the first run of a session is one of them, so any
-/// drain that processed an event has a split to report.
+/// One run in this many reads the clock, with per-event phase stamps
+/// (see [`PhaseStats`]); the first run of a session is one of them, so
+/// any drain that processed an event has a split to report.
 const TIMED_RUN_EVERY: u64 = 64;
 
 /// One phase's always-on telemetry: TSC cycles spent and operations
@@ -221,13 +208,13 @@ pub struct PhaseCounter {
 /// Cheap always-on per-phase counters for the drain loop, kept separate
 /// from [`Metrics`] (which is compared bit-for-bit across drive modes —
 /// wall-clock telemetry must never participate in that identity).
-/// `ops` are exact. `cycles` partition the drain's cycles: every run's
-/// pop and body are stamped (two chained TSC reads per run), and the
-/// body total is split across `process` / `fidelity` / `transmit` /
-/// queue-push in the proportions measured on the one run in
-/// `TIMED_RUN_EVERY` that is driven with per-event stamps. Per-phase
-/// wall time is recovered by scaling each phase's cycle share against a
-/// measured wall clock. [`Session::step`] is not instrumented.
+/// `ops` are exact. Every `cycles` count is **sampled**: only the one
+/// run in `TIMED_RUN_EVERY` that is driven with per-event stamps reads
+/// the TSC, and its pop and body cycles are split across `queue` /
+/// `process` / `fidelity` / `transmit`, so the four phases partition
+/// the sampled runs' cycles, not the drain's. Per-phase wall time is
+/// recovered by scaling each phase's cycle *share* against a measured
+/// wall clock. [`Session::step`] is not instrumented.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseStats {
     /// Popping runs out of the queue/stream merge (and applying due
@@ -260,16 +247,18 @@ const FIDELITY: usize = 1;
 const TRANSMIT: usize = 2;
 const PUSH: usize = 3;
 
-/// The raw cycle accumulators behind [`PhaseStats`]: exact pop and body
-/// totals over every run, and the timed runs' four-way split of their
-/// bodies, which [`PhaseClock::settle`] scales up to the exact total.
+/// The raw cycle accumulators behind [`PhaseStats`], all over the timed
+/// runs only: their pop and body totals, and the four-way split of
+/// their bodies, which [`PhaseClock::settle`] scales up to the body
+/// total.
 #[derive(Debug, Default)]
 struct PhaseClock {
     /// The latest stamp: closes one span and opens the next.
     last: u64,
-    /// Cycles popping runs, all runs.
+    /// Cycles popping timed runs.
     pop: u64,
-    /// Cycles between a run's pop and the next run's, all runs.
+    /// Cycles driving timed runs, from the end of the pop to the end of
+    /// the run.
     body: u64,
     /// Timed runs only: body cycles by [`PROCESS`] / [`FIDELITY`] /
     /// [`TRANSMIT`] / [`PUSH`].
@@ -351,7 +340,7 @@ fn cycles() -> u64 {
 /// logical message.
 ///
 /// A free function over the session's disjoint fields (not a method)
-/// so the send paths can call it while `delays_us` is borrowed. Called
+/// so the send loop can call it while other fields are borrowed. Called
 /// once per send decision in original event order on every drive path —
 /// that single discipline is what makes faulted runs bit-identical
 /// across queue backends and drive splits.
@@ -422,11 +411,9 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
     /// shared path — a session starts from exactly the state
     /// [`Engine::run`] would have started from.
     pub fn from_engine(engine: Engine<Q>, observer: O) -> Self {
-        let batch_window_us =
-            engine.comp_delay_us.saturating_add(engine.delays_us.min_offdiag_us());
+        let batch_window_us = engine.comp_delay_us.saturating_add(engine.min_link_us);
         Self {
             batch_window_us,
-            delays_us: engine.delays_us,
             comp_delay_us: engine.comp_delay_us,
             disseminator: engine.disseminator,
             fidelity: engine.fidelity,
@@ -720,8 +707,9 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
     fn drain(&mut self, limit_us: u64) -> u64 {
         let mut run = std::mem::take(&mut self.run_buf);
         let mut processed = 0u64;
-        let mut t0 = cycles();
         loop {
+            let timed = self.phases.runs.is_multiple_of(TIMED_RUN_EVERY);
+            let t0 = if timed { cycles() } else { 0 };
             run.clear();
             if self.pop_run_mixed(limit_us, &mut run) == 0 {
                 // Nothing poppable in bulk: a due fault control, a
@@ -733,17 +721,16 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
                     None => break,
                 }
             }
-            let t1 = cycles();
-            self.clock.pop += t1.wrapping_sub(t0);
             let (seq0, dropped0) = (self.next_seq, self.metrics.dropped);
-            if self.phases.runs.is_multiple_of(TIMED_RUN_EVERY) {
+            if timed {
+                let t1 = cycles();
+                self.clock.pop += t1.wrapping_sub(t0);
                 self.clock.last = t1;
                 self.drive_run::<true>(&run);
+                self.clock.body += cycles().wrapping_sub(t1);
             } else {
                 self.drive_run::<false>(&run);
             }
-            t0 = cycles();
-            self.clock.body += t0.wrapping_sub(t1);
             let n = run.len() as u64;
             let sends = self.next_seq - seq0;
             self.phases.queue.ops += n + sends;
@@ -1067,12 +1054,10 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
                     self.observer.on_dropped(at_us, node, &update);
                 } else {
                     self.observer.on_delivery(at_us, node, &update);
-                    // Forwarding decision first: knowing the recipients
-                    // lets the per-send delay cells prefetch while the
-                    // fidelity accounting runs (the matrix gather is
-                    // otherwise the loop's hottest stall). Disseminator
-                    // and fidelity state are disjoint, and the observer
-                    // still sees delivery → violations → sends.
+                    // The forwarding decision runs before the fidelity
+                    // update: their states are disjoint, so the order is
+                    // free, and the observer still sees delivery →
+                    // violations → sends.
                     //
                     // The scratch is taken out of `self` for the
                     // decision + transmit (a pointer move, not an
@@ -1080,9 +1065,6 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
                     let mut scratch = std::mem::take(&mut self.scratch);
                     self.disseminator.on_repo_update_into(node, update, &mut scratch);
                     self.metrics.repo_checks += scratch.checks();
-                    for &child in scratch.to().iter().take(16) {
-                        self.delays_us.prefetch(node, child);
-                    }
                     self.lap::<TIMED>(PROCESS);
                     let fidelity = &mut self.fidelity;
                     let observer = &mut self.observer;
@@ -1109,9 +1091,8 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
     }
 
     /// Fidelity + filtering + dissemination of one source-side value,
-    /// shared by trace ticks and injected hot-swaps. As in the arrival
-    /// path, the forwarding decision runs first so the per-send delay
-    /// cells can prefetch under the fidelity column scan.
+    /// shared by trace ticks and injected hot-swaps, in the arrival
+    /// path's order.
     fn apply_source_change<const TIMED: bool>(
         &mut self,
         at_us: u64,
@@ -1121,9 +1102,6 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
         let mut scratch = std::mem::take(&mut self.scratch);
         self.disseminator.on_source_update_into(item, value, &mut scratch);
         self.metrics.source_checks += scratch.checks();
-        for &child in scratch.to().iter().take(16) {
-            self.delays_us.prefetch(SOURCE, child);
-        }
         self.lap::<TIMED>(PROCESS);
         let fidelity = &mut self.fidelity;
         let observer = &mut self.observer;
@@ -1140,7 +1118,8 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
     }
 
     /// Serially prepares and sends `update` from `node` to each
-    /// recipient — identical arithmetic to the reference engine, plus the
+    /// recipient — identical arithmetic to the reference engine, with
+    /// each link delay the one stamped into the target's edge, plus the
     /// per-message `on_send` tap. The send group is assembled in the
     /// reused `send_buf` and enqueued with one
     /// [`EventQueue::push_batch`]; `relayed` is the event being
@@ -1151,20 +1130,19 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
         node: NodeIdx,
         now_us: u64,
         update: Update,
-        to: &[NodeIdx],
+        to: &[Target],
         relayed: Option<EventKind>,
     ) {
         if to.is_empty() {
             return;
         }
         let template = EventKind::arrival_template(update, relayed, &mut self.tags);
-        let delay_row = self.delays_us.row(node);
         let mut cpu = self.busy_until_us[node.index()].max(now_us);
         self.send_buf.clear();
-        for &child in to {
+        for &Target { node: child, delay_us } in to {
             cpu += self.comp_delay_us;
             self.metrics.messages += 1;
-            let mut arrival_us = cpu + u64::from(delay_row[child.index()]);
+            let mut arrival_us = cpu + u64::from(delay_us);
             if self.faults.link_active() {
                 match faulty_arrival(
                     &mut self.faults,
@@ -1223,7 +1201,7 @@ mod tests {
         comm_ms: f64,
         comp_ms: f64,
         end_ms: f64,
-    ) -> Session<CalendarQueue<EventKind>, NoopObserver> {
+    ) -> Session<HeapQueue<EventKind>, NoopObserver> {
         let (g, w) = tiny();
         let delays = DelayMatrix::uniform(2, comm_ms);
         let d = Disseminator::new(Protocol::Distributed, &g, &[1.0]);
@@ -1382,7 +1360,7 @@ mod tests {
         comp_ms: f64,
         end_ms: f64,
         observer: O,
-    ) -> Session<CalendarQueue<EventKind>, O> {
+    ) -> Session<HeapQueue<EventKind>, O> {
         let w = Workload::from_needs(vec![vec![Some(c(0.3))], vec![Some(c(0.5))]]);
         let mut g = D3g::new(2, 1);
         g.add_edge(SOURCE, NodeIdx::repo(0), ItemId(0), c(0.3));

@@ -79,11 +79,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard};
 
 use d3t_core::coherency::Coherency;
-use d3t_core::dissemination::{Disseminator, ForwardScratch, Protocol, Update};
+use d3t_core::dissemination::{Disseminator, ForwardScratch, Protocol, Target, Update};
 use d3t_core::fidelity::{FidelityReport, FidelityTracker, PairLoss};
 use d3t_core::graph::D3g;
 use d3t_core::item::ItemId;
-use d3t_core::lela::DelayMicros;
 use d3t_core::overlay::{NodeIdx, SOURCE};
 use d3t_core::workload::Workload;
 
@@ -142,7 +141,6 @@ impl MirrorCsr {
 
 /// Read-only state shared by every shard and the coordinator.
 struct EpochCtx<'a> {
-    delays: &'a DelayMicros,
     stream: &'a [(u64, EventKind)],
     owner: &'a [u32],
     d3g: &'a D3g,
@@ -200,14 +198,14 @@ impl<Q: EventQueue<ShardEvent>> ShardState<Q> {
             }
             let (at_us, kind) = ctx.stream[self.cursor];
             self.cursor += 1;
-            self.process_tick(at_us, kind, ctx);
+            self.process_tick(at_us, kind);
         }
     }
 
     /// One source tick. Shard 0 plays the source — full decision,
     /// metrics and send staging; every other shard replays the state
     /// write on its replica and keeps its fidelity clock in sync.
-    fn process_tick(&mut self, at_us: u64, kind: EventKind, ctx: &EpochCtx<'_>) {
+    fn process_tick(&mut self, at_us: u64, kind: EventKind) {
         let Event::SourceChange { item, value } = kind.classify(&self.tags) else {
             unreachable!("the source stream holds source changes only");
         };
@@ -219,7 +217,7 @@ impl<Q: EventQueue<ShardEvent>> ShardState<Q> {
             self.metrics.source_checks += scratch.checks();
             self.fid.source_update(at_us, item, value);
             let sec = (self.cursor - 1) as u64;
-            self.stage_sends(SOURCE, at_us, scratch.update(), scratch.to(), 0, sec, ctx);
+            self.stage_sends(SOURCE, at_us, scratch.update(), scratch.to(), 0, sec);
             self.scratch = scratch;
         } else {
             self.dis.record_replica(item, SOURCE, value);
@@ -259,7 +257,7 @@ impl<Q: EventQueue<ShardEvent>> ShardState<Q> {
             if self.log_values {
                 self.value_log.push((update.item, node, update.value));
             }
-            self.stage_sends(node, at_us, scratch.update(), scratch.to(), 1, ev.g, ctx);
+            self.stage_sends(node, at_us, scratch.update(), scratch.to(), 1, ev.g);
         }
         self.scratch = scratch;
     }
@@ -268,26 +266,23 @@ impl<Q: EventQueue<ShardEvent>> ShardState<Q> {
     /// the sequential `transmit` (serial CPU occupancy, per-child link
     /// delay, horizon filter), minus the queue push: stamps are
     /// assigned by the coordinator at the barrier.
-    #[allow(clippy::too_many_arguments)] // the transmit signature plus the outbox key
     fn stage_sends(
         &mut self,
         node: NodeIdx,
         at_us: u64,
         update: Update,
-        to: &[NodeIdx],
+        to: &[Target],
         phase: u8,
         sec: u64,
-        ctx: &EpochCtx<'_>,
     ) {
         if to.is_empty() {
             return;
         }
-        let delay_row = ctx.delays.row(node);
         let mut cpu = self.busy_until_us[node.index()].max(at_us);
-        for (k, &child) in to.iter().enumerate() {
+        for (k, &Target { node: child, delay_us }) in to.iter().enumerate() {
             cpu += self.comp_delay_us;
             self.metrics.messages += 1;
-            let arrival_us = cpu + u64::from(delay_row[child.index()]);
+            let arrival_us = cpu + u64::from(delay_us);
             if arrival_us > self.end_us {
                 self.metrics.undelivered += 1;
                 continue;
@@ -577,12 +572,11 @@ pub(crate) fn run_sharded(prepared: &Prepared) -> Option<RunReport> {
     if n_shards <= 1 || prepared.end_us == u64::MAX || lossy {
         return None;
     }
-    let delays: &DelayMicros = prepared.delay_micros();
-    let w = ms_to_us(cfg.comp_delay_ms).saturating_add(delays.min_offdiag_us());
+    let w = ms_to_us(cfg.comp_delay_ms).saturating_add(prepared.min_link_us());
     if w == 0 || w == u64::MAX {
         return None;
     }
-    Some(run_impl::<CalendarQueue<ShardEvent>>(prepared, delays, n_shards, w))
+    Some(run_impl::<CalendarQueue<ShardEvent>>(prepared, n_shards, w))
 }
 
 /// Everything the epoch loop leaves behind when the coordinator exits:
@@ -605,7 +599,6 @@ struct Driven<Q> {
 /// `run_until(until_us)` reaches.
 fn drive<Q: EventQueue<ShardEvent> + Send>(
     prepared: &Prepared,
-    delays: &DelayMicros,
     n_shards: usize,
     w: u64,
     until_us: u64,
@@ -636,7 +629,8 @@ fn drive<Q: EventQueue<ShardEvent> + Send>(
     let mirrors = if has_crashes { Some(build_mirror_csr(d3g, &owner)) } else { None };
     let log_values = has_crashes && cfg.protocol == Protocol::Centralized;
 
-    let base = Disseminator::new(cfg.protocol, d3g, &prepared.initial_values);
+    let mut base = Disseminator::new(cfg.protocol, d3g, &prepared.initial_values);
+    base.stamp_delays(&prepared.delays);
     let mut faults = if cfg.fault.is_inert() {
         FaultState::inert()
     } else {
@@ -689,7 +683,7 @@ fn drive<Q: EventQueue<ShardEvent> + Send>(
     let done = AtomicBool::new(false);
     let start = Barrier::new(n_shards + 1);
     let finish = Barrier::new(n_shards + 1);
-    let ctx = EpochCtx { delays, stream: &stream, owner: &owner, d3g, mirrors: mirrors.as_ref() };
+    let ctx = EpochCtx { stream: &stream, owner: &owner, d3g, mirrors: mirrors.as_ref() };
     let mut reparented = 0u64;
 
     std::thread::scope(|scope| {
@@ -753,12 +747,10 @@ fn drive<Q: EventQueue<ShardEvent> + Send>(
 
 fn run_impl<Q: EventQueue<ShardEvent> + Send>(
     prepared: &Prepared,
-    delays: &DelayMicros,
     n_shards: usize,
     w: u64,
 ) -> RunReport {
-    let Driven { states, reparented, owner, .. } =
-        drive::<Q>(prepared, delays, n_shards, w, u64::MAX);
+    let Driven { states, reparented, owner, .. } = drive::<Q>(prepared, n_shards, w, u64::MAX);
     let end_us = prepared.end_us;
     let n_repos = prepared.workload.n_repos();
 
@@ -830,13 +822,12 @@ pub(crate) fn snapshot_sharded(prepared: &Prepared, t_us: u64) -> Option<Snapsho
     if n_shards <= 1 || prepared.end_us == u64::MAX || lossy {
         return None;
     }
-    let delays: &DelayMicros = prepared.delay_micros();
-    let w = ms_to_us(cfg.comp_delay_ms).saturating_add(delays.min_offdiag_us());
+    let w = ms_to_us(cfg.comp_delay_ms).saturating_add(prepared.min_link_us());
     if w == 0 || w == u64::MAX {
         return None;
     }
     let t_us = t_us.min(prepared.end_us);
-    Some(snapshot_impl::<CalendarQueue<ShardEvent>>(prepared, delays, n_shards, w, t_us))
+    Some(snapshot_impl::<CalendarQueue<ShardEvent>>(prepared, n_shards, w, t_us))
 }
 
 /// The snapshot-side merge — the state analogue of `run_impl`'s report
@@ -862,13 +853,11 @@ pub(crate) fn snapshot_sharded(prepared: &Prepared, t_us: u64) -> Option<Snapsho
 ///   sequential one: same compile, same pops, same repair schedule).
 fn snapshot_impl<Q: EventQueue<ShardEvent> + Send>(
     prepared: &Prepared,
-    delays: &DelayMicros,
     n_shards: usize,
     w: u64,
     t_us: u64,
 ) -> Snapshot {
-    let Driven { states, faults, reparented, owner } =
-        drive::<Q>(prepared, delays, n_shards, w, t_us);
+    let Driven { states, faults, reparented, owner } = drive::<Q>(prepared, n_shards, w, t_us);
     let n_nodes = prepared.d3g.n_nodes();
     let n_repos = prepared.workload.n_repos();
 

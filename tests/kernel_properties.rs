@@ -70,7 +70,8 @@ fn assert_same_decision(
     f: &d3t::core::dissemination::Forwarding,
     scratch: &ForwardScratch,
 ) {
-    assert_eq!(scratch.to(), &f.to[..], "{label}: targets diverged");
+    let to: Vec<NodeIdx> = scratch.to().iter().map(|t| t.node).collect();
+    assert_eq!(to, f.to, "{label}: targets diverged");
     assert_eq!(scratch.update(), f.update, "{label}: forwarded update diverged");
     assert_eq!(scratch.checks(), f.checks, "{label}: checks diverged");
 }
