@@ -47,6 +47,10 @@ cargo build --release
 
 echo "== test =="
 cargo test -q
+# The overlay APSP at the build-2500r fabric (17 500 nodes), bit for bit
+# against per-source heap Dijkstra: too slow for a debug build, so it is
+# #[ignore]d there and run here in release (~10 s).
+cargo test --release -q -p d3t-net -- --ignored
 
 echo "== benchmark harness (perfbench/: build, tests, bit-identity gate) =="
 # perfbench/ is a workspace of its own that mirrors `Prepared::build`

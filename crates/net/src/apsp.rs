@@ -8,35 +8,28 @@
 //! so materializing the full `V × V` matrix in `O(V³)` is wasted work.
 //!
 //! [`OverlayApsp`] computes exactly the `m × m` sub-matrix the overlay
-//! needs: one single-source search per overlay node over a CSR view of
-//! the graph, the sources fanned out over a rayon-style thread pool in
-//! fixed-size tasks. Nothing `V`-wide outlives a source and no source
-//! allocates:
+//! needs, over a CSR view of the graph whose pendant trees without an
+//! overlay node are stripped ([`Csr::strip_pendant_trees`]: no path
+//! between two other nodes enters one). Sources go 32 to a batch: each
+//! node holds a row of 32 labels, one lane per source, and a FIFO
+//! worklist holds the nodes whose labels improved since they were last
+//! relaxed. Relaxing a link updates every lane at once and re-queues its
+//! target if any lane improved. The batches are split into one
+//! contiguous run per pool thread, with one workspace each (the `V`-wide
+//! label rows and the worklist), refilled per batch; the run copies the
+//! `m` overlay columns of each lane straight into that source's row of
+//! the result, so memory is `O(m² + threads · 32 · V)`.
 //!
-//! * a task owns one workspace — the `V`-wide delay labels and the
-//!   queue — refilled per source, and itself copies the
-//!   `m` overlay columns of each finished search into that source's row
-//!   of the result, so memory is `O(m² + threads · V)`;
-//! * pendant trees that hold no overlay node are stripped first
-//!   ([`Csr::strip_pendant_trees`]): no path between two other nodes
-//!   enters one;
-//! * the queue is a circular array of buckets keyed on
-//!   `floor(delay / width)`, drained in increasing order — `O(V + E)`
-//!   bucket operations per source, `O(m · (V + E))` in all, in place of
-//!   a binary heap's `O(m · E log V)`.
-//!
-//! Results are bit-identical regardless of thread count (each source is
-//! solved independently and written to its own row) and to a binary-heap
-//! [`dijkstra`], which the tests keep as the reference. A node's label is
-//! the minimum, over its neighbors' final labels, of the left-to-right
-//! `f64` sum of link delays; the queue only decides in which order labels
-//! are tried. With buckets as wide as the smallest link — every paper
-//! configuration — no relaxation lands in the bucket being drained (bar
-//! a last-place rounding at its upper edge), so nodes are relaxed from
-//! final labels only, exactly as under the heap. Otherwise (link delays
-//! spanning more than `MAX_BUCKET_SPAN`) a node can also be relaxed
-//! from a label its neighbor later improves, and the drain relaxes it
-//! again from the improved one, so the minimum is the same.
+//! Results are bit-identical regardless of thread count or of which
+//! sources share a batch (every lane is solved on its own and written to
+//! its own row), and to a binary-heap [`dijkstra`], which the tests keep
+//! as the reference. The sweep stops only when no link improves any
+//! label: no neighbor's label plus the link delay lies below a node's.
+//! Every label is the left-to-right `f64` sum of some walk's delays, and
+//! rounded addition is monotone (`a ≤ b` implies `a + w ≤ b + w`), so
+//! link by link along the walk with the smallest such sum the fixed
+//! point is no larger: each label is that minimum, whatever the order in
+//! which labels were tried. The heap search ends at the same fixed point.
 //!
 //! Two cheaper-looking routes would change bits and are not taken.
 //! `D[i][j]` and `D[j][i]` add the same links in opposite orders and
@@ -47,6 +40,8 @@
 //! [`Apsp::floyd_warshall`] is kept as the independent oracle the property
 //! tests compare against (and it remains the reference implementation of
 //! the paper's routing construction, hop counts included).
+
+use std::collections::VecDeque;
 
 use rayon::prelude::*;
 
@@ -175,8 +170,9 @@ pub struct OverlayApsp {
 }
 
 impl OverlayApsp {
-    /// Runs one shortest-delay search per overlay node over a CSR view of
-    /// `topo`, in parallel, keeping only the overlay columns of each row.
+    /// Runs one lane-batched shortest-delay search per 32 overlay
+    /// nodes over a CSR view of `topo`, in parallel, keeping only the
+    /// overlay columns of each row.
     ///
     /// # Panics
     /// Panics if `overlay` contains an out-of-range node id.
@@ -187,21 +183,30 @@ impl OverlayApsp {
         }
         let m = overlay.len();
         let graph = topo.csr().strip_pendant_trees(overlay);
-        let queue = BucketLayout::of(&graph);
         // Zero pages, first touched by the worker that fills them: the
         // gather below overwrites every cell.
         let mut delay = vec![0.0; m * m];
-        // One independent single-source problem per overlay node, each
-        // written to its own row: any pool width gives the serial result.
-        let row_block = (SOURCES_PER_TASK * m).max(1);
-        let tasks: Vec<_> =
-            overlay.chunks(SOURCES_PER_TASK).zip(delay.chunks_mut(row_block)).collect();
-        tasks.into_par_iter().for_each(|(sources, delay_rows)| {
-            let mut search = Search::new(n, queue);
-            for (&src, delay_row) in sources.iter().zip(delay_rows.chunks_mut(m)) {
-                search.run(&graph, src);
-                for (d, &dst) in delay_row.iter_mut().zip(overlay) {
-                    *d = search.dist[dst];
+        // One task per pool thread, owning a contiguous run of whole
+        // batches and their rows of the result. The workspaces are
+        // allocated here, on the calling thread: a worker's allocator
+        // arena would keep their pages after the pool exits.
+        let batches = m.div_ceil(LANES);
+        let threads = rayon::current_num_threads().clamp(1, batches.max(1));
+        let per_task = batches.div_ceil(threads).max(1) * LANES;
+        let tasks: Vec<_> = overlay
+            .chunks(per_task)
+            .zip(delay.chunks_mut((per_task * m).max(1)))
+            .map(|(sources, rows)| (Sweep::new(n), sources, rows))
+            .collect();
+        // Every batch and every lane is solved on its own: any pool width
+        // and any grouping of sources gives the serial result.
+        tasks.into_par_iter().for_each(|(mut sweep, sources, rows)| {
+            for (batch, rows) in sources.chunks(LANES).zip(rows.chunks_mut(LANES * m)) {
+                sweep.run(&graph, batch);
+                for (lane, row) in rows.chunks_mut(m).enumerate() {
+                    for (d, &dst) in row.iter_mut().zip(overlay) {
+                        *d = sweep.labels[dst][lane];
+                    }
                 }
             }
         });
@@ -235,110 +240,74 @@ impl OverlayApsp {
     }
 }
 
-/// Overlay sources handed to the pool as one task. The task owns one
-/// [`Search`], refilled rather than reallocated between its sources.
-const SOURCES_PER_TASK: usize = 8;
+/// Overlay sources one [`Sweep`] relaxes together, one per label lane.
+const LANES: usize = 32;
 
-/// Bound on `max link delay / bucket width`, and so on the bucket count
-/// of a search, when link delays span more than this ratio.
-const MAX_BUCKET_SPAN: f64 = 32.0;
+/// A node's labels: lane `k` is its delay from the batch's `k`-th source.
+type Labels = [f64; LANES];
 
-/// How label delays map onto the circular bucket array of a [`Search`].
-#[derive(Debug, Clone, Copy)]
-struct BucketLayout {
-    /// Reciprocal of the bucket width, 1/ms.
-    inv_width: f64,
-    /// Buckets in the circular array, a power of two.
-    n_buckets: usize,
+/// The per-task workspace of the lane-batched search: a `V`-wide array
+/// of label rows, and a FIFO worklist of the nodes whose labels improved
+/// since they were last relaxed, with a flag per node for membership.
+struct Sweep {
+    labels: Vec<Labels>,
+    queued: Vec<bool>,
+    worklist: VecDeque<u32>,
 }
 
-impl BucketLayout {
-    /// `width = max(min link delay, max link delay / MAX_BUCKET_SPAN)`. A
-    /// relaxation moves a label forward by at most `max / width` buckets
-    /// (plus one for rounding), so `ceil(max / width) + 2` buckets never
-    /// wrap onto the one being drained. When the width is the minimum
-    /// link delay — the paper's 2 ms floor under a 60 ms cap — no
-    /// relaxation lands in the bucket being drained either.
-    fn of(csr: &Csr) -> Self {
-        let weights = (0..csr.n_nodes()).flat_map(|u| csr.neighbors(u).1);
-        let (min, max) =
-            weights.fold((f64::INFINITY, 0.0f64), |(lo, hi), &w| (lo.min(w), hi.max(w)));
-        // A graph without links has one label, the source's: bucket 0.
-        let width = min.max(max / MAX_BUCKET_SPAN);
-        let n_buckets = ((max / width).ceil() as usize + 2).next_power_of_two();
-        Self { inv_width: 1.0 / width, n_buckets }
-    }
-}
-
-/// A queued label: `node` reached at `dist`.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    dist: f64,
-    node: u32,
-}
-
-/// The per-task workspace of the single-source search: the `V`-wide label
-/// array and a monotone bucket queue keyed on `floor(dist / width)`.
-struct Search {
-    dist: Vec<f64>,
-    buckets: Vec<Vec<Entry>>,
-    inv_width: f64,
-}
-
-impl Search {
-    fn new(n_nodes: usize, queue: BucketLayout) -> Self {
+impl Sweep {
+    fn new(n_nodes: usize) -> Self {
         Self {
-            dist: vec![f64::INFINITY; n_nodes],
-            buckets: vec![Vec::new(); queue.n_buckets],
-            inv_width: queue.inv_width,
+            labels: vec![[f64::INFINITY; LANES]; n_nodes],
+            queued: vec![false; n_nodes],
+            worklist: VecDeque::with_capacity(n_nodes),
         }
     }
 
-    /// Labels every node reachable from `src` with its minimal delay; the
-    /// rest keep `INFINITY`.
+    /// Labels every node, in lane `k`, with its minimal delay from
+    /// `sources[k]`; unreachable nodes and unused lanes keep `INFINITY`.
     ///
-    /// Buckets are drained in increasing order. A label only ever moves
-    /// forward (`d + w >= d`, and the bucket index is monotone in the
-    /// delay), so when a bucket is reached every label that can improve
-    /// one of its nodes is either final or inside it; an improvement that
-    /// lands inside it is appended and relaxed again in the same drain.
-    fn run(&mut self, csr: &Csr, src: NodeId) {
-        let Self { dist, buckets, inv_width } = self;
-        dist.fill(f64::INFINITY);
-        dist[src] = 0.0;
-        let mask = buckets.len() - 1;
-        buckets[0].push(Entry { dist: 0.0, node: src as u32 });
-        let (mut current, mut last) = (0usize, 0usize);
-        while current <= last {
-            let slot = current & mask;
-            let mut next = 0;
-            while let Some(&Entry { dist: d, node: u }) = buckets[slot].get(next) {
-                next += 1;
-                let u = u as usize;
-                // Labels only improve, so a superseded entry differs.
-                if d != dist[u] {
-                    continue;
-                }
-                let (targets, weights) = csr.neighbors(u);
-                for (&v, &w) in targets.iter().zip(weights) {
-                    let vu = v as usize;
-                    let alt = d + w;
-                    // A sum that overflowed to infinity is no path: it is
-                    // not below the unreached label, so only finite labels
-                    // are stored and `bucket` is in range.
-                    if alt < dist[vu] {
-                        dist[vu] = alt;
-                        let bucket = (alt * *inv_width) as usize;
-                        debug_assert!(bucket >= current && bucket - current <= mask);
-                        last = last.max(bucket);
-                        buckets[bucket & mask].push(Entry { dist: alt, node: v });
-                    }
+    /// A node is queued whenever one of its lanes improves and relaxes
+    /// every link with all lanes once dequeued, so when the worklist runs
+    /// dry no link improves any label.
+    fn run(&mut self, csr: &Csr, sources: &[NodeId]) {
+        let Self { labels, queued, worklist } = self;
+        labels.fill([f64::INFINITY; LANES]);
+        for (lane, &src) in sources.iter().enumerate() {
+            labels[src][lane] = 0.0;
+            if !queued[src] {
+                queued[src] = true;
+                worklist.push_back(src as u32);
+            }
+        }
+        while let Some(u) = worklist.pop_front() {
+            let u = u as usize;
+            queued[u] = false;
+            let from = labels[u];
+            let (targets, weights) = csr.neighbors(u);
+            for (&v, &w) in targets.iter().zip(weights) {
+                let v = v as usize;
+                if relax(&mut labels[v], &from, w) && !queued[v] {
+                    queued[v] = true;
+                    worklist.push_back(v as u32);
                 }
             }
-            buckets[slot].clear();
-            current += 1;
         }
     }
+}
+
+/// Lowers each lane of `to` to `from + w` where that is strictly smaller;
+/// true if any lane improved. A sum that overflowed to infinity is no
+/// path: it is not below any label.
+#[inline]
+fn relax(to: &mut Labels, from: &Labels, w: f64) -> bool {
+    let mut improved = false;
+    for (d, &f) in to.iter_mut().zip(from) {
+        let alt = f + w;
+        improved |= alt < *d;
+        *d = if alt < *d { alt } else { *d };
+    }
+    improved
 }
 
 /// Single-source Dijkstra over link delays — the independent oracle used by
@@ -357,11 +326,7 @@ pub fn dijkstra(topo: &Topology, src: NodeId) -> Vec<f64> {
     impl Ord for Entry {
         fn cmp(&self, other: &Self) -> Ordering {
             // Min-heap on dist; ties broken by node id for determinism.
-            other
-                .dist
-                .partial_cmp(&self.dist)
-                .unwrap_or(Ordering::Equal)
-                .then_with(|| other.node.cmp(&self.node))
+            other.dist.total_cmp(&self.dist).then_with(|| other.node.cmp(&self.node))
         }
     }
     impl PartialOrd for Entry {
@@ -393,6 +358,8 @@ pub fn dijkstra(topo: &Topology, src: NodeId) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::tests::generate;
+    use crate::network::NetworkConfig;
     use crate::topology::Link;
 
     /// The bit-for-bit reference for [`OverlayApsp::compute`]: one heap
@@ -557,8 +524,8 @@ mod tests {
     }
 
     /// The link-delay families of the bit-equality suite. The last two
-    /// span more than `MAX_BUCKET_SPAN`, so buckets are wider than the
-    /// smallest link and labels improve inside the bucket being drained.
+    /// span more than 32× between the shortest and the longest link, so
+    /// a label is often improved again after it was first relaxed.
     fn link_delay(family: usize, rng: &mut rand::rngs::StdRng) -> f64 {
         use rand::Rng;
         match family {
@@ -571,23 +538,18 @@ mod tests {
         }
     }
 
-    /// Property: the bucket-queue engine returns the heap reference's
+    /// Property: the lane-batched engine returns the heap reference's
     /// matrix bit for bit — over five link-delay families, average
     /// degrees 2.0–4.5 (2.0 is a pure tree, nearly all of it pruned),
-    /// overlay densities 1/2–1/8 with sizes off the task size, and pool
+    /// overlay densities 1/2–1/8 with sizes off the batch size, and pool
     /// widths 1, 2 and 7.
     #[test]
     fn overlay_apsp_equals_heap_reference_bit_for_bit() {
-        let mut wide_layouts = 0;
         for seed in 0..40u64 {
             let family = (seed % 5) as usize;
             let n = 60 + (seed as usize * 37) % 240;
             let avg_degree = 2.0 + (seed % 6) as f64 * 0.5;
             let topo = Topology::random(n, avg_degree, seed, |rng| link_delay(family, rng));
-            let (lo, hi) = topo.links().iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), l| {
-                (lo.min(l.delay_ms), hi.max(l.delay_ms))
-            });
-            wide_layouts += usize::from(hi / lo > MAX_BUCKET_SPAN);
             let stride = 2 + (seed as usize / 5) % 7;
             let overlay: Vec<NodeId> =
                 (0..n).filter(|v| (v + seed as usize).is_multiple_of(stride)).collect();
@@ -595,13 +557,10 @@ mod tests {
             let width = [1usize, 2, 7][(seed % 3) as usize];
             rayon::with_num_threads(width, || assert_equals_heap_reference(&topo, &overlay, &what));
         }
-        assert!(wide_layouts >= 8, "the wide-bucket path went untested");
-        // Sizes around the task size, on one graph.
-        let topo = Topology::random(90, 3.0, 99, |rng| link_delay(0, rng));
-        for m in
-            [SOURCES_PER_TASK - 1, SOURCES_PER_TASK, SOURCES_PER_TASK + 1, 3 * SOURCES_PER_TASK + 5]
-        {
-            let overlay: Vec<NodeId> = (0..m).map(|i| i * 90 / m).collect();
+        // Sizes around the batch size, on one graph.
+        let topo = Topology::random(240, 3.0, 99, |rng| link_delay(0, rng));
+        for m in [LANES - 1, LANES, LANES + 1, 3 * LANES + 5] {
+            let overlay: Vec<NodeId> = (0..m).map(|i| i * 240 / m).collect();
             for width in [1usize, 2, 7] {
                 let what = format!("{m} sources, width {width}");
                 rayon::with_num_threads(width, || {
@@ -609,6 +568,46 @@ mod tests {
                 });
             }
         }
+    }
+
+    /// Which lane and which batch a source lands in moves no bit: the
+    /// overlay rotated by `r` gives the same matrix, rotated by `r`.
+    #[test]
+    fn overlay_apsp_is_lane_position_invariant() {
+        let overlay: Vec<NodeId> = (0..2 * LANES + 9).map(|i| i * 2).collect();
+        let m = overlay.len();
+        for family in 0..5 {
+            let topo =
+                Topology::random(160, 3.0, 31 + family as u64, |rng| link_delay(family, rng));
+            let base = OverlayApsp::compute(&topo, &overlay);
+            for r in [1, 7, LANES - 1, LANES, LANES + 3, 2 * LANES + 1] {
+                let rotated = [&overlay[r..], &overlay[..r]].concat();
+                let expected: Vec<f64> = (0..m * m)
+                    .map(|c| base.delay_ms_at((c / m + r) % m, (c % m + r) % m))
+                    .collect();
+                let ov = OverlayApsp::compute(&topo, &rotated);
+                assert!(ov.into_delays() == expected, "family {family}, rotated by {r}");
+            }
+        }
+    }
+
+    /// The paper's largest network: 2 100 nodes, 300 repositories, the
+    /// Pareto link delays.
+    #[test]
+    fn overlay_apsp_on_largest_paper_network_equals_heap_reference() {
+        let (topo, overlay) = generate(&NetworkConfig::small(2_100, 300), 11);
+        assert_equals_heap_reference(&topo, &overlay, "2 100 nodes, 300 repositories");
+    }
+
+    /// The `build-2500r` fabric: 17 500 nodes, 2 501 overlay nodes,
+    /// Pareto(2 ms, mean 4 ms) link delays capped at 60 ms. Minutes in a
+    /// debug build; `cargo test --release -p d3t-net -- --ignored`.
+    #[test]
+    #[ignore = "release-mode scale test"]
+    fn overlay_apsp_on_build_2500r_fabric_equals_heap_reference() {
+        let (topo, overlay) = generate(&NetworkConfig::small(17_500, 2_500), 7);
+        assert_eq!(overlay.len(), 2_501);
+        assert_equals_heap_reference(&topo, &overlay, "17 500 nodes, 2 500 repositories");
     }
 
     /// The queue and the pruning assume neither connectivity nor a

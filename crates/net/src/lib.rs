@@ -13,11 +13,11 @@
 //! * [`placement`] — choosing which nodes are the source, repositories,
 //!   and routers;
 //! * [`apsp`] — the overlay-targeted shortest-path engine
-//!   ([`apsp::OverlayApsp`]: one bucket-queue search per overlay node
-//!   over the CSR stripped of pendant router trees, in parallel, keeping
-//!   only the `m × m` delays among the overlay nodes — `O(m · (V + E))`
-//!   time, `O(m² + threads · V)` memory), with Floyd–Warshall kept as the
-//!   property-test oracle. Each directed cell is summed on its own:
+//!   ([`apsp::OverlayApsp`]: one label-correcting sweep per 32 overlay
+//!   nodes, each node's labels one lane per source, over the CSR
+//!   stripped of pendant router trees, in parallel, keeping only the
+//!   `m × m` delays among the overlay nodes — `O(m² + threads · 32 · V)`
+//!   memory), with Floyd–Warshall kept as the property-test oracle. Each directed cell is summed on its own:
 //!   filling by symmetry or contracting degree-2 router chains would
 //!   change the last bits;
 //! * [`partition`] — deterministic weighted partitioning over CSR

@@ -56,7 +56,7 @@ impl NetworkConfig {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::apsp::{Apsp, OverlayApsp};
     use crate::pareto::Pareto;
@@ -65,7 +65,7 @@ mod tests {
 
     /// The topology and overlay nodes of `cfg`, generated as `d3t_sim`
     /// does: topology seed `seed`, placement seed `seed + 1`.
-    fn generate(cfg: &NetworkConfig, seed: u64) -> (Topology, Vec<NodeId>) {
+    pub(crate) fn generate(cfg: &NetworkConfig, seed: u64) -> (Topology, Vec<NodeId>) {
         let pareto = Pareto::with_mean(cfg.link_delay_min_ms, cfg.link_delay_mean_ms);
         let topo = Topology::random(cfg.n_nodes, cfg.avg_degree, seed, |rng| {
             pareto.sample_capped(rng, cfg.link_delay_cap_ms)

@@ -154,9 +154,9 @@ impl Topology {
 
 /// Compressed-sparse-row adjacency: all neighbor lists in two flat arrays,
 /// indexed by a per-node offset table. Traversing a node's neighborhood is
-/// one contiguous scan instead of a pointer chase through per-node `Vec`s,
-/// which is what the multi-source search in [`crate::apsp`] spends its
-/// time doing.
+/// one contiguous scan instead of a pointer chase through per-node `Vec`s:
+/// the lane-batched sweep in [`crate::apsp`] does one such scan each time
+/// it dequeues a node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
     /// `offsets[u]..offsets[u + 1]` indexes `u`'s slice of the arrays.
