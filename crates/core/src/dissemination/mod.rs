@@ -364,8 +364,8 @@ impl Disseminator {
 
     /// Replays a delivery's state write on a **replica** disseminator
     /// that did not process the delivery itself — the sharded engine's
-    /// reconciliation primitive (mirror arrivals, value logs, and source
-    /// ticks on non-owning shards). Identical to what processing the
+    /// reconciliation primitive (mirror arrivals and source ticks on
+    /// non-owning shards). Identical to what processing the
     /// delivery would have written: the receiver-indexed row record and
     /// the per-edge `last_sent` mirror in the parent's CSR run. Makes
     /// no forwarding decision and touches no liveness or adoption
@@ -818,34 +818,6 @@ impl Disseminator {
     pub(crate) fn source_list_pairs(&self, item: ItemId) -> Vec<(Coherency, f64)> {
         let list = &self.source_lists[item.index()];
         list.c.iter().zip(&list.last).map(|(&c, &l)| (Coherency::new(c), l)).collect()
-    }
-
-    /// Adopts `node`'s *value* state (its per-item `last` copies, both
-    /// the row view and the per-edge mirror slot in its parent's row)
-    /// from another replica of the same compiled disseminator.
-    ///
-    /// This is the sharded-snapshot merge primitive: each shard owns a
-    /// node subset and is authoritative for those nodes' received
-    /// values, while all *structural* state (CSR layout, effective
-    /// coherencies, liveness, adoptions, source lists) is replicated
-    /// identically on every shard because control events are replayed
-    /// everywhere in the same order. Merging therefore only needs the
-    /// owner's value columns copied over a clone of any one replica.
-    ///
-    /// # Panics
-    /// Debug-asserts the two replicas share one compiled shape.
-    pub fn copy_node_state_from(&mut self, src: &Disseminator, node: NodeIdx) {
-        debug_assert_eq!(self.n_items, src.n_items);
-        debug_assert_eq!(self.n_nodes, src.n_nodes);
-        debug_assert_eq!(self.child_edges.len(), src.child_edges.len());
-        for i in 0..self.n_items {
-            let row = i * self.n_nodes + node.index();
-            self.rows[row].last = src.rows[row].last;
-            let pe = self.rows[row].parent_edge;
-            if pe != NO_EDGE {
-                self.child_edges[pe as usize].last = src.child_edges[pe as usize].last;
-            }
-        }
     }
 
     /// Approximate owned size of the protocol state in bytes (flat

@@ -329,45 +329,6 @@ impl FidelityTracker {
         }
     }
 
-    /// Adopts one repository's mutable column — hot pair records and
-    /// cold interval bookkeeping for every item — from another tracker
-    /// over the same workload.
-    ///
-    /// This is the sharded-snapshot merge primitive: every shard runs a
-    /// full-size tracker and sees every source tick, but only the
-    /// owning shard applies a repository's arrivals, so only the owner's
-    /// column for that repository matches the sequential oracle. Merging
-    /// copies each owner's columns over a clone of any one replica
-    /// (source values are already identical everywhere).
-    ///
-    /// # Panics
-    /// Debug-asserts the two trackers share one workload shape.
-    pub fn copy_repo_from(&mut self, src: &FidelityTracker, repo: usize) {
-        debug_assert_eq!(self.n_repos, src.n_repos);
-        debug_assert_eq!(self.pairs.len(), src.pairs.len());
-        let stride = self.n_repos + 1;
-        let n_items = self.pairs.len() / stride;
-        for item in 0..n_items {
-            let j = item * stride + repo + 1;
-            self.pairs[j] = src.pairs[j].clone();
-            self.violation_started[j] = src.violation_started[j];
-            self.violation_total_us[j] = src.violation_total_us[j];
-        }
-    }
-
-    /// Adopts the source-side value column from another tracker over
-    /// the same workload — the companion to
-    /// [`FidelityTracker::copy_repo_from`] when the destination is a
-    /// freshly built tracker: every shard replays every source tick, so
-    /// any replica's source values are the sequential ones.
-    ///
-    /// # Panics
-    /// Debug-asserts the two trackers share one workload shape.
-    pub fn copy_source_from(&mut self, src: &FidelityTracker) {
-        debug_assert_eq!(self.source_value.len(), src.source_value.len());
-        self.source_value.clone_from(&src.source_value);
-    }
-
     /// Measured pairs whose violation interval is currently open, as
     /// `(repo, item, started_us)` in slot order. Resuming a session
     /// from a snapshot replays these into the fresh observer so

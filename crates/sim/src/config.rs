@@ -61,24 +61,18 @@ pub struct SimConfig {
     /// Trace-ensemble shape. `n_items`/`n_ticks` are overridden by the
     /// fields above.
     pub ensemble: EnsembleConfig,
-    /// Number of engine shards the run loop may spread across cores
-    /// (clamped to the repository count). `1` — the default — is the
-    /// sealed sequential engine. `> 1` drives the conservative
-    /// parallel engine (`crate::shard`): the overlay is partitioned
-    /// once, each shard drains epochs of the shared lookahead window
-    /// concurrently, and cross-shard sends exchange at deterministic
-    /// barriers. Reports are shard-count *deterministic* (a pure
-    /// function of `(config, seed, n_shards)`) and
-    /// bit-identical to the sequential engine; configurations the
-    /// sharded path cannot preserve (lossy/degraded links, zero
-    /// lookahead) fall back to `1` silently.
+    /// Number of engine shards [`Prepared::run`](crate::Prepared::run)
+    /// may spread across cores (clamped to the repository count). `1` —
+    /// the default — is the sealed sequential engine. `> 1` drives the
+    /// conservative parallel engine (`crate::shard`): the overlay is
+    /// partitioned once, each shard drains epochs of the shared
+    /// lookahead window concurrently, and cross-shard sends exchange at
+    /// deterministic barriers. Reports are shard-count *deterministic*
+    /// (a pure function of `(config, seed, n_shards)`) and bit-identical
+    /// to the sequential engine. Zero lookahead and an unbounded horizon
+    /// fall back to `1`. Sessions — and with them every fault plan —
+    /// always drive sequentially.
     pub n_shards: usize,
-    /// Declarative failure scenario installed into every session built
-    /// from this configuration. The default plan is inert — it draws
-    /// nothing and changes nothing, keeping runs bit-identical to the
-    /// fault-free reference engine. Carries its own seed so the same
-    /// scenario can replay over different workloads and vice versa.
-    pub fault: crate::fault::FaultPlan,
     /// Master seed; all substreams derive from it.
     pub seed: u64,
 }
@@ -103,7 +97,6 @@ impl Default for SimConfig {
             network: NetworkConfig::default(),
             ensemble: EnsembleConfig::default(),
             n_shards: 1,
-            fault: crate::fault::FaultPlan::default(),
             seed: 0x5EED,
         }
     }

@@ -18,7 +18,8 @@ pub enum Dynamic {
     /// forwards nothing, and arrivals addressed to it are dropped
     /// (counted in `Metrics::dropped`). Its measured pairs keep being
     /// accounted — a crashed repository's users experience the staleness,
-    /// which is the point. Idempotent.
+    /// which is the point. Idempotent. Takes the same path as a fault
+    /// plan's crash: an installed `Reparent` policy re-homes its orphans.
     FailRepo {
         /// 0-based repository number.
         repo: usize,
@@ -26,7 +27,8 @@ pub enum Dynamic {
     /// The repository rejoins with the (stale) state it crashed with.
     /// Because senders' per-dependent records only advance on actual
     /// deliveries, the next violating source change reaches it without
-    /// any explicit resynchronization. Idempotent.
+    /// any explicit resynchronization. Children re-homed while it was
+    /// down return to it. Idempotent.
     RecoverRepo {
         /// 0-based repository number.
         repo: usize,

@@ -175,11 +175,14 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Whether installing this plan can have any effect at all.
+    /// Whether installing this plan can have any effect at all. A
+    /// `Reparent` policy is an effect even without crashes of its own:
+    /// it repairs the crashes a session injects.
     pub fn is_inert(&self) -> bool {
         self.crashes.is_empty()
             && self.loss.iter().all(|l| l.prob <= 0.0)
             && self.degrade.is_empty()
+            && self.repair.policy == RepairPolicy::None
     }
 
     /// Checks the plan against an overlay of `n_repos` repositories —
@@ -710,6 +713,12 @@ mod tests {
             ..FaultPlan::default()
         };
         assert!(plan.is_inert());
+        // A repair policy acts on injected crashes.
+        let plan = FaultPlan {
+            repair: RepairSpec { policy: RepairPolicy::Reparent, ..RepairSpec::default() },
+            ..FaultPlan::default()
+        };
+        assert!(!plan.is_inert());
     }
 
     #[test]

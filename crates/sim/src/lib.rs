@@ -70,8 +70,10 @@
 //! # Failure model
 //!
 //! A [`FaultPlan`] is a declarative, seeded failure scenario — pure data,
-//! carried by [`SimConfig::fault`] or installed with
-//! `Session::install_fault_plan`:
+//! installed on a live session with [`Session::install_fault_plan`], or
+//! with [`Session::adopt_fault_plan`] on a branch resumed from a
+//! [`Snapshot`]. A [`SimConfig`] carries none, so [`run`] and
+//! `Prepared::run` are always fault-free. A plan holds:
 //!
 //! * **Crash/recover schedules** ([`CrashSpec`]): fail-stop a repository
 //!   at an instant, optionally recovering later, optionally taking out
@@ -104,7 +106,10 @@
 //! orphaned subtrees simply starve — the passive fail-stop baseline.
 //! [`Metrics`] counts `lost`, `retransmits`, and `reparented`; the
 //! [`FaultMonitor`] observer tracks per-incident MTTR and
-//! fault-window fidelity.
+//! fault-window fidelity. An injected [`Dynamic::FailRepo`] /
+//! [`Dynamic::RecoverRepo`] takes the same crash / recovery path as a
+//! plan's timeline event: the installed repair policy re-homes its
+//! orphans, and observers see it through `on_fault`.
 //!
 //! Determinism survives all of it: loss and degradation consume a single
 //! plan-seeded RNG advanced once per decision in original event order,

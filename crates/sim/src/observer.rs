@@ -123,9 +123,11 @@ pub trait Observer {
         let _ = (at_us, pending);
     }
 
-    /// A fault-plan action was applied at `at_us` — crash, recovery,
-    /// re-parenting, a lost send attempt, or a retransmission. Only ever
-    /// called when a fault plan is installed.
+    /// A fault action was applied at `at_us` — crash, recovery,
+    /// re-parenting, a lost send attempt, or a retransmission. Crashes
+    /// and recoveries come from an installed fault plan's timeline or
+    /// from an injected `Dynamic::FailRepo` / `RecoverRepo`; the rest
+    /// only from an installed plan.
     fn on_fault(&mut self, at_us: u64, fault: &FaultObservation) {
         let _ = (at_us, fault);
     }

@@ -201,11 +201,7 @@ impl Prepared {
         &self,
         observer: O,
     ) -> Session<Q, O> {
-        let mut session = Session::from_engine(self.engine(), observer);
-        if !self.cfg.fault.is_inert() {
-            session.install_fault_plan(&self.cfg.fault);
-        }
-        session
+        Session::from_engine(self.engine(), observer)
     }
 
     /// Reconstructs a live session from a [`Snapshot`] on the default
@@ -232,27 +228,6 @@ impl Prepared {
         let mut session = self.session_with(observer);
         session.restore_from(snapshot);
         session
-    }
-
-    /// Runs the configured drive to `t_us` and captures a [`Snapshot`]
-    /// there — the cheapest way to a warm fork point. With
-    /// `n_shards > 1` the prefix runs on the sharded engine and the
-    /// capture happens at an epoch barrier, merged back into the
-    /// sequential state shape: the snapshot digests equal to (and
-    /// resumes bit-identical to) a single-shard session snapshotted at
-    /// the same instant. Configurations the sharded drive cannot serve
-    /// (lossy or degraded plans, unbounded horizon, zero lookahead)
-    /// fall back to a sequential prefix silently, exactly like
-    /// [`Prepared::run`].
-    pub fn snapshot_at(&self, t_us: u64) -> Snapshot {
-        if self.cfg.n_shards > 1 {
-            if let Some(snap) = crate::shard::snapshot_sharded(self, t_us) {
-                return snap;
-            }
-        }
-        let mut session = self.session();
-        session.run_until(t_us);
-        session.snapshot()
     }
 
     /// The sealed reference engine over this prepared run (the oracle the
@@ -321,10 +296,10 @@ pub struct Retargeted {
     pub d3g: bool,
     /// Whether a [`RunReport`] of the re-targeted value can differ from
     /// one taken before the call: a stage was rebuilt, or a field the
-    /// drive reads (`protocol`, `comp_delay_ms`, `n_shards`, `fault`)
-    /// changed. `false` means the previous report *is* this
-    /// configuration's — `coop_res`, `controlled` and `coop_f` act only
-    /// through the effective degree.
+    /// drive reads (`protocol`, `comp_delay_ms`, `n_shards`) changed.
+    /// `false` means the previous report *is* this configuration's —
+    /// `coop_res`, `controlled` and `coop_f` act only through the
+    /// effective degree.
     pub report_changed: bool,
 }
 
@@ -377,7 +352,6 @@ impl Stale {
             network,
             ensemble,
             n_shards,
-            fault,
             seed,
         } = new;
         // Every `sub_seed` moves with the master seed.
@@ -405,8 +379,7 @@ impl Stale {
             // to assume.
             drive: *protocol != old.protocol
                 || comp_delay_ms.to_bits() != old.comp_delay_ms.to_bits()
-                || *n_shards != old.n_shards
-                || *fault != old.fault,
+                || *n_shards != old.n_shards,
         }
     }
 }

@@ -159,7 +159,7 @@
 //! probes every shard queue's [`EventQueue::peek_at`] (and the shared
 //! source-change stream) for the global minimum `t_min`, then lets
 //! every shard drain independently below
-//! `T = min(t_min + W, next_fault_control)`: all events strictly below
+//! `T = t_min + W`: all events strictly below
 //! `T` are mutually reorder-free across shards, so the per-shard pop
 //! orders compose into a valid global order. Cross-shard sends stage in
 //! per-shard outboxes, are merged at the epoch barrier in global

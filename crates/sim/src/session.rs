@@ -382,9 +382,9 @@ fn faulty_arrival<O: Observer>(
 /// Folds one scheduled event into `h` in decoded form: NaN-boxed
 /// tag-table ids are resolved to their `(value, tag)` pairs first, so
 /// digests agree across sessions whose tables interned the same pairs
-/// under different ids (a sharded-barrier restore vs the sequential
-/// run). Source changes fold the node sentinel and an impossible tag
-/// pattern, keeping the two event shapes disjoint in the stream.
+/// under different ids. Source changes fold the node sentinel and an
+/// impossible tag pattern, keeping the two event shapes disjoint in the
+/// stream.
 fn digest_event(h: &mut Fnv1a, at_us: u64, kind: EventKind, tags: &TagTable) {
     h.write_u64(at_us);
     match kind.classify(tags) {
@@ -561,9 +561,8 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
     ///
     /// Scheduled events are digested in *decoded* form (tag-table ids
     /// resolved to their `(value, tag)` pairs) and the stamp counter is
-    /// skipped, so a resumed session digests equal to its source and a
-    /// sharded-barrier restore digests equal to the sequential run —
-    /// re-interned ids and restarted stamps are representation, not
+    /// skipped, so a resumed session digests equal to its source —
+    /// tag-table ids and restarted stamps are representation, not
     /// state. `now_us` is also skipped: it does not affect run-to-end
     /// behavior, only where a next injection would land.
     pub fn state_digest(&self) -> u64 {
@@ -840,14 +839,11 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
         match dynamic {
             Dynamic::FailRepo { repo } => {
                 let node = self.check_repo(repo)?;
-                self.disseminator.set_node_active(node, false);
+                self.apply_fault_event(at_us, FaultEvent::Crash { node: node.0 });
             }
             Dynamic::RecoverRepo { repo } => {
                 let node = self.check_repo(repo)?;
-                // Re-attach any children adopted away by the repair
-                // policy before reactivating (no-op without adoptions).
-                self.disseminator.restore_children_of(node);
-                self.disseminator.set_node_active(node, true);
+                self.apply_fault_event(at_us, FaultEvent::Recover { node: node.0 });
             }
             Dynamic::SetTolerance { repo, item, c } => {
                 let node = self.check_repo(repo)?;

@@ -9,10 +9,9 @@
 //! one: partition the overlay into `N` shards ([`d3t_net::partition`]
 //! over the tolerance-weighted d3g edge graph, source pinned to shard
 //! 0), give every shard its own calendar queue, busy-clock and run
-//! drain, and let all of them drain the same epoch `[t_min, T)` —
-//! `T = min(t_min + W, next fault control)` — concurrently. No event
-//! inside an epoch can generate work inside it, so the shards never
-//! need to talk until the barrier.
+//! drain, and let all of them drain the same epoch `[t_min, t_min + W)`
+//! concurrently. No event inside an epoch can generate work inside it,
+//! so the shards never need to talk until the barrier.
 //!
 //! # The epoch protocol
 //!
@@ -22,10 +21,9 @@
 //! ```text
 //!   coordinator                         workers (one per shard)
 //!   ───────────                         ───────────────────────
-//!   apply value logs, route outboxes
+//!   route outboxes
 //!   t_min = min(peek_at, stream head)
-//!   apply fault controls ≤ t_min
-//!   T = min(t_min + W, next control)
+//!   T = t_min + W
 //!   ── start barrier ──────────────────▶ drain_epoch(T)
 //!   ◀───────────────────── finish barrier ──
 //! ```
@@ -45,33 +43,31 @@
 //! arrival-relay sends (the generating event's creation stamp `g`) at
 //! equal times. That key reproduces the *global sequential creation
 //! order*, so the coordinator merges all outboxes, assigns consecutive
-//! stamps from one counter, and pushes each arrival — plus its mirrors
+//! stamps from one counter, and pushes each arrival — plus its mirror
 //! — in merged order. Each queue receives an ascending-stamp
 //! subsequence, preserving the strictly-increasing-stamp push contract
 //! both backends' FIFO tie-breaking relies on.
 //!
-//! # Replicas, mirrors and value logs
+//! # Replicas and parent-owner mirrors
 //!
 //! Each shard owns a full [`Disseminator`] replica. Forwarding
 //! decisions at a node read only that node's row plus the per-edge
 //! `last_sent` mirrors of its children, so a delivery to `child` must
-//! be *mirrored* to the shards that may decide over `child`'s edge: the
-//! owner of its parent — or, once crashes can re-home orphans, the
-//! owners of every original proper ancestor (fosters never leave that
-//! chain). Mirror arrivals replay the delivery's state write
+//! be *mirrored* to the one other shard that decides over `child`'s
+//! edge: the owner of its parent. The overlay never changes during a
+//! sharded drive, so that parent is the static d3g one. Mirror arrivals
+//! replay the delivery's state write
 //! ([`Disseminator::record_replica`]) without counting, measuring or
-//! forwarding anything. The centralized protocol's recovery resync
-//! additionally reads *every* holder's row, so faulted centralized runs
-//! keep a value log per shard, replayed onto the other replicas at each
-//! barrier — before any control can trigger a resync.
+//! forwarding anything.
 //!
 //! # Equivalence and fallbacks
 //!
-//! `n_shards ≤ 1`, zero-lookahead configs, unbounded horizons and lossy
-//! / degraded link plans fall back to the sequential drain silently —
-//! the sharded path never changes semantics, only wall clock. An
-//! N-shard run is deterministic for fixed `(seed, N)`, and
-//! bit-identical to the sealed scalar oracle's report —
+//! The drive carries no fault plan: failures are installed on a
+//! [`Session`](crate::Session), which drives sequentially. A single
+//! shard, zero lookahead and an unbounded horizon fall back to the
+//! sequential drain — the sharded path never changes semantics, only
+//! wall clock. An N-shard run is deterministic for fixed `(seed, N)`,
+//! and bit-identical to the sealed scalar oracle's report —
 //! property-tested at the workspace root (`tests/shard_properties.rs`).
 
 use std::collections::BTreeMap;
@@ -79,7 +75,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard};
 
 use d3t_core::coherency::Coherency;
-use d3t_core::dissemination::{Disseminator, ForwardScratch, Protocol, Target, Update};
+use d3t_core::dissemination::{Disseminator, ForwardScratch, Target, Update};
 use d3t_core::fidelity::{FidelityReport, FidelityTracker, PairLoss};
 use d3t_core::graph::D3g;
 use d3t_core::item::ItemId;
@@ -87,13 +83,11 @@ use d3t_core::overlay::{NodeIdx, SOURCE};
 use d3t_core::workload::Workload;
 
 use crate::engine::{change_at_us, ms_to_us, Event, EventKind, TagTable};
-use crate::fault::{FaultControl, FaultEvent, FaultState, RepairOp, RepairPolicy};
 use crate::metrics::Metrics;
 use crate::prepared::Prepared;
 use crate::queue::{CalendarQueue, EventQueue};
 use crate::report::RunReport;
 use crate::session::RUN_CAP;
-use crate::snapshot::Snapshot;
 
 /// One queued event on a shard: the packed payload plus its global
 /// creation stamp `g`. The stamp rides along because relays key their
@@ -122,29 +116,11 @@ struct OutEntry {
     update: Update,
 }
 
-/// Static mirror fan-out: for every `(item, child)`, the shards owning
-/// an original proper ancestor of `child` (owner of `child` excluded).
-/// Only built when the plan contains crashes — without re-homing, the
-/// only cross-shard reader of a delivery is the child's parent.
-struct MirrorCsr {
-    xadj: Vec<u32>,
-    targets: Vec<u32>,
-    n_nodes: usize,
-}
-
-impl MirrorCsr {
-    fn targets(&self, item: ItemId, node: NodeIdx) -> &[u32] {
-        let r = item.index() * self.n_nodes + node.index();
-        &self.targets[self.xadj[r] as usize..self.xadj[r + 1] as usize]
-    }
-}
-
 /// Read-only state shared by every shard and the coordinator.
 struct EpochCtx<'a> {
     stream: &'a [(u64, EventKind)],
     owner: &'a [u32],
     d3g: &'a D3g,
-    mirrors: Option<&'a MirrorCsr>,
 }
 
 /// Everything one shard owns: a full disseminator replica, the
@@ -167,8 +143,6 @@ struct ShardState<Q> {
     tag_cache: Vec<(u64, u64, EventKind)>,
     cursor: usize,
     outbox: Vec<OutEntry>,
-    value_log: Vec<(ItemId, NodeIdx, f64)>,
-    log_values: bool,
     buf: Vec<(u64, ShardEvent)>,
     scratch: ForwardScratch,
     comp_delay_us: u64,
@@ -237,26 +211,14 @@ impl<Q: EventQueue<ShardEvent>> ShardState<Q> {
             let Event::Arrival { node, update } = ev.kind.classify(&self.tags) else {
                 unreachable!("shard queues hold arrivals only");
             };
-            let owned = ctx.owner[node.index()] == self.id;
-            if owned {
-                self.metrics.events += 1;
-            }
-            if !self.dis.is_active(node) {
-                if owned {
-                    self.metrics.dropped += 1;
-                }
-                continue;
-            }
-            if !owned {
+            if ctx.owner[node.index()] != self.id {
                 self.dis.record_replica(update.item, node, update.value);
                 continue;
             }
+            self.metrics.events += 1;
             self.dis.on_repo_update_into(node, update, &mut scratch);
             self.metrics.repo_checks += scratch.checks();
             self.fid.repo_update(at_us, node, update.item, update.value);
-            if self.log_values {
-                self.value_log.push((update.item, node, update.value));
-            }
             self.stage_sends(node, at_us, scratch.update(), scratch.to(), 1, ev.g);
         }
         self.scratch = scratch;
@@ -328,8 +290,9 @@ fn route_entry<Q: EventQueue<ShardEvent>>(shard: &mut ShardState<Q>, e: &OutEntr
 
 /// Merges every shard's outbox into global creation order, assigns
 /// consecutive stamps from the run-wide counter, and delivers each
-/// arrival to its owner plus mirror shards. Pushing in merged order
-/// hands every queue an ascending-stamp subsequence — the push
+/// arrival to its owner plus, when another shard owns it, the child's
+/// parent — the only other reader of the delivery. Pushing in merged
+/// order hands every queue an ascending-stamp subsequence — the push
 /// contract holds per queue by construction.
 fn route_outboxes<Q: EventQueue<ShardEvent>>(
     guards: &mut [MutexGuard<'_, ShardState<Q>>],
@@ -347,118 +310,13 @@ fn route_outboxes<Q: EventQueue<ShardEvent>>(
         *next_seq += 1;
         let own = ctx.owner[e.child.index()];
         route_entry(&mut guards[own as usize], e, g);
-        match ctx.mirrors {
-            Some(m) => {
-                for &ms in m.targets(e.update.item, e.child) {
-                    route_entry(&mut guards[ms as usize], e, g);
-                }
-            }
-            None => {
-                // Crash-free plans: the only cross-shard reader of this
-                // delivery is the child's (static) parent.
-                let parent = ctx.d3g.parent_of(e.child, e.update.item).unwrap_or(SOURCE);
-                let pm = ctx.owner[parent.index()];
-                if pm != own {
-                    route_entry(&mut guards[pm as usize], e, g);
-                }
-            }
+        let parent = ctx.d3g.parent_of(e.child, e.update.item).unwrap_or(SOURCE);
+        let pm = ctx.owner[parent.index()];
+        if pm != own {
+            route_entry(&mut guards[pm as usize], e, g);
         }
     }
     merged.clear();
-}
-
-/// Replays every owner-logged delivery onto the other replicas —
-/// centralized faulted runs only, where a recovery resync reads all
-/// holders' rows. Runs before controls so a resync at this barrier
-/// sees exactly the state the sequential drive would.
-fn apply_value_logs<Q: EventQueue<ShardEvent>>(guards: &mut [MutexGuard<'_, ShardState<Q>>]) {
-    for s in 0..guards.len() {
-        if guards[s].value_log.is_empty() {
-            continue;
-        }
-        let mut log = std::mem::take(&mut guards[s].value_log);
-        for &(item, node, value) in &log {
-            for (r, g) in guards.iter_mut().enumerate() {
-                if r != s {
-                    g.dis.record_replica(item, node, value);
-                }
-            }
-        }
-        log.clear();
-        guards[s].value_log = log;
-    }
-}
-
-/// Applies the single next due fault control across every replica —
-/// the coordinator-side mirror of the session's `apply_next_control`,
-/// with shard 0's replica as the guard/enumeration oracle.
-fn apply_control<Q: EventQueue<ShardEvent>>(
-    faults: &mut FaultState,
-    guards: &mut [MutexGuard<'_, ShardState<Q>>],
-    reparented: &mut u64,
-) {
-    let Some((at_us, ctl)) = faults.pop_next() else { return };
-    match ctl {
-        FaultControl::Timeline(ev) => match ev {
-            FaultEvent::Crash { node } => {
-                let node = NodeIdx(node);
-                if !guards[0].dis.is_active(node) {
-                    return;
-                }
-                for g in guards.iter_mut() {
-                    g.dis.set_node_active(node, false);
-                }
-                if faults.policy == RepairPolicy::Reparent {
-                    for (rank, (item, child)) in
-                        guards[0].dis.dependents_of(node).into_iter().enumerate()
-                    {
-                        faults.schedule_repair(
-                            at_us,
-                            rank,
-                            RepairOp { child: child.0, item: item.0, dead: node.0 },
-                        );
-                    }
-                }
-            }
-            FaultEvent::Recover { node } => {
-                let node = NodeIdx(node);
-                if guards[0].dis.is_active(node) {
-                    return;
-                }
-                for g in guards.iter_mut() {
-                    g.dis.restore_children_of(node);
-                    g.dis.set_node_active(node, true);
-                }
-            }
-            // Lossy / degraded plans fall back to the sequential drive;
-            // only inert loss boundaries (prob 0) can reach here.
-            FaultEvent::LossStart { prob } => faults.loss_prob = prob,
-            FaultEvent::LossEnd => faults.loss_prob = 0.0,
-            FaultEvent::DegradeStart { min_ms, mean_ms } => {
-                faults.degrade = Some(d3t_net::Pareto::with_mean(min_ms, mean_ms));
-            }
-            FaultEvent::DegradeEnd => faults.degrade = None,
-        },
-        FaultControl::Repair(op) => {
-            let dead = NodeIdx(op.dead);
-            let child = NodeIdx(op.child);
-            let item = ItemId(op.item);
-            if guards[0].dis.is_active(dead) || guards[0].dis.parent_of(child, item) != Some(dead) {
-                return;
-            }
-            let mut foster = dead;
-            loop {
-                foster = guards[0].dis.parent_of(foster, item).unwrap_or(SOURCE);
-                if foster.is_source() || guards[0].dis.is_active(foster) {
-                    break;
-                }
-            }
-            for g in guards.iter_mut() {
-                g.dis.reparent(child, item, foster);
-            }
-            *reparented += 1;
-        }
-    }
 }
 
 /// Tolerance-weighted partition of the overlay: one vertex per d3g
@@ -521,55 +379,14 @@ fn partition_overlay(d3g: &D3g, n_shards: usize, seed: u64) -> Vec<u32> {
     part
 }
 
-/// Builds the crash-mode mirror fan-out: every original proper
-/// ancestor's owner, minus the child's own shard. Fosters picked by
-/// the repair walk always sit on the child's original ancestor chain,
-/// so this static set covers every parent the child can ever have.
-fn build_mirror_csr(d3g: &D3g, owner: &[u32]) -> MirrorCsr {
-    let n = d3g.n_nodes();
-    let mut xadj = Vec::with_capacity(d3g.n_items() * n + 1);
-    let mut targets = Vec::new();
-    let mut set: Vec<u32> = Vec::new();
-    xadj.push(0u32);
-    for item in 0..d3g.n_items() {
-        let item = ItemId(item as u32);
-        for node in 0..n {
-            let node = NodeIdx(node as u32);
-            set.clear();
-            if !node.is_source() {
-                let own = owner[node.index()];
-                let mut anc = d3g.parent_of(node, item);
-                while let Some(a) = anc {
-                    let s = owner[a.index()];
-                    if s != own && !set.contains(&s) {
-                        set.push(s);
-                    }
-                    if a.is_source() {
-                        break;
-                    }
-                    anc = d3g.parent_of(a, item);
-                }
-                set.sort_unstable();
-            }
-            targets.extend_from_slice(&set);
-            xadj.push(targets.len() as u32);
-        }
-    }
-    MirrorCsr { xadj, targets, n_nodes: n }
-}
-
 /// Entry point from [`Prepared::run`]: runs the sharded drive when the
-/// configuration can use it. Returns `None` whenever sharding cannot
-/// preserve its semantics (single shard, zero lookahead, unbounded
-/// horizon, lossy or degraded links — those draw per-send randomness in
-/// processing order, which has no deterministic parallel schedule) —
-/// the caller runs the sequential engine instead.
+/// configuration can use it. Returns `None` when it cannot (single
+/// shard, zero lookahead, unbounded horizon) — the caller runs the
+/// sequential engine instead.
 pub(crate) fn run_sharded(prepared: &Prepared) -> Option<RunReport> {
     let cfg = prepared.config();
     let n_shards = cfg.n_shards.min(prepared.workload.n_repos().max(1));
-    let plan = &cfg.fault;
-    let lossy = plan.loss.iter().any(|l| l.prob > 0.0) || !plan.degrade.is_empty();
-    if n_shards <= 1 || prepared.end_us == u64::MAX || lossy {
+    if n_shards <= 1 || prepared.end_us == u64::MAX {
         return None;
     }
     let w = ms_to_us(cfg.comp_delay_ms).saturating_add(prepared.min_link_us());
@@ -579,30 +396,13 @@ pub(crate) fn run_sharded(prepared: &Prepared) -> Option<RunReport> {
     Some(run_impl::<CalendarQueue<ShardEvent>>(prepared, n_shards, w))
 }
 
-/// Everything the epoch loop leaves behind when the coordinator exits:
-/// the shard states (queues still holding every event past the drive
-/// cap), the fault runtime, and the run-wide bookkeeping the report
-/// and snapshot merges need.
-struct Driven<Q> {
-    states: Vec<ShardState<Q>>,
-    faults: FaultState,
-    reparented: u64,
-    owner: Vec<u32>,
-}
-
-/// The epoch loop proper: drives every shard until no event at or
-/// before `until_us` remains — and every fault control due by then has
-/// applied — leaving later events parked in the shard queues.
-/// `until_us = u64::MAX` is the full run. A capped drive never lets an
-/// epoch extend past `until_us + 1` and never fires a later control,
-/// so it stops in exactly the state the sequential
-/// `run_until(until_us)` reaches.
+/// The epoch loop proper: drives every shard until no event remains.
+/// Returns the shard states and the partition they ran on.
 fn drive<Q: EventQueue<ShardEvent> + Send>(
     prepared: &Prepared,
     n_shards: usize,
     w: u64,
-    until_us: u64,
-) -> Driven<Q> {
+) -> (Vec<ShardState<Q>>, Vec<u32>) {
     let cfg = prepared.config();
     let d3g = &prepared.d3g;
     let n_nodes = d3g.n_nodes();
@@ -625,18 +425,8 @@ fn drive<Q: EventQueue<ShardEvent> + Send>(
     assert!(stream.windows(2).all(|p| p[0].0 <= p[1].0), "source changes must arrive time-sorted");
 
     let owner = partition_overlay(d3g, n_shards, cfg.seed);
-    let has_crashes = !cfg.fault.crashes.is_empty();
-    let mirrors = if has_crashes { Some(build_mirror_csr(d3g, &owner)) } else { None };
-    let log_values = has_crashes && cfg.protocol == Protocol::Centralized;
-
     let mut base = Disseminator::new(cfg.protocol, d3g, &prepared.initial_values);
     base.stamp_delays(&prepared.delays);
-    let mut faults = if cfg.fault.is_inert() {
-        FaultState::inert()
-    } else {
-        // d3t-lint: allow(P001) -- a malformed SimConfig::fault is caller misuse, same contract as Session::install_fault_plan
-        FaultState::compile(&cfg.fault, &base, end_us).unwrap_or_else(|e| panic!("{e}"))
-    };
     let n_items = prepared.workload.n_items();
     let n_repos = prepared.workload.n_repos();
 
@@ -669,8 +459,6 @@ fn drive<Q: EventQueue<ShardEvent> + Send>(
                 ],
                 cursor: 0,
                 outbox: Vec::new(),
-                value_log: Vec::new(),
-                log_values,
                 buf: Vec::new(),
                 scratch: ForwardScratch::default(),
                 comp_delay_us,
@@ -683,8 +471,7 @@ fn drive<Q: EventQueue<ShardEvent> + Send>(
     let done = AtomicBool::new(false);
     let start = Barrier::new(n_shards + 1);
     let finish = Barrier::new(n_shards + 1);
-    let ctx = EpochCtx { stream: &stream, owner: &owner, d3g, mirrors: mirrors.as_ref() };
-    let mut reparented = 0u64;
+    let ctx = EpochCtx { stream: &stream, owner: &owner, d3g };
 
     std::thread::scope(|scope| {
         for sm in &shards {
@@ -707,10 +494,9 @@ fn drive<Q: EventQueue<ShardEvent> + Send>(
         let mut merged: Vec<OutEntry> = Vec::new();
         let mut next_seq = 0u64;
         loop {
-            let t_end = {
+            let t_min = {
                 let mut guards: Vec<MutexGuard<'_, ShardState<Q>>> =
                     shards.iter().map(|m| m.lock().unwrap()).collect();
-                apply_value_logs(&mut guards);
                 route_outboxes(&mut guards, &mut merged, &mut next_seq, &ctx);
                 let mut t_min = u64::MAX;
                 for g in guards.iter_mut() {
@@ -719,21 +505,12 @@ fn drive<Q: EventQueue<ShardEvent> + Send>(
                 if let Some(&(at, _)) = stream.get(guards[0].cursor) {
                     t_min = t_min.min(at);
                 }
-                // Controls due at or before the next event apply now —
-                // the same precedence the sequential three-way merge
-                // gives them (controls outrank equal-time events, and
-                // trailing controls within the horizon still land) —
-                // but never past the drive cap: `run_until` leaves
-                // later controls pending, so a capped drive must too.
-                while !faults.is_idle() && faults.next_at() <= t_min.min(end_us).min(until_us) {
-                    apply_control(&mut faults, &mut guards, &mut reparented);
-                }
-                if t_min == u64::MAX || t_min > until_us {
-                    break;
-                }
-                t_min.saturating_add(w).min(faults.next_at()).min(until_us.saturating_add(1))
+                t_min
             };
-            epoch_end.store(t_end, Ordering::Release);
+            if t_min == u64::MAX {
+                break;
+            }
+            epoch_end.store(t_min.saturating_add(w), Ordering::Release);
             start.wait();
             finish.wait();
         }
@@ -741,8 +518,8 @@ fn drive<Q: EventQueue<ShardEvent> + Send>(
         start.wait();
     });
 
-    let states: Vec<ShardState<Q>> = shards.into_iter().map(|m| m.into_inner().unwrap()).collect();
-    Driven { states, faults, reparented, owner }
+    let states = shards.into_iter().map(|m| m.into_inner().unwrap()).collect();
+    (states, owner)
 }
 
 fn run_impl<Q: EventQueue<ShardEvent> + Send>(
@@ -750,10 +527,11 @@ fn run_impl<Q: EventQueue<ShardEvent> + Send>(
     n_shards: usize,
     w: u64,
 ) -> RunReport {
-    let Driven { states, reparented, owner, .. } = drive::<Q>(prepared, n_shards, w, u64::MAX);
+    let (states, owner) = drive::<Q>(prepared, n_shards, w);
     let end_us = prepared.end_us;
     let n_repos = prepared.workload.n_repos();
 
+    // The counters a shard writes; the fault-only ones stay zero.
     let mut metrics = Metrics::default();
     for s in &states {
         let m = &s.metrics;
@@ -763,13 +541,7 @@ fn run_impl<Q: EventQueue<ShardEvent> + Send>(
         metrics.source_updates += m.source_updates;
         metrics.undelivered += m.undelivered;
         metrics.events += m.events;
-        metrics.dropped += m.dropped;
-        metrics.injected += m.injected;
-        metrics.lost += m.lost;
-        metrics.retransmits += m.retransmits;
-        metrics.reparented += m.reparented;
     }
-    metrics.reparented += reparented;
 
     // Merge the per-shard fidelity reports back into the sequential
     // report, bit for bit: per-repo values come from the owner (the
@@ -805,130 +577,4 @@ fn run_impl<Q: EventQueue<ShardEvent> + Send>(
     let fidelity =
         FidelityReport { loss_pct, per_repo_loss_pct: per_repo, pair_losses, duration_ms };
     prepared.report(fidelity, metrics)
-}
-
-/// Barrier-time snapshot entry from [`Prepared::snapshot_at`]: runs
-/// the sharded drive to the epoch barrier at `t_us` and merges the
-/// shard states into one sequential-equivalent [`Snapshot`]. Returns
-/// `None` whenever the sharded drive itself would fall back to the
-/// sequential engine (single shard, unbounded horizon, lossy or
-/// degraded plans, zero lookahead) — the caller snapshots a sequential
-/// session instead.
-pub(crate) fn snapshot_sharded(prepared: &Prepared, t_us: u64) -> Option<Snapshot> {
-    let cfg = prepared.config();
-    let n_shards = cfg.n_shards.min(prepared.workload.n_repos().max(1));
-    let plan = &cfg.fault;
-    let lossy = plan.loss.iter().any(|l| l.prob > 0.0) || !plan.degrade.is_empty();
-    if n_shards <= 1 || prepared.end_us == u64::MAX || lossy {
-        return None;
-    }
-    let w = ms_to_us(cfg.comp_delay_ms).saturating_add(prepared.min_link_us());
-    if w == 0 || w == u64::MAX {
-        return None;
-    }
-    let t_us = t_us.min(prepared.end_us);
-    Some(snapshot_impl::<CalendarQueue<ShardEvent>>(prepared, n_shards, w, t_us))
-}
-
-/// The snapshot-side merge — the state analogue of `run_impl`'s report
-/// merge, built on the same ownership argument:
-///
-/// * **disseminator** — shard 0's replica (authoritative for the
-///   source row and `source_lists`), every other node's received value
-///   and parent-edge mirror adopted from its owner — the shard that
-///   processed its real deliveries (every replica replays the same
-///   repairs, so a re-parented child's edge sits in the same slot of
-///   its foster's row everywhere);
-/// * **fidelity** — a fresh full-workload tracker (correct
-///   measured-pair census where every shard's is partial), source
-///   column from shard 0, each repository column from its owner;
-/// * **pending events** — each shard's non-mutating queue walk with
-///   mirror copies dropped (the owner's copy is the real one), merged
-///   by `(at_us, g)`: run-wide stamps reproduce the sequential
-///   `(at_us, seq)` pop order exactly, and payloads are re-interned
-///   into one fresh tag table (ids are representation — the digest
-///   and the restore both decode);
-/// * **metrics, fault runtime, busy clocks** — the run-end merges,
-///   applied at the barrier (the coordinator's `FaultState` *is* the
-///   sequential one: same compile, same pops, same repair schedule).
-fn snapshot_impl<Q: EventQueue<ShardEvent> + Send>(
-    prepared: &Prepared,
-    n_shards: usize,
-    w: u64,
-    t_us: u64,
-) -> Snapshot {
-    let Driven { states, faults, reparented, owner } = drive::<Q>(prepared, n_shards, w, t_us);
-    let n_nodes = prepared.d3g.n_nodes();
-    let n_repos = prepared.workload.n_repos();
-
-    let mut metrics = Metrics::default();
-    for s in &states {
-        let m = &s.metrics;
-        metrics.messages += m.messages;
-        metrics.source_checks += m.source_checks;
-        metrics.repo_checks += m.repo_checks;
-        metrics.source_updates += m.source_updates;
-        metrics.undelivered += m.undelivered;
-        metrics.events += m.events;
-        metrics.dropped += m.dropped;
-        metrics.injected += m.injected;
-        metrics.lost += m.lost;
-        metrics.retransmits += m.retransmits;
-        metrics.reparented += m.reparented;
-    }
-    metrics.reparented += reparented;
-
-    let mut busy_until_us = vec![0u64; n_nodes];
-    for (i, b) in busy_until_us.iter_mut().enumerate() {
-        *b = states[owner[i] as usize].busy_until_us[i];
-    }
-
-    let mut disseminator = states[0].dis.clone();
-    for (i, &o) in owner.iter().enumerate().take(n_nodes) {
-        let o = o as usize;
-        if o != 0 {
-            disseminator.copy_node_state_from(&states[o].dis, NodeIdx(i as u32));
-        }
-    }
-
-    let mut fidelity = FidelityTracker::new(&prepared.workload, &prepared.initial_values, 0);
-    fidelity.copy_source_from(&states[0].fid);
-    for r in 0..n_repos {
-        fidelity.copy_repo_from(&states[owner[r + 1] as usize].fid, r);
-    }
-
-    let mut decoded: Vec<(u64, u64, NodeIdx, Update)> = Vec::new();
-    let mut pending: Vec<(u64, ShardEvent)> = Vec::new();
-    for s in &states {
-        pending.clear();
-        s.queue.snapshot_events(&mut pending);
-        for &(at_us, ev) in &pending {
-            let Event::Arrival { node, update } = ev.kind.classify(&s.tags) else {
-                unreachable!("shard queues hold arrivals only");
-            };
-            if owner[node.index()] == s.id {
-                decoded.push((at_us, ev.g, node, update));
-            }
-        }
-    }
-    decoded.sort_unstable_by_key(|&(at_us, g, _, _)| (at_us, g));
-
-    let mut tags = TagTable::default();
-    let queue_events: Vec<(u64, EventKind)> = decoded
-        .iter()
-        .map(|&(at_us, _, node, update)| (at_us, EventKind::arrival(node, update, &mut tags)))
-        .collect();
-
-    Snapshot {
-        now_us: t_us,
-        end_us: prepared.end_us,
-        stream_cursor: states[0].cursor,
-        busy_until_us,
-        disseminator,
-        fidelity,
-        metrics,
-        tags,
-        queue_events,
-        faults,
-    }
 }

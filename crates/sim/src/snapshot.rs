@@ -3,9 +3,9 @@
 //! A [`Snapshot`] is a compact owned copy of everything a
 //! [`Session`](crate::Session)'s future depends on, taken at any
 //! quiescent step boundary (between `step` / `run_until` calls, where
-//! no popped run is half-processed) — or at an epoch barrier of a sharded run,
-//! where the per-shard queues are quiescent and the per-shard state
-//! merges exactly (see `shard::snapshot_sharded`).
+//! no popped run is half-processed). Only a session is captured: the
+//! sharded drive of `Prepared::run` keeps no state a snapshot could
+//! merge.
 //!
 //! The design premise is that the engine's state is already **flat**:
 //! CSR row/edge tables, 16-byte fidelity pair records, a `Vec` of

@@ -1,6 +1,6 @@
 //! Cross-cutting properties of the deterministic fault-injection layer.
 //!
-//! Three contracts, in increasing order of adversity:
+//! Four contracts:
 //!
 //! 1. **Inert plans are invisible.** A run with an installed-but-inert
 //!    [`FaultPlan`] (no crashes, zero-probability loss, no degradation,
@@ -23,15 +23,19 @@
 //!    reaches each instant in one `run_until` — itself pinned to the
 //!    engine by property 1 and `tests/session_properties.rs` — is the
 //!    reference).
+//!
+//! 4. **An injected crash is a plan crash.** `FailRepo` / `RecoverRepo`
+//!    take the timeline's crash / recovery path, so an installed
+//!    `Reparent` policy repairs them and `FaultMonitor` records them.
 
 use d3t::core::coherency::Coherency;
 use d3t::core::dissemination::Protocol;
 use d3t::core::fidelity::FidelityReport;
 use d3t::core::overlay::NodeIdx;
 use d3t::sim::{
-    CalendarQueue, CrashSpec, DegradeWindow, Dynamic, EventKind, EventQueue, FaultPlan,
-    FaultPlanError, HeapQueue, LossWindow, Metrics, NoopObserver, Prepared, RepairPolicy,
-    RepairSpec, Session, SimConfig,
+    CalendarQueue, CrashSpec, DegradeWindow, Dynamic, EventKind, EventQueue, FaultMonitor,
+    FaultPlan, FaultPlanError, HeapQueue, LossWindow, Metrics, NoopObserver, Prepared,
+    RepairPolicy, RepairSpec, Session, SimConfig,
 };
 
 /// One way to drive a session forward — each caps the drain's runs
@@ -248,6 +252,39 @@ fn inject_storms_are_cap_and_backend_invariant() {
                 assert_eq!(heap, reference, "{protocol:?}/{seed} {drive:?}: heap diverged");
             }
         }
+    }
+}
+
+#[test]
+fn injected_crash_takes_the_plan_crash_path() {
+    // An injected `FailRepo` is a crash like a plan's own: under an
+    // installed crash-free `Reparent` plan its orphans re-home, and a
+    // `FaultMonitor` records one incident, which the injected
+    // `RecoverRepo` closes.
+    for protocol in [Protocol::Distributed, Protocol::Centralized] {
+        let p = Prepared::build(&small(protocol, 0x5EED));
+        let (relay, n_deps) = busiest_repo(&p);
+        assert!(n_deps > 0, "{protocol:?}: no repository relays anything");
+        let plan = FaultPlan {
+            repair: RepairSpec { policy: RepairPolicy::Reparent, ..Default::default() },
+            ..Default::default()
+        };
+        let (crash_us, recover_us) = (p.end_us / 4, p.end_us / 2);
+        let mut s = p.session_observing(FaultMonitor::new());
+        s.install_fault_plan(&plan);
+        s.run_until(crash_us);
+        s.inject(Dynamic::FailRepo { repo: relay }).unwrap();
+        s.run_until(recover_us);
+        s.inject(Dynamic::RecoverRepo { repo: relay }).unwrap();
+        let (_, metrics, monitor) = s.finish();
+        assert!(metrics.reparented > 0, "{protocol:?}: the injected crash was never repaired");
+        let [incident] = monitor.incidents() else {
+            panic!("{protocol:?}: want one incident, got {:?}", monitor.incidents());
+        };
+        assert_eq!(incident.node, NodeIdx::repo(relay), "{protocol:?}");
+        assert_eq!(incident.crashed_at_us, crash_us, "{protocol:?}");
+        assert_eq!(incident.recovered_at_us, Some(recover_us), "{protocol:?}");
+        assert_eq!(incident.reparented, metrics.reparented, "{protocol:?}");
     }
 }
 

@@ -21,7 +21,7 @@ use d3t::core::dissemination::Protocol;
 use d3t::core::lela::{JoinOrder, PreferenceFunction};
 use d3t::experiments::sweep::SerialSweep;
 use d3t::net::NetworkConfig;
-use d3t::sim::{CrashSpec, FaultPlan, LossWindow, Prepared, SimConfig, TreeStrategy};
+use d3t::sim::{Prepared, SimConfig, TreeStrategy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -32,32 +32,8 @@ fn pick<T: Clone>(rng: &mut StdRng, values: &[T]) -> T {
     values[rng.gen_range(0..values.len())].clone()
 }
 
-/// The fault plans the walk moves between: the inert default, a plan
-/// that differs from it only where an inert plan is never read (its
-/// seed), a permanent crash, and a loss window.
-fn fault_plans() -> [FaultPlan; 4] {
-    [
-        FaultPlan::default(),
-        FaultPlan { seed: 77, ..FaultPlan::default() },
-        FaultPlan {
-            crashes: vec![CrashSpec {
-                repo: 2,
-                at_us: 20_000_000,
-                recover_at_us: None,
-                subtree: false,
-            }],
-            ..FaultPlan::default()
-        },
-        FaultPlan {
-            loss: vec![LossWindow { prob: 0.2, from_us: 10_000_000, to_us: 60_000_000 }],
-            seed: 5,
-            ..FaultPlan::default()
-        },
-    ]
-}
-
 /// Field classes [`mutate`] draws from — every field of `SimConfig`.
-const N_FIELDS: usize = 19;
+const N_FIELDS: usize = 18;
 
 /// Re-draws one field class of `cfg`; returns its name for failure
 /// messages.
@@ -145,10 +121,6 @@ fn mutate(cfg: &mut SimConfig, field: usize, rng: &mut StdRng) -> &'static str {
             cfg.n_shards = pick(rng, &[1, 2]);
             "n_shards"
         }
-        17 => {
-            cfg.fault = pick(rng, &fault_plans());
-            "fault"
-        }
         _ => {
             cfg.seed = pick(rng, &[0x5EED, 7, 99]);
             "seed"
@@ -220,8 +192,8 @@ fn retargeted_runs_equal_fresh_builds_along_a_random_walk() {
 /// rebuilt: a re-target that changes nothing reports so; `coop_res`
 /// under a flat tree, which ignores the degree, still moves
 /// `coop_degree_used`; and a drive-time field forces a drive even where
-/// reports are known not to depend on it (`n_shards`, the seed of an
-/// inert fault plan) — that independence is other suites' claim.
+/// reports are known not to depend on it (`n_shards`) — that
+/// independence is other suites' claim.
 #[test]
 fn report_changed_follows_the_report_not_the_overlay() {
     let mut cfg = SimConfig::small_for_tests(8, 3, 150, 50.0);
@@ -237,11 +209,8 @@ fn report_changed_follows_the_report_not_the_overlay() {
     assert_eq!(after.coop_degree_used, before.coop_degree_used + 1);
     assert_eq!(after, d3t::sim::run(&cfg));
 
-    let edits: [fn(&mut SimConfig); 2] = [|c| c.n_shards = 2, |c| c.fault.seed ^= 1];
-    for edit in edits {
-        edit(&mut cfg);
-        let r = prepared.retarget(&cfg);
-        assert!(r.report_changed && !(r.traces || r.network || r.workload || r.d3g), "{r:?}");
-        assert_eq!(prepared.run(), after);
-    }
+    cfg.n_shards = 2;
+    let r = prepared.retarget(&cfg);
+    assert!(r.report_changed && !(r.traces || r.network || r.workload || r.d3g), "{r:?}");
+    assert_eq!(prepared.run(), after);
 }

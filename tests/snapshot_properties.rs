@@ -252,71 +252,6 @@ fn state_digest_is_representation_free_and_splits_divergent_states() {
 }
 
 #[test]
-fn sharded_barrier_snapshot_digests_equal_to_sequential() {
-    // A sharded prefix capture must merge back into exactly the
-    // sequential state: same digest as the N = 1 snapshot at the same
-    // instant, and a resume that finishes bit-identical to the
-    // uninterrupted sequential run. Crash-only plans keep the sharded
-    // path eligible (lossy/degraded plans fall back by design).
-    for protocol in PROTOCOLS {
-        for seed in [0x5EED_u64, 4242] {
-            let cfg = small(protocol, seed);
-            let p1 = Prepared::build(&cfg);
-            let plan = FaultPlan {
-                crashes: vec![
-                    CrashSpec {
-                        repo: 0,
-                        at_us: p1.end_us / 4,
-                        recover_at_us: None,
-                        subtree: false,
-                    },
-                    CrashSpec {
-                        repo: 2,
-                        at_us: p1.end_us / 3,
-                        recover_at_us: Some(p1.end_us * 2 / 3),
-                        subtree: true,
-                    },
-                ],
-                repair: RepairSpec {
-                    policy: RepairPolicy::Reparent,
-                    detect_timeout_us: 150_000,
-                    base_backoff_us: 20_000,
-                    max_backoff_us: 300_000,
-                },
-                seed: seed ^ 0xF00D,
-                ..Default::default()
-            };
-            let fork_us = p1.end_us / 2;
-            let mut cfg_faulted = cfg.clone();
-            cfg_faulted.fault = plan;
-            let p1 = Prepared::build(&cfg_faulted);
-            let seq_snap = p1.snapshot_at(fork_us);
-            let seq_digest = p1.resume(&seq_snap).state_digest();
-            let reference = format!("{:?}", p1.session().run_to_end());
-            for n_shards in [2usize, 4] {
-                let mut cfg_n = cfg_faulted.clone();
-                cfg_n.n_shards = n_shards;
-                let pn = Prepared::build(&cfg_n);
-                let snap = pn.snapshot_at(fork_us);
-                let digest = pn.resume(&snap).state_digest();
-                assert_eq!(
-                    digest, seq_digest,
-                    "{protocol:?}/{seed}/N={n_shards}: barrier merge diverged from sequential"
-                );
-                let warm = {
-                    let s = p1.resume(&snap);
-                    format!("{:?}", s.run_to_end())
-                };
-                assert_eq!(
-                    warm, reference,
-                    "{protocol:?}/{seed}/N={n_shards}: resume from barrier snapshot diverged"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn branch_from_fault_free_prefix_equals_cold_run_with_the_plan() {
     // The what-if shape: a fault-free shared prefix, then N divergent
     // futures. A branch that adopts a plan whose controls all fire
@@ -369,19 +304,19 @@ fn snapshot_after_a_reparenting_burst_resumes_with_its_adoptions() {
     // second crash among the survivors (adopted children re-adopted), a
     // recovery (the burst's adoptions restored, survivors reordered) —
     // so a clone that lost or mis-copied the index cannot finish equal
-    // to the uninterrupted run. Same through the 2-shard barrier merge,
-    // where the captured disseminator is a patched replica.
+    // to the uninterrupted run.
     for protocol in PROTOCOLS {
-        let mut cfg = SimConfig {
+        let cfg = SimConfig {
             protocol,
             seed: 0x5EED,
             coop_res: 3,
             ..SimConfig::small_for_tests(24, 6, 400, 50.0)
         };
-        let end_us = Prepared::build(&cfg).end_us;
+        let p = Prepared::build(&cfg);
+        let end_us = p.end_us;
         let burst =
             |repo, at_us, recover_at_us| CrashSpec { repo, at_us, recover_at_us, subtree: true };
-        cfg.fault = FaultPlan {
+        let plan = FaultPlan {
             crashes: vec![
                 burst(0, end_us / 5, Some(end_us * 7 / 10)),
                 burst(1, end_us / 5, None),
@@ -397,12 +332,12 @@ fn snapshot_after_a_reparenting_burst_resumes_with_its_adoptions() {
             seed: 0xADD0,
             ..Default::default()
         };
-        let p = Prepared::build(&cfg);
         let (fork_us, late_us) = (end_us / 2, end_us * 9 / 10);
 
         // The uninterrupted run: digests at the fork and late in the
         // suffix, then the report.
         let mut s = p.session();
+        s.install_fault_plan(&plan);
         s.run_until(fork_us);
         let adopted = s.disseminator().adoption_count();
         assert!(adopted > 0, "{protocol:?}: the burst re-parented nobody by the fork");
@@ -416,24 +351,19 @@ fn snapshot_after_a_reparenting_burst_resumes_with_its_adoptions() {
         let late_digest = s.state_digest();
         let reference = format!("{:?}", s.run_to_end());
 
-        let mut cfg2 = cfg.clone();
-        cfg2.n_shards = 2;
-        let sharded_snap = Prepared::build(&cfg2).snapshot_at(fork_us);
-        for (label, snap) in [("sequential", &snap), ("2 shards", &sharded_snap)] {
-            let mut cal = p.resume(snap);
-            let mut heap = p.resume_with::<HeapQueue<EventKind>, _>(snap, NoopObserver);
-            assert_eq!(cal.disseminator().adoption_count(), adopted, "{protocol:?}/{label}");
-            assert_eq!(cal.state_digest(), fork_digest, "{protocol:?}/{label}: fork digest");
-            assert_eq!(heap.state_digest(), fork_digest, "{protocol:?}/{label}: fork digest");
-            cal.run_until(late_us);
-            while heap.now_us() + HOP_US < late_us {
-                heap.run_until(heap.now_us() + HOP_US);
-            }
-            heap.run_until(late_us);
-            assert_eq!(cal.state_digest(), late_digest, "{protocol:?}/{label}: suffix digest");
-            assert_eq!(heap.state_digest(), late_digest, "{protocol:?}/{label}: suffix digest");
-            assert_eq!(format!("{:?}", cal.run_to_end()), reference, "{protocol:?}/{label}");
-            assert_eq!(format!("{:?}", heap.run_to_end()), reference, "{protocol:?}/{label}");
+        let mut cal = p.resume(&snap);
+        let mut heap = p.resume_with::<HeapQueue<EventKind>, _>(&snap, NoopObserver);
+        assert_eq!(cal.disseminator().adoption_count(), adopted, "{protocol:?}");
+        assert_eq!(cal.state_digest(), fork_digest, "{protocol:?}: fork digest");
+        assert_eq!(heap.state_digest(), fork_digest, "{protocol:?}: fork digest");
+        cal.run_until(late_us);
+        while heap.now_us() + HOP_US < late_us {
+            heap.run_until(heap.now_us() + HOP_US);
         }
+        heap.run_until(late_us);
+        assert_eq!(cal.state_digest(), late_digest, "{protocol:?}: suffix digest");
+        assert_eq!(heap.state_digest(), late_digest, "{protocol:?}: suffix digest");
+        assert_eq!(format!("{:?}", cal.run_to_end()), reference, "{protocol:?}");
+        assert_eq!(format!("{:?}", heap.run_to_end()), reference, "{protocol:?}");
     }
 }
