@@ -20,9 +20,6 @@
 //!   memory), with Floyd–Warshall kept as the property-test oracle. Each directed cell is summed on its own:
 //!   filling by symmetry or contracting degree-2 router chains would
 //!   change the last bits;
-//! * [`partition`] — deterministic weighted partitioning over CSR
-//!   (seeded BFS region growth + label-propagation refinement),
-//!   the cut-minimizer behind the simulator's sharded engine;
 //! * [`network`] — [`NetworkConfig`], the paper's network parameters.
 //!
 //! The delays among the source and the repositories take the first four
@@ -47,7 +44,6 @@
 pub mod apsp;
 pub mod network;
 pub mod pareto;
-pub mod partition;
 pub mod placement;
 pub mod topology;
 

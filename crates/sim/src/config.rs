@@ -64,8 +64,8 @@ pub struct SimConfig {
     /// Number of engine shards [`Prepared::run`](crate::Prepared::run)
     /// may spread across cores (clamped to the repository count). `1` —
     /// the default — is the sealed sequential engine. `> 1` drives the
-    /// conservative parallel engine (`crate::shard`): the overlay is
-    /// partitioned once, each shard drains epochs of the shared
+    /// conservative parallel engine (`crate::shard`): node `v` belongs
+    /// to shard `v % n_shards`, each shard drains epochs of the shared
     /// lookahead window concurrently, and cross-shard sends exchange at
     /// deterministic barriers. Reports are shard-count *deterministic*
     /// (a pure function of `(config, seed, n_shards)`) and bit-identical

@@ -52,8 +52,8 @@ pub struct Prepared {
     /// the same pass that checks the delays, once per network.
     min_link_us: u64,
     /// The packed `(at_us, payload)` source stream, built once
-    /// and shared (O(ticks × items) tuples).
-    source_stream: Arc<Vec<(u64, EventKind)>>,
+    /// and shared (O(ticks × items) tuples) by every drive.
+    pub(crate) source_stream: Arc<Vec<(u64, EventKind)>>,
     /// The overlay statistics every [`RunReport`] carries — constants of
     /// the build (an n² mean and a sweep over every item tree), so
     /// computed here once, not per report.

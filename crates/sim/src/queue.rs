@@ -16,10 +16,10 @@
 //!   keys: amortized `O(1)` push and pop. Against the heap it never won
 //!   outside noise on any benchmark workload, and its buckets raise a
 //!   2 500-repository drive's peak by ≈ 3.4 MB, so it drives nothing
-//!   but the sharded drive's shard queues. It stays as the reference
-//!   the queue property suites compare the heap against, and because
-//!   `d3t-bench` names it (`engine.oracle_drive`), until the benchmark
-//!   lets go of it; then it goes.
+//!   in the library. It stays as the reference the queue property
+//!   suites compare the heap against, and because `d3t-bench` names it
+//!   (`engine.oracle_drive`), until the benchmark lets go of it; then
+//!   it goes.
 //!
 //! # The calendar's slim slots and bulk operations
 //!
@@ -151,8 +151,8 @@
 //!
 //! # Sharded drains: the epoch/lookahead bound
 //!
-//! The sharded engine (`d3t_sim::shard`) runs one queue of this trait
-//! per shard. Its safety argument is the same window that licenses
+//! The sharded engine (`d3t_sim::shard`) runs one [`HeapQueue`] per
+//! shard. Its safety argument is the same window that licenses
 //! [`EventQueue::pop_run`]: any event an event at time `t` can cause
 //! lands at or after `t + W`, with lookahead
 //! `W = comp_delay + min_offdiag_link`. Each epoch the coordinator

@@ -6,10 +6,9 @@
 //! arrivals at or after `t + comp_delay + min off-diagonal link delay`
 //! (the safety window `W`, see the queue module's performance model).
 //! This module turns that *temporal* batching license into a *spatial*
-//! one: partition the overlay into `N` shards ([`d3t_net::partition`]
-//! over the tolerance-weighted d3g edge graph, source pinned to shard
-//! 0), give every shard its own calendar queue, busy-clock and run
-//! drain, and let all of them drain the same epoch `[t_min, t_min + W)`
+//! one: node `v` belongs to shard `v % N` (so the source, node 0, is on
+//! shard 0), every shard gets its own binary-heap queue, busy-clock and
+//! run drain, and all of them drain the same epoch `[t_min, t_min + W)`
 //! concurrently. No event inside an epoch can generate work inside it,
 //! so the shards never need to talk until the barrier.
 //!
@@ -67,10 +66,10 @@
 //! shard, zero lookahead and an unbounded horizon fall back to the
 //! sequential drain — the sharded path never changes semantics, only
 //! wall clock. An N-shard run is deterministic for fixed `(seed, N)`,
-//! and bit-identical to the sealed scalar oracle's report —
-//! property-tested at the workspace root (`tests/shard_properties.rs`).
+//! and bit-identical to the sealed scalar oracle's report whatever the
+//! owner map — property-tested at the workspace root
+//! (`tests/shard_properties.rs`).
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard};
 
@@ -82,10 +81,10 @@ use d3t_core::item::ItemId;
 use d3t_core::overlay::{NodeIdx, SOURCE};
 use d3t_core::workload::Workload;
 
-use crate::engine::{change_at_us, ms_to_us, Event, EventKind, TagTable};
+use crate::engine::{ms_to_us, Event, EventKind, TagTable};
 use crate::metrics::Metrics;
 use crate::prepared::Prepared;
-use crate::queue::{CalendarQueue, EventQueue};
+use crate::queue::{EventQueue, HeapQueue};
 use crate::report::RunReport;
 use crate::session::RUN_CAP;
 
@@ -127,13 +126,13 @@ struct EpochCtx<'a> {
 /// fidelity tracker restricted to its repositories, its slice of the
 /// busy clocks (full-size, but only owned nodes are ever written), a
 /// private queue + tag table, and the epoch outbox.
-struct ShardState<Q> {
+struct ShardState {
     id: u32,
     dis: Disseminator,
     fid: FidelityTracker,
     metrics: Metrics,
     busy_until_us: Vec<u64>,
-    queue: Q,
+    queue: HeapQueue<ShardEvent>,
     tags: TagTable,
     /// Per-item `(value bits, tag bits, template)` memo: the per-shard
     /// tag tables grow by interning, so the router reuses the previous
@@ -149,7 +148,7 @@ struct ShardState<Q> {
     end_us: u64,
 }
 
-impl<Q: EventQueue<ShardEvent>> ShardState<Q> {
+impl ShardState {
     /// Drains everything this shard can see strictly below `t_end`:
     /// queue runs below the stream head, the stream's ticks at their
     /// turn (stream wins equal-time ties, exactly like the sequential
@@ -283,7 +282,7 @@ impl<Q: EventQueue<ShardEvent>> ShardState<Q> {
 /// Pushes one stamped arrival into `shard`'s queue — the only function
 /// (with [`route_outboxes`]) allowed to touch a shard queue from the
 /// exchange side; everything else stages through outboxes.
-fn route_entry<Q: EventQueue<ShardEvent>>(shard: &mut ShardState<Q>, e: &OutEntry, g: u64) {
+fn route_entry(shard: &mut ShardState, e: &OutEntry, g: u64) {
     let kind = shard.route_template(e.update).at_node(e.child);
     shard.queue.push(e.arrival_us, g, ShardEvent { kind, g });
 }
@@ -294,8 +293,8 @@ fn route_entry<Q: EventQueue<ShardEvent>>(shard: &mut ShardState<Q>, e: &OutEntr
 /// parent — the only other reader of the delivery. Pushing in merged
 /// order hands every queue an ascending-stamp subsequence — the push
 /// contract holds per queue by construction.
-fn route_outboxes<Q: EventQueue<ShardEvent>>(
-    guards: &mut [MutexGuard<'_, ShardState<Q>>],
+fn route_outboxes(
+    guards: &mut [MutexGuard<'_, ShardState>],
     merged: &mut Vec<OutEntry>,
     next_seq: &mut u64,
     ctx: &EpochCtx<'_>,
@@ -319,66 +318,6 @@ fn route_outboxes<Q: EventQueue<ShardEvent>>(
     merged.clear();
 }
 
-/// Tolerance-weighted partition of the overlay: one vertex per d3g
-/// node, one undirected edge per parent link (accumulated across
-/// items), weighted inversely to the edge's effective tolerance — the
-/// tighter the coherency, the chattier the edge, the more it wants to
-/// stay intra-shard. Vertex weights follow items held, so load
-/// balances by fan-in rather than node count. The source is pinned to
-/// shard 0 by a deterministic label swap.
-fn partition_overlay(d3g: &D3g, n_shards: usize, seed: u64) -> Vec<u32> {
-    let n = d3g.n_nodes();
-    let mut acc: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-    for item in 0..d3g.n_items() {
-        let item = ItemId(item as u32);
-        for node in 1..n {
-            let node = NodeIdx(node as u32);
-            let Some(parent) = d3g.parent_of(node, item) else { continue };
-            let tol = d3g.effective(node, item).map_or(0.0, Coherency::value);
-            let w = (1e6 / (1.0 + tol)) as u64 + 1;
-            let key = (node.0.min(parent.0), node.0.max(parent.0));
-            *acc.entry(key).or_insert(0) += w;
-        }
-    }
-    let mut deg = vec![0u32; n];
-    for &(a, b) in acc.keys() {
-        deg[a as usize] += 1;
-        deg[b as usize] += 1;
-    }
-    let mut xadj = Vec::with_capacity(n + 1);
-    let mut total = 0u32;
-    xadj.push(0);
-    for &d in &deg {
-        total += d;
-        xadj.push(total);
-    }
-    let mut adjncy = vec![0u32; total as usize];
-    let mut adjwgt = vec![0u64; total as usize];
-    let mut fill: Vec<u32> = xadj[..n].to_vec();
-    for (&(a, b), &w) in &acc {
-        for (u, v) in [(a, b), (b, a)] {
-            let slot = fill[u as usize] as usize;
-            adjncy[slot] = v;
-            adjwgt[slot] = w;
-            fill[u as usize] += 1;
-        }
-    }
-    let vwgt: Vec<u64> =
-        (0..n).map(|v| 1 + d3g.items_held(NodeIdx(v as u32)).count() as u64).collect();
-    let mut part = d3t_net::partition::partition(&xadj, &adjncy, &adjwgt, &vwgt, n_shards, seed);
-    let s = part[0];
-    if s != 0 {
-        for p in part.iter_mut() {
-            if *p == s {
-                *p = 0;
-            } else if *p == 0 {
-                *p = s;
-            }
-        }
-    }
-    part
-}
-
 /// Entry point from [`Prepared::run`]: runs the sharded drive when the
 /// configuration can use it. Returns `None` when it cannot (single
 /// shard, zero lookahead, unbounded horizon) — the caller runs the
@@ -393,44 +332,29 @@ pub(crate) fn run_sharded(prepared: &Prepared) -> Option<RunReport> {
     if w == 0 || w == u64::MAX {
         return None;
     }
-    Some(run_impl::<CalendarQueue<ShardEvent>>(prepared, n_shards, w))
+    Some(run_impl(prepared, n_shards, w))
 }
 
 /// The epoch loop proper: drives every shard until no event remains.
-/// Returns the shard states and the partition they ran on.
-fn drive<Q: EventQueue<ShardEvent> + Send>(
-    prepared: &Prepared,
-    n_shards: usize,
-    w: u64,
-) -> (Vec<ShardState<Q>>, Vec<u32>) {
+/// Returns the shard states and the owner map they ran on.
+fn drive(prepared: &Prepared, n_shards: usize, w: u64) -> (Vec<ShardState>, Vec<u32>) {
     let cfg = prepared.config();
     let d3g = &prepared.d3g;
     let n_nodes = d3g.n_nodes();
     let end_us = prepared.end_us;
     let comp_delay_us = ms_to_us(cfg.comp_delay_ms);
 
-    // The pre-seeded source stream, identical to the engine's (shared
-    // read-only; every shard keeps a private cursor but they advance in
-    // lockstep — each shard consumes every tick).
-    let stream: Vec<(u64, EventKind)> = prepared
-        .changes
-        .iter()
-        .map(|&(at_ms, item, value)| {
-            let at_us = change_at_us(at_ms);
-            debug_assert!(at_us <= end_us, "change beyond horizon");
-            assert!(!value.is_nan(), "source change values must not be NaN");
-            (at_us, EventKind::source_change(item, value))
-        })
-        .collect();
-    assert!(stream.windows(2).all(|p| p[0].0 <= p[1].0), "source changes must arrive time-sorted");
-
-    let owner = partition_overlay(d3g, n_shards, cfg.seed);
+    // The engine's pre-seeded source stream, shared read-only: every
+    // shard keeps a private cursor, but they advance in lockstep — each
+    // shard consumes every tick.
+    let stream: &[(u64, EventKind)] = &prepared.source_stream;
+    let owner: Vec<u32> = (0..n_nodes).map(|v| (v % n_shards) as u32).collect();
     let mut base = Disseminator::new(cfg.protocol, d3g, &prepared.initial_values);
     base.stamp_delays(&prepared.delays);
     let n_items = prepared.workload.n_items();
     let n_repos = prepared.workload.n_repos();
 
-    let shards: Vec<Mutex<ShardState<Q>>> = (0..n_shards as u32)
+    let shards: Vec<Mutex<ShardState>> = (0..n_shards as u32)
         .map(|id| {
             // The shard's fidelity view: unowned repositories keep
             // all-None needs, so their slots are NaN-unmeasured — the
@@ -451,7 +375,7 @@ fn drive<Q: EventQueue<ShardEvent> + Send>(
                 fid: FidelityTracker::new(&wl, &prepared.initial_values, 0),
                 metrics: Metrics::default(),
                 busy_until_us: vec![0u64; n_nodes],
-                queue: Q::with_capacity(1 << 12),
+                queue: HeapQueue::with_capacity(1 << 12),
                 tags: TagTable::default(),
                 tag_cache: vec![
                     (u64::MAX, u64::MAX, EventKind::source_change(ItemId(0), 0.0));
@@ -471,7 +395,7 @@ fn drive<Q: EventQueue<ShardEvent> + Send>(
     let done = AtomicBool::new(false);
     let start = Barrier::new(n_shards + 1);
     let finish = Barrier::new(n_shards + 1);
-    let ctx = EpochCtx { stream: &stream, owner: &owner, d3g };
+    let ctx = EpochCtx { stream, owner: &owner, d3g };
 
     std::thread::scope(|scope| {
         for sm in &shards {
@@ -495,7 +419,7 @@ fn drive<Q: EventQueue<ShardEvent> + Send>(
         let mut next_seq = 0u64;
         loop {
             let t_min = {
-                let mut guards: Vec<MutexGuard<'_, ShardState<Q>>> =
+                let mut guards: Vec<MutexGuard<'_, ShardState>> =
                     shards.iter().map(|m| m.lock().unwrap()).collect();
                 route_outboxes(&mut guards, &mut merged, &mut next_seq, &ctx);
                 let mut t_min = u64::MAX;
@@ -522,12 +446,8 @@ fn drive<Q: EventQueue<ShardEvent> + Send>(
     (states, owner)
 }
 
-fn run_impl<Q: EventQueue<ShardEvent> + Send>(
-    prepared: &Prepared,
-    n_shards: usize,
-    w: u64,
-) -> RunReport {
-    let (states, owner) = drive::<Q>(prepared, n_shards, w);
+fn run_impl(prepared: &Prepared, n_shards: usize, w: u64) -> RunReport {
+    let (states, owner) = drive(prepared, n_shards, w);
     let end_us = prepared.end_us;
     let n_repos = prepared.workload.n_repos();
 

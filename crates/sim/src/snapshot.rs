@@ -108,13 +108,6 @@ impl Snapshot {
         self.queue_events.len()
     }
 
-    /// Events processed by the captured run so far — how much of the
-    /// run's total work the prefix already paid for, which is what a
-    /// branch resumed from this snapshot avoids re-simulating.
-    pub fn events_processed(&self) -> u64 {
-        self.metrics.events
-    }
-
     /// Approximate owned size of the snapshot in bytes — the flat
     /// arrays it bulk-cloned plus its own header. Telemetry only
     /// (capacity slack and allocator overhead are not counted).

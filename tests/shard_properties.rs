@@ -7,7 +7,7 @@
 //!    shard count, the sharded run's `RunReport` equals the
 //!    sealed sequential oracle's — `PartialEq` over every field *and*
 //!    the `Debug` rendering, so no float bit-pattern drift can hide.
-//!    The partition, the epoch batching, the outbox re-stamping and
+//!    The owner map, the epoch batching, the outbox re-stamping and
 //!    the replica mirrors are all invisible in the report.
 //!
 //! 2. **Fixed `(seed, N)` is deterministic.** Re-running the same
@@ -41,7 +41,9 @@ fn sharded_reports_match_the_sequential_oracle() {
         for seed in [0x5EEDu64, 97, 31_337] {
             let cfg = base_cfg(*protocol, seed, 1 + i * 3);
             let sequential = Prepared::build(&cfg).run();
-            for n_shards in [2usize, 3, 4] {
+            // 10 is one repository per shard; 20 takes `run_sharded`'s
+            // clamp to the repository count.
+            for n_shards in [2usize, 3, 4, 10, 20] {
                 let mut sharded_cfg = cfg.clone();
                 sharded_cfg.n_shards = n_shards;
                 let sharded = Prepared::build(&sharded_cfg).run();
