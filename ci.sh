@@ -1,29 +1,24 @@
 #!/usr/bin/env bash
 # Every CI gate, in order. .github/workflows/ci.yml runs exactly this
-# script; run it before pushing.
+# script; run it before pushing. The clippy step is also the gate for
+# the determinism and safety rules (clippy.toml, ROADMAP "Static
+# analysis").
 set -euo pipefail
 cd "$(dirname "$0")"
 
 echo "== fmt check =="
 cargo fmt --all --check
 
-echo "== clippy (deny warnings) =="
+echo "== clippy (deny warnings; the determinism and safety rules) =="
+# Besides clippy's defaults this is the determinism gate: clippy.toml
+# disallows the unordered, wall-clock, threading and shared-mutable
+# types and methods; the deterministic crates' roots deny unwrap /
+# expect / panic and undocumented unsafe; every suppression is an
+# `#[expect(…, reason = "…")]` that fails once it suppresses nothing.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== API docs (rustdoc lints deny via the workspace's warnings = deny) =="
 cargo doc --workspace --no-deps
-
-echo "== d3t-lint (determinism & safety rule pack) =="
-# The workspace self-lint must be clean: every suppression is either an
-# inline `// d3t-lint: allow(CODE) -- reason` pragma or a reasoned entry
-# in crates/lint/allowlist.txt (stale entries themselves fail as L002).
-# Every diagnostic is printed before anything is checked (the linter
-# exits 1 on any, hence `|| true`); the checks pin the trailer at zero
-# violations and at least the nine shipped rules registered.
-lint_out=$(cargo run --release -q -p d3t-lint -- --workspace) || true
-echo "$lint_out"
-lint_trailer=$(echo "$lint_out" | grep '^LINT files=.* rules=.* violations=0$')
-test "$(echo "$lint_trailer" | grep -o 'rules=[0-9]*' | cut -d= -f2)" -ge 9
 
 echo "== hot-file size ratchet =="
 # The five files that hold the event semantics and its drives (ROADMAP

@@ -76,7 +76,10 @@ impl std::fmt::Display for Coherency {
 
 /// Total order for sorting (tolerances are always finite, so this is safe).
 impl Eq for Coherency {}
-#[allow(clippy::derive_ord_xor_partial_ord)]
+#[allow(
+    clippy::derive_ord_xor_partial_ord,
+    reason = "sorting needs a total order over the finite values Coherency::new admits"
+)]
 impl Ord for Coherency {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // `Coherency::new` rejects non-finite values, so IEEE total order

@@ -120,7 +120,10 @@ impl std::fmt::Write for Fnv1a {
 pub fn debug_hash(value: &impl std::fmt::Debug) -> u64 {
     use std::fmt::Write;
     let mut h = Fnv1a::new();
-    // d3t-lint: allow(P001) -- a Debug impl that fails is a bug `format!` would panic on too
+    #[expect(
+        clippy::expect_used,
+        reason = "a Debug impl that fails is a bug `format!` would panic on too"
+    )]
     write!(h, "{value:?}").expect("Debug rendering failed");
     h.finish()
 }

@@ -59,7 +59,10 @@ pub(super) fn tag_update(
 /// Tag-based forwarding performed by every node on the dissemination path
 /// (including the source, once the tag is computed).
 pub(super) fn forward(d: &mut Disseminator, node: NodeIdx, update: Update) -> Forwarding {
-    // d3t-lint: allow(P001) -- the source arm stamps a tag on every centralized update it emits
+    #[expect(
+        clippy::expect_used,
+        reason = "the source arm stamps a tag on every centralized update it emits"
+    )]
     let tag = update.tag.expect("centralized updates always carry a tag");
     let mut to = Vec::new();
     let mut checks = 0u64;

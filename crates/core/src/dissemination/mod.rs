@@ -249,9 +249,12 @@ impl Disseminator {
                 let node = NodeIdx(n as u32);
                 let start = child_edges.len() as u32;
                 for &ch in d3g.children_of(node, item) {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "d3g.validate() guarantees every child edge has an effective coherency"
+                    )]
                     let c = d3g
                         .effective(ch, item)
-                        // d3t-lint: allow(P001) -- d3g.validate() guarantees every child edge has an effective coherency
                         .expect("child subscribed to an item it does not hold");
                     parent[i * n_nodes + ch.index()] = node.0;
                     parent_edge[i * n_nodes + ch.index()] = child_edges.len() as u32;
@@ -472,7 +475,10 @@ impl Disseminator {
         let r = meta.start as usize..(meta.start + meta.len) as usize;
         out.checks = match self.protocol {
             Protocol::Centralized => {
-                // d3t-lint: allow(P001) -- the source arm stamps a tag on every centralized update
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the source arm stamps a tag on every centralized update"
+                )]
                 let tag = update.tag.expect("centralized updates always carry a tag");
                 kernel::tag_filter(tag.value(), &self.child_edges[r], &mut out.to)
             }

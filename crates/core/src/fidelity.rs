@@ -157,9 +157,12 @@ impl FidelityTracker {
             }
             while mask != 0 {
                 let k = base + mask.trailing_zeros() as usize;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the mask bit was set iff transition() returns Some"
+                )]
                 let opened =
                     Self::transition(&mut pairs[k], &mut starts[k], &mut totals[k], at_us, value)
-                        // d3t-lint: allow(P001) -- the mask bit was set iff transition() returns Some
                         .expect("predicate said the state flips");
                 sink(k, item, opened);
                 mask &= mask - 1;

@@ -127,7 +127,10 @@ impl D3g {
         let (pi, ci, ii) = (parent.index(), child.index(), item.index());
         assert!(self.parent[ii][ci].is_none(), "{child} already has a parent for {item}");
         let held = self.effective(parent, item);
-        // d3t-lint: allow(P001) -- documented `# Panics` contract of add_edge (caller misuse, not a run-time path)
+        #[expect(
+            clippy::panic,
+            reason = "documented `# Panics` contract of add_edge (caller misuse, not a run-time path)"
+        )]
         let pc = held.unwrap_or_else(|| panic!("{parent} does not hold {item}"));
         assert!(
             pc.at_least_as_stringent_as(c),

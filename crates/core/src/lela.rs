@@ -55,8 +55,6 @@
 //! difference in a preference factor can reorder the band and so change
 //! the d3g.
 
-use std::sync::Arc; // d3t-lint: allow(D003) -- Arc shares the immutable delay cells by refcount; no locks, no scheduling
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -66,6 +64,13 @@ use crate::graph::D3g;
 use crate::item::ItemId;
 use crate::overlay::{NodeIdx, SOURCE};
 use crate::workload::Workload;
+
+/// The one `std::sync` type this crate uses.
+#[expect(
+    clippy::disallowed_types,
+    reason = "Arc shares the immutable delay cells by refcount; no locks, no scheduling"
+)]
+type Arc<T> = std::sync::Arc<T>;
 
 /// Which preference-factor formula the load controller uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -127,9 +132,9 @@ impl LelaConfig {
 /// the overlay nodes: overlay index 0 is the source, `i + 1` the `i`-th
 /// repository.
 ///
-/// The cells sit behind an [`Arc`], so a clone is a pointer copy: every
-/// session of a prepared run keeps the matrix for repair-time lookups
-/// without a second n² table.
+/// The cells sit behind an [`Arc`](std::sync::Arc), so a clone is a
+/// pointer copy: every session of a prepared run keeps the matrix for
+/// repair-time lookups without a second n² table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DelayMatrix {
     n: usize,

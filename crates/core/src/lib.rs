@@ -26,6 +26,14 @@
 //!   fixed and adaptive Time-To-Refresh, plus the adaptive push-pull
 //!   combination of the companion paper (Bhide et al. 2002).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::undocumented_unsafe_blocks,
+    reason = "P001 and U001: library code documents every panic and every unsafe block"
+)]
+
 pub mod coherency;
 pub mod coop;
 pub mod digest;

@@ -133,12 +133,11 @@ pub fn simulate_pull(trace: &Trace, c: Coherency, policy: &TtrPolicy, rtt_ms: f6
     policy.validate();
     assert!(rtt_ms >= 0.0, "round-trip time must be >= 0");
     let ticks = trace.ticks();
-    if ticks.len() < 2 {
+    let [first, .., last] = ticks else {
         return PullOutcome { loss_pct: 0.0, polls: 0, useful_polls: 0 };
-    }
-    // d3t-lint: allow(P001) -- `ticks.len() < 2` returned early just above
-    let end_ms = ticks.last().unwrap().at_ms as f64;
-    let mut cached = ticks[0].value;
+    };
+    let end_ms = last.at_ms as f64;
+    let mut cached = first.value;
     let mut ttr = policy.initial_ttr();
     let mut next_poll = ttr;
     let mut polls = 0u64;
@@ -149,7 +148,7 @@ pub fn simulate_pull(trace: &Trace, c: Coherency, policy: &TtrPolicy, rtt_ms: f6
     let mut violation_ms = 0.0f64;
     let mut violation_since: Option<f64> = None;
     let mut idx = 1usize; // ticks[0] is the initial coherent value
-    let mut source = ticks[0].value;
+    let mut source = first.value;
 
     let step = |at: f64, source: f64, cached: f64, open: &mut Option<f64>, total: &mut f64| {
         let violating = c.violated_by(source, cached);

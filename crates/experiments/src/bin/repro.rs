@@ -53,6 +53,11 @@
 //! Output may be cut short by its reader (`repro all | head`): a closed
 //! pipe ends the run quietly with status 0.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "`took`/`wall clock` lines need wall time around whole runs"
+)]
+
 use std::io::Write;
 use std::time::Instant;
 

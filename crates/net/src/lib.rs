@@ -41,6 +41,14 @@
 //! assert!(apsp.delay_ms_at(0, 1) > 0.0);
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::undocumented_unsafe_blocks,
+    reason = "P001 and U001: library code documents every panic and every unsafe block"
+)]
+
 pub mod apsp;
 pub mod network;
 pub mod pareto;

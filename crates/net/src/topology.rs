@@ -81,6 +81,10 @@ impl Topology {
 
         let target_links = ((n_nodes as f64 * avg_degree) / 2.0).round() as usize;
         let mut links = Vec::with_capacity(target_links.max(n_nodes - 1));
+        #[expect(
+            clippy::disallowed_types,
+            reason = "HashSet used for contains/insert dedup only; iteration order never observed"
+        )]
         let mut seen = std::collections::HashSet::with_capacity(target_links * 2);
         let key = |a: NodeId, b: NodeId| if a < b { (a, b) } else { (b, a) };
 
@@ -289,6 +293,10 @@ mod tests {
     #[test]
     fn no_self_loops_or_duplicate_links() {
         let t = Topology::random(150, 4.0, 3, fixed_delay);
+        #[expect(
+            clippy::disallowed_types,
+            reason = "HashSet used for contains/insert dedup only; iteration order never observed"
+        )]
         let mut seen = std::collections::HashSet::new();
         for l in t.links() {
             assert_ne!(l.a, l.b);

@@ -27,15 +27,15 @@
 //! the [`Session`](crate::session::Session) redesign is judged against.
 //! Since the dissemination kernel landed it carries a second oracle
 //! duty: this loop drives the disseminator's allocating **scalar
-//! oracle** methods, while the session runs the batched allocation-free
-//! kernel path — so the bit-identity property tests double as whole-run
-//! kernel-vs-oracle cross-checks. The product path ([`crate::run`] /
-//! `Prepared::run`) drives a `Session` with the no-op observer; compat
-//! tests assert its `(FidelityReport, Metrics)` is bit-identical to
-//! this loop on every input, and `d3t-bench` tracks the session's speed
-//! relative to it (`engine.session_vs_oracle_x`). New capability goes
-//! into `Session`; this loop only changes when the simulation semantics
-//! themselves do.
+//! oracle** methods over scalar queue ops, while the session runs the
+//! batched allocation-free kernel path and bulk queue ops — so the
+//! bit-identity property tests double as whole-run cross-checks of
+//! both. The product path ([`crate::run`] / `Prepared::run`) drives a
+//! `Session` with the no-op observer; compat tests assert its
+//! `(FidelityReport, Metrics)` is bit-identical to this loop on every
+//! input, and `d3t-bench` tracks the session's speed relative to it
+//! (`engine.session_vs_oracle_x`). New capability goes into `Session`;
+//! this loop only changes when the simulation semantics themselves do.
 //!
 //! # Performance model
 //!
@@ -60,12 +60,8 @@
 //!   into a percentage only when the report is produced.
 //! * Events are ordered by `(time_us, sequence number)`; ties resolve in
 //!   creation order. The scheduler is a type parameter behind the
-//!   [`EventQueue`] trait; every product drive uses the binary
-//!   [`HeapQueue`], and the two-tier
-//!   [`CalendarQueue`](crate::queue::CalendarQueue) is a reference the
-//!   property suites compare it against. Ordering is bit-identical
-//!   across the two on every input, so the queue type changes wall
-//!   clock and memory only, never results.
+//!   [`EventQueue`] trait (every product drive uses [`HeapQueue`]); it
+//!   changes wall clock and memory only, never results.
 //! * **The pre-seeded source changes never enter the queue.** They are
 //!   compiled at construction into a time-sorted `(at_us, payload)`
 //!   stream that the run loops *merge* with the queue: every pre-seeded
@@ -87,7 +83,8 @@
 //!   [`pop_run`](crate::queue::EventQueue::pop_run) inside the
 //!   `comp_delay + min link delay` safety window, then processes the
 //!   run one event at a time while prefetching the row and pair state
-//!   of the arrival four events ahead. See [`crate::queue`].
+//!   of the arrival four events ahead. See [`crate::queue`], whose
+//!   `pop_run` window also bounds `crate::shard`'s epochs.
 //! * The per-event protocol and accounting state is laid out flat and
 //!   hot/cold split: the disseminator walks one 32-byte row record plus
 //!   one interleaved CSR edge run per decision (the batched check
@@ -95,23 +92,8 @@
 //!   tracker reaches its 16-byte pair record by direct `(item, node)`
 //!   indexing — no nested-`Vec` pointer chasing and no table
 //!   indirection anywhere in the loop.
-//! * Throughput is judged **relative to this scalar-oracle loop**, not
-//!   in absolute events/s: the shared CI host drifts ~20% between PRs,
-//!   so `d3t-bench` times the session beside the sealed `Engine::run` in
-//!   the same process (`engine.session_vs_oracle_x`, e.g. on
-//!   `drive-600r`: 600 repositories / 100 items / 10k ticks, ~13.65 M
-//!   events) and checks both reports — and the calendar-queue oracle
-//!   drive's — equal.
-//! * **Scaling past one core is spatial, not per-event:** `crate::shard`
-//!   runs the same per-event kernels once per overlay shard inside the
-//!   conservative-PDES lookahead `W = comp_delay + min link delay`
-//!   (exactly `Session::batch_window_us`; the bound is argued in
-//!   [`crate::queue`]). The 1-shard path stays bit-identical to this
-//!   loop, and fixed `(seed, N)` replays bit-identically.
 //!
 //! Experiment setup cost lives in [`crate::prepared`], not here.
-
-use std::sync::Arc; // d3t-lint: allow(D003) -- Arc shares immutable prepared inputs by refcount; no locks, no scheduling
 
 use d3t_core::dissemination::{Disseminator, Update};
 use d3t_core::fidelity::{FidelityReport, FidelityTracker};
@@ -123,6 +105,7 @@ use d3t_core::workload::Workload;
 
 use crate::metrics::Metrics;
 use crate::queue::{EventQueue, HeapQueue};
+use crate::Arc;
 
 /// One source change: `(time_ms, item, value)`.
 pub type SourceChange = (u64, ItemId, f64);
@@ -386,12 +369,9 @@ pub struct Engine<Q: EventQueue<EventKind> = HeapQueue<EventKind>> {
     pub(crate) end_us: u64,
     /// Decodes the NaN-boxed tag ids of centralized arrivals.
     pub(crate) tags: TagTable,
-    /// The pre-seeded source changes, already `(at_us, payload)` packed
-    /// and time-sorted. They are **streamed**, not enqueued: the run
-    /// loops merge this cursor with the queue (stream wins time ties —
-    /// every change carries a smaller creation stamp than any arrival),
-    /// so the queue holds in-flight arrivals only. Shared: re-packing
-    /// ticks × items tuples per session dominates warm-branch
+    /// The pre-seeded source changes, `(at_us, payload)` packed, sorted
+    /// and **streamed**, not enqueued (see the module doc). Shared:
+    /// re-packing ticks × items tuples per session dominates warm-branch
     /// construction cost.
     pub(crate) source_stream: Arc<Vec<(u64, EventKind)>>,
     /// Next unprocessed `source_stream` entry.
@@ -412,7 +392,7 @@ impl Engine {
     /// * `comp_delay_ms` — per-dependent CPU time (converted once to µs);
     /// * `end_us` — the observation horizon in µs (normally the trace
     ///   duration).
-    #[allow(clippy::too_many_arguments)] // one parameter per §6.1 experiment input
+    #[allow(clippy::too_many_arguments, reason = "one parameter per §6.1 experiment input")]
     pub fn new(
         d3g: &D3g,
         workload: &Workload,
@@ -443,7 +423,7 @@ impl<Q: EventQueue<EventKind>> Engine<Q> {
     /// # Panics
     /// As [`DelayMatrix::min_offdiag_us`], on a delay that does not fit
     /// the `u32` µs an edge record holds.
-    #[allow(clippy::too_many_arguments)] // one parameter per §6.1 experiment input
+    #[allow(clippy::too_many_arguments, reason = "one parameter per §6.1 experiment input")]
     pub fn with_queue(
         d3g: &D3g,
         workload: &Workload,
@@ -474,7 +454,7 @@ impl<Q: EventQueue<EventKind>> Engine<Q> {
     /// inputs (sweep cells, warm what-if branches) share them and skip
     /// the O(n²) check and the O(ticks × items) stream materialization
     /// per session. Stamps the edges of `disseminator`.
-    #[allow(clippy::too_many_arguments)] // one parameter per §6.1 experiment input
+    #[allow(clippy::too_many_arguments, reason = "one parameter per §6.1 experiment input")]
     pub(crate) fn with_queue_shared(
         d3g: &D3g,
         workload: &Workload,

@@ -490,8 +490,7 @@ impl FaultState {
             self.cursor += 1;
             Some((t, FaultControl::Timeline(ev)))
         } else {
-            // d3t-lint: allow(P001) -- this branch is only taken after a successful repairs.peek()
-            let Reverse((at, _, op)) = self.repairs.pop().expect("peeked above");
+            let Reverse((at, _, op)) = self.repairs.pop()?;
             Some((at, FaultControl::Repair(op)))
         }
     }
@@ -644,9 +643,12 @@ impl Observer for FaultMonitor {
         self.open_viol += 1;
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the tracker emits open/close strictly paired per (item, repo)"
+    )]
     fn on_violation_close(&mut self, at_us: u64, _repo: usize, _item: ItemId) {
         self.integrate_to(at_us);
-        // d3t-lint: allow(P001) -- the tracker emits open/close strictly paired per (item, repo)
         self.open_viol = self.open_viol.checked_sub(1).expect("close without open");
     }
 
@@ -663,9 +665,12 @@ impl Observer for FaultMonitor {
                     reparented: 0,
                 });
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "the fault state machine never emits Recover for an up node"
+            )]
             FaultObservation::Recover { node } => {
                 self.integrate_to(at_us);
-                // d3t-lint: allow(P001) -- the fault state machine never emits Recover for an up node
                 self.down = self.down.checked_sub(1).expect("recover without crash");
                 if let Some(i) = self
                     .incidents

@@ -139,6 +139,14 @@
 //! assert!(metrics.injected == 1 && fidelity.loss_pct <= 100.0);
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::undocumented_unsafe_blocks,
+    reason = "P001 and U001: library code documents every panic and every unsafe block"
+)]
+
 pub mod config;
 pub mod dynamics;
 pub mod engine;
@@ -168,6 +176,13 @@ pub use queue::{CalendarQueue, EventQueue, HeapQueue};
 pub use report::RunReport;
 pub use session::{PhaseCounter, PhaseStats, Session, SnapshotStats};
 pub use snapshot::Snapshot;
+
+/// The one `std::sync` type the sequential drive uses.
+#[expect(
+    clippy::disallowed_types,
+    reason = "Arc shares immutable prepared inputs by refcount; no locks, no scheduling"
+)]
+pub(crate) type Arc<T> = std::sync::Arc<T>;
 
 /// Prepares and runs a complete simulation from a configuration — the
 /// sealed-run compatibility wrapper over [`Session`], bit-identical to

@@ -296,9 +296,12 @@ impl Observer for WindowedFidelity {
         self.integrate_to(at_us);
         self.open += 1;
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "the tracker emits open/close strictly paired per (item, repo)"
+    )]
     fn on_violation_close(&mut self, at_us: u64, _repo: usize, _item: ItemId) {
         self.integrate_to(at_us);
-        // d3t-lint: allow(P001) -- the tracker emits open/close strictly paired per (item, repo)
         self.open = self.open.checked_sub(1).expect("close without open");
     }
     fn on_end(&mut self, end_us: u64) {

@@ -1,7 +1,5 @@
 //! End-to-end run preparation: traces → network → workload → d3g → engine.
 
-use std::sync::Arc; // d3t-lint: allow(D003) -- Arc shares immutable prepared inputs by refcount; no locks, no scheduling
-
 use d3t_core::coop::{controlled_degree, CoopParams};
 use d3t_core::dissemination::Disseminator;
 use d3t_core::graph::D3g;
@@ -19,6 +17,7 @@ use crate::queue::{EventQueue, HeapQueue};
 use crate::report::RunReport;
 use crate::session::Session;
 use crate::snapshot::Snapshot;
+use crate::Arc;
 
 /// A fully materialized experiment: all inputs generated, overlay built,
 /// ready to [`run`](Prepared::run). Exposed so examples and ablations can
@@ -391,8 +390,8 @@ fn build_traces(cfg: &SimConfig) -> Vec<Trace> {
 }
 
 /// Where every node starts: the first value of each trace.
+#[expect(clippy::expect_used, reason = "generated traces always open with the initial-value tick")]
 fn first_values(traces: &[Trace]) -> Vec<f64> {
-    // d3t-lint: allow(P001) -- generated traces always open with the initial-value tick
     traces.iter().map(|t| t.first().expect("non-empty trace").value).collect()
 }
 

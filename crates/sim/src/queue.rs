@@ -136,37 +136,10 @@
 //!
 //! # Measured shape
 //!
-//! Absolute rates on the shared CI host drift ~20% between PRs, so
-//! every throughput claim here is *relative to a same-process
-//! reference* and tracked by `d3t-bench` (`queue.calendar_vs_heap_x`,
-//! `engine.session_vs_oracle_x`; nothing gates on speed). Because the
-//! engine *streams* its pre-seeded source changes instead of enqueueing
-//! them (see `d3t_sim::engine`), the pending set is only the in-flight
-//! arrivals — shallow enough that the heap is competitive on every
-//! workload the benchmark runs (`queue.calendar_vs_heap_x` has read
-//! 0.85–1.09 across them, never a win outside noise). The calendar's
-//! structural lead — deep backlogs, such as congested configurations
-//! whose CPU queues stack arrivals — follows from the bucket math but is
-//! measured on no workload run here, so the drives keep the heap.
-//!
-//! # Sharded drains: the epoch/lookahead bound
-//!
-//! The sharded engine (`d3t_sim::shard`) runs one [`HeapQueue`] per
-//! shard. Its safety argument is the same window that licenses
-//! [`EventQueue::pop_run`]: any event an event at time `t` can cause
-//! lands at or after `t + W`, with lookahead
-//! `W = comp_delay + min_offdiag_link`. Each epoch the coordinator
-//! probes every shard queue's [`EventQueue::peek_at`] (and the shared
-//! source-change stream) for the global minimum `t_min`, then lets
-//! every shard drain independently below
-//! `T = t_min + W`: all events strictly below
-//! `T` are mutually reorder-free across shards, so the per-shard pop
-//! orders compose into a valid global order. Cross-shard sends stage in
-//! per-shard outboxes, are merged at the epoch barrier in global
-//! creation order, and are re-stamped from one run-wide counter —
-//! which is what preserves the strictly-increasing-stamp push contract
-//! on every shard queue (each queue receives an ascending subsequence
-//! of the merged stamp sequence).
+//! With only in-flight arrivals pending, `d3t-bench`'s same-process
+//! `queue.calendar_vs_heap_x` has read 0.85–1.09 across the benchmark's
+//! workloads. The calendar's lead on deep backlogs follows from the
+//! bucket math but is measured on no workload run here.
 //!
 //! The heap also wins two structural niches: backlogs sitting at a
 //! handful of *identical* timestamps (no width separates ties), and pure
@@ -325,8 +298,7 @@ fn signed_seq(seq: u64) -> i64 {
 /// Debug-build enforcement of the push contract: creation stamps must be
 /// strictly increasing over a queue's lifetime (the property that lets
 /// the calendar tier drop the tie-breaker from its slots entirely — see
-/// the trait docs). Zero-sized and fully compiled out in release builds;
-/// the static half of the same contract is d3t-lint's job.
+/// the trait docs). Zero-sized and fully compiled out in release builds.
 #[derive(Default)]
 struct StampGuard {
     #[cfg(debug_assertions)]
@@ -417,7 +389,10 @@ impl<T: Copy> EventQueue<T> for HeapQueue<T> {
         while n < max {
             match self.heap.peek() {
                 Some(Reverse(s)) if s.at_us < limit => {
-                    // d3t-lint: allow(P001) -- pop follows the successful peek in the match head
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "pop follows the successful peek in the match head"
+                    )]
                     let Reverse(s) = self.heap.pop().expect("peeked heap entry");
                     out.push((s.at_us, s.item));
                     n += 1;
@@ -794,7 +769,10 @@ impl<T: Copy> CalendarQueue<T> {
         }
         self.pops_since_advance = 0;
         self.near_misses = 0;
-        // d3t-lint: allow(P001) -- advance_year returns early on empty overflow; rebuild only demotes into it
+        #[expect(
+            clippy::expect_used,
+            reason = "advance_year returns early on empty overflow; rebuild only demotes into it"
+        )]
         let anchor = self.overflow.peek().expect("overflow emptied by rebuild").0.at_us;
         self.current_day = anchor >> self.width_log2;
         let nominal_end = year_end(anchor, self.width_log2, self.nb_log2);
@@ -813,7 +791,10 @@ impl<T: Copy> CalendarQueue<T> {
                 self.boundary_us = t.at_us;
                 break;
             }
-            // d3t-lint: allow(P001) -- pop follows the successful peek in the loop head
+            #[expect(
+                clippy::expect_used,
+                reason = "pop follows the successful peek in the loop head"
+            )]
             let Reverse(slot) = self.overflow.pop().expect("peeked overflow entry");
             self.insert_cal(CalSlot { at_us: slot.at_us, item: slot.item });
         }
@@ -852,7 +833,10 @@ impl<T: Copy> CalendarQueue<T> {
                 }
             }
         }
-        // d3t-lint: allow(P001) -- every caller establishes cal_len > 0 before locate_min
+        #[expect(
+            clippy::expect_used,
+            reason = "every caller establishes cal_len > 0 before locate_min"
+        )]
         let (b, at_us) = best.expect("locate_min on an empty calendar");
         self.current_day = at_us >> self.width_log2;
         b
@@ -969,7 +953,10 @@ impl<T: Copy> EventQueue<T> for CalendarQueue<T> {
         // `locate_min` persists the cursor advance, so repeated failed
         // probes re-walk nothing: the next probe starts at the min's day.
         let b = self.locate_min();
-        // d3t-lint: allow(P001) -- locate_min returns the index of a non-empty bucket
+        #[expect(
+            clippy::expect_used,
+            reason = "locate_min returns the index of a non-empty bucket"
+        )]
         let front = self.buckets[b].front().expect("located bucket is non-empty");
         if front.at_us >= cap_us {
             return None;
@@ -1189,10 +1176,9 @@ mod tests {
         assert_sorted_drain(&vec![42u64; 500]);
     }
 
-    // The dynamic counterpart of the push contract (the static half is
-    // d3t-lint's job): debug builds must catch a regressing creation
-    // stamp on either backend, through both the scalar and the batched
-    // push paths. Release builds compile the guard out, so these only
+    // The push contract's guard: debug builds must catch a regressing
+    // creation stamp on either backend, through both the scalar and the
+    // batched push paths. Release builds compile the guard out, so these only
     // exist under debug_assertions (which is how `cargo test` runs).
     #[test]
     #[cfg(debug_assertions)]

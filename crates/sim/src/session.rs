@@ -23,22 +23,13 @@
 //! bit-for-bit, on either queue backend — property-tested at the
 //! workspace root. Observation is free when unused: the observer is a
 //! type parameter, so the [`NoopObserver`] session monomorphizes to the
-//! reference loop (`d3t-bench` tracks the ratio as
-//! `engine.session_vs_oracle_x`).
+//! reference loop (`d3t-bench`'s `engine.session_vs_oracle_x`).
 //!
 //! The session is also the **allocation-free hot path**: forwarding
 //! decisions go through the disseminator's batched check kernel
 //! (`on_source_update_into` / `on_repo_update_into`) into a reusable
 //! [`ForwardScratch`], so the steady-state deliver loop never touches
-//! the heap. Queue traffic is bulk: each send group is enqueued with one
-//! [`EventQueue::push_batch`], the drain pops reorder-free runs with
-//! [`EventQueue::pop_run`], and the pre-seeded source changes are merged
-//! from a sorted stream instead of transiting the queue at all (see the
-//! engine's performance model). [`Engine::run`] deliberately keeps
-//! driving the allocating scalar-oracle methods over scalar queue ops —
-//! the bit-identity property tests therefore cross-check both the kernel
-//! against the oracle and the bulk queue contract against scalar
-//! push/pop on every full run.
+//! the heap; queue traffic is bulk (see the engine's performance model).
 //!
 //! # Performance model: one scalar run drain
 //!
@@ -99,13 +90,10 @@
 //! them; capture/restore wall and byte telemetry land in
 //! [`PhaseStats::snapshot`] ([`SnapshotStats`]).
 
-use std::sync::Arc; // d3t-lint: allow(D003) -- Arc shares immutable prepared inputs by refcount; no locks, no scheduling
-
+use d3t_core::digest::Fnv1a;
 use d3t_core::dissemination::{Disseminator, ForwardScratch, Target, Update};
 use d3t_core::fidelity::{FidelityReport, FidelityTracker};
 use d3t_core::overlay::{NodeIdx, SOURCE};
-
-use d3t_core::digest::Fnv1a;
 
 use crate::dynamics::{Dynamic, DynamicError};
 use crate::engine::{Engine, Event, EventKind, TagTable};
@@ -116,6 +104,7 @@ use crate::metrics::Metrics;
 use crate::observer::{FaultObservation, NoopObserver, Observer};
 use crate::queue::{EventQueue, HeapQueue};
 use crate::snapshot::{Snapshot, STATE_DIGEST_SEED};
+use crate::Arc;
 
 /// A live, steppable simulation run. Construct via
 /// [`Prepared::session`](crate::Prepared::session) /
@@ -170,10 +159,8 @@ pub struct Session<Q: EventQueue<EventKind> = HeapQueue<EventKind>, O: Observer 
     /// consult. Inert — one predictable branch per pop and per send —
     /// unless a plan was installed. An installed plan costs its
     /// controls and one RNG draw per send inside a loss or degradation
-    /// window; under `RepairPolicy::Reparent`, repair pays O(item
-    /// holders + live adoptions) per operation, decisions pay nothing.
-    /// What a faulted drive, repaired crash burst included, costs over
-    /// the fault-free one is `d3t-bench`'s `fault.overhead_x` on `whatif-600r`.
+    /// window. What a faulted drive, repaired crash burst included, costs
+    /// over the fault-free one is `d3t-bench`'s `fault.overhead_x` on `whatif-600r`.
     faults: FaultState,
 }
 
@@ -318,9 +305,12 @@ impl PhaseStats {
 #[inline]
 fn cycles() -> u64 {
     #[cfg(target_arch = "x86_64")]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "relative per-phase cycle attribution only; never a sim timebase"
+    )]
     {
         // SAFETY: RDTSC is unprivileged and side-effect-free.
-        // d3t-lint: allow(D002) -- relative per-phase cycle attribution only; never a sim timebase
         unsafe { core::arch::x86_64::_rdtsc() }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -449,9 +439,12 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
     /// Panics, with the [`FaultPlanError`]'s message, on a plan
     /// [`FaultPlan::validate`] rejects; a caller whose plan is data it
     /// did not write uses [`Session::try_install_fault_plan`].
+    #[expect(
+        clippy::panic,
+        reason = "documented `# Panics` contract; the fallible twin is try_install_fault_plan"
+    )]
     pub fn install_fault_plan(&mut self, plan: &FaultPlan) {
         if let Err(e) = self.try_install_fault_plan(plan) {
-            // d3t-lint: allow(P001) -- documented `# Panics` contract; the fallible twin is try_install_fault_plan
             panic!("{e}");
         }
     }

@@ -4,7 +4,7 @@
 //! The sequential engine's run drain already rests on a
 //! lookahead bound: processing an event at `t` can only schedule
 //! arrivals at or after `t + comp_delay + min off-diagonal link delay`
-//! (the safety window `W`, see the queue module's performance model).
+//! (the safety window `W` that licenses `EventQueue::pop_run`).
 //! This module turns that *temporal* batching license into a *spatial*
 //! one: node `v` belongs to shard `v % N` (so the source, node 0, is on
 //! shard 0), every shard gets its own binary-heap queue, busy-clock and
@@ -35,8 +35,9 @@
 //!
 //! # Outboxes and the stamp contract
 //!
-//! No shard pushes into any event queue during an epoch — not even its
-//! own. Every send decision lands in the shard's **outbox** keyed by
+//! No shard pushes into any event queue during an epoch, not even its
+//! own: only the `exchange` module can push into a shard queue. Every
+//! send decision lands in the shard's **outbox** keyed by
 //! `(event time, phase, generator, child ordinal)`, where `phase`
 //! orders source-tick sends (stream index as generator) before
 //! arrival-relay sends (the generating event's creation stamp `g`) at
@@ -44,8 +45,7 @@
 //! order*, so the coordinator merges all outboxes, assigns consecutive
 //! stamps from one counter, and pushes each arrival — plus its mirror
 //! — in merged order. Each queue receives an ascending-stamp
-//! subsequence, preserving the strictly-increasing-stamp push contract
-//! both backends' FIFO tie-breaking relies on.
+//! subsequence, so the push contract holds by construction.
 //!
 //! # Replicas and parent-owner mirrors
 //!
@@ -68,10 +68,11 @@
 //! wall clock. An N-shard run is deterministic for fixed `(seed, N)`,
 //! and bit-identical to the sealed scalar oracle's report whatever the
 //! owner map — property-tested at the workspace root
-//! (`tests/shard_properties.rs`).
+//! (`tests/shard_properties.rs`). Shards share no mutable state: this
+//! module forbids `unsafe` (so no `static mut`), and `clippy.toml`
+//! disallows interior mutability.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex, MutexGuard};
+#![forbid(unsafe_code)]
 
 use d3t_core::coherency::Coherency;
 use d3t_core::dissemination::{Disseminator, ForwardScratch, Target, Update};
@@ -84,9 +85,8 @@ use d3t_core::workload::Workload;
 use crate::engine::{ms_to_us, Event, EventKind, TagTable};
 use crate::metrics::Metrics;
 use crate::prepared::Prepared;
-use crate::queue::{EventQueue, HeapQueue};
 use crate::report::RunReport;
-use crate::session::RUN_CAP;
+use exchange::{route_outboxes, ShardQueue};
 
 /// One queued event on a shard: the packed payload plus its global
 /// creation stamp `g`. The stamp rides along because relays key their
@@ -132,7 +132,7 @@ struct ShardState {
     fid: FidelityTracker,
     metrics: Metrics,
     busy_until_us: Vec<u64>,
-    queue: HeapQueue<ShardEvent>,
+    queue: ShardQueue,
     tags: TagTable,
     /// Per-item `(value bits, tag bits, template)` memo: the per-shard
     /// tag tables grow by interning, so the router reuses the previous
@@ -152,14 +152,14 @@ impl ShardState {
     /// Drains everything this shard can see strictly below `t_end`:
     /// queue runs below the stream head, the stream's ticks at their
     /// turn (stream wins equal-time ties, exactly like the sequential
-    /// merge). Nothing is pushed back — sends stage into the outbox.
+    /// merge).
     fn drain_epoch(&mut self, t_end: u64, ctx: &EpochCtx<'_>) {
         loop {
             let s_at = ctx.stream.get(self.cursor).map_or(u64::MAX, |e| e.0);
             let cap = s_at.min(t_end);
             let mut buf = std::mem::take(&mut self.buf);
             buf.clear();
-            let n = self.queue.pop_run(u64::MAX, cap, RUN_CAP, &mut buf);
+            let n = self.queue.pop_run(cap, &mut buf);
             if n > 0 {
                 self.process_run(&buf, ctx);
                 self.buf = buf;
@@ -279,43 +279,69 @@ impl ShardState {
     }
 }
 
-/// Pushes one stamped arrival into `shard`'s queue — the only function
-/// (with [`route_outboxes`]) allowed to touch a shard queue from the
-/// exchange side; everything else stages through outboxes.
-fn route_entry(shard: &mut ShardState, e: &OutEntry, g: u64) {
-    let kind = shard.route_template(e.update).at_node(e.child);
-    shard.queue.push(e.arrival_us, g, ShardEvent { kind, g });
-}
+/// The barrier side of the epoch protocol, and the only code that can
+/// push into a shard queue: the queue's heap is private here.
+mod exchange {
+    use std::sync::MutexGuard;
 
-/// Merges every shard's outbox into global creation order, assigns
-/// consecutive stamps from the run-wide counter, and delivers each
-/// arrival to its owner plus, when another shard owns it, the child's
-/// parent — the only other reader of the delivery. Pushing in merged
-/// order hands every queue an ascending-stamp subsequence — the push
-/// contract holds per queue by construction.
-fn route_outboxes(
-    guards: &mut [MutexGuard<'_, ShardState>],
-    merged: &mut Vec<OutEntry>,
-    next_seq: &mut u64,
-    ctx: &EpochCtx<'_>,
-) {
-    merged.clear();
-    for s in guards.iter_mut() {
-        merged.append(&mut s.outbox);
-    }
-    merged.sort_unstable_by_key(|e| (e.at_ev, e.phase, e.sec, e.k));
-    for e in merged.iter() {
-        let g = *next_seq;
-        *next_seq += 1;
-        let own = ctx.owner[e.child.index()];
-        route_entry(&mut guards[own as usize], e, g);
-        let parent = ctx.d3g.parent_of(e.child, e.update.item).unwrap_or(SOURCE);
-        let pm = ctx.owner[parent.index()];
-        if pm != own {
-            route_entry(&mut guards[pm as usize], e, g);
+    use super::{EpochCtx, OutEntry, ShardEvent, ShardState, SOURCE};
+    use crate::queue::{EventQueue, HeapQueue};
+    use crate::session::RUN_CAP;
+
+    /// A shard's event queue: the drain pops, and only this module can
+    /// reach the heap to push.
+    pub(super) struct ShardQueue(HeapQueue<ShardEvent>);
+
+    impl ShardQueue {
+        pub(super) fn with_capacity(capacity: usize) -> Self {
+            Self(HeapQueue::with_capacity(capacity))
+        }
+
+        /// Pops up to `RUN_CAP` events strictly below `cap_us`: every
+        /// event of an epoch is reorder-free, so no window applies.
+        pub(super) fn pop_run(&mut self, cap_us: u64, out: &mut Vec<(u64, ShardEvent)>) -> usize {
+            self.0.pop_run(u64::MAX, cap_us, RUN_CAP, out)
+        }
+
+        pub(super) fn peek_at(&mut self) -> Option<u64> {
+            self.0.peek_at()
         }
     }
-    merged.clear();
+
+    /// Pushes one stamped arrival into `shard`'s queue.
+    fn route_entry(shard: &mut ShardState, e: &OutEntry, g: u64) {
+        let kind = shard.route_template(e.update).at_node(e.child);
+        shard.queue.0.push(e.arrival_us, g, ShardEvent { kind, g });
+    }
+
+    /// Merges every shard's outbox into global creation order, assigns
+    /// consecutive stamps from the run-wide counter, and delivers each
+    /// arrival to its owner plus, when another shard owns it, the child's
+    /// parent — the only other reader of the delivery.
+    pub(super) fn route_outboxes(
+        guards: &mut [MutexGuard<'_, ShardState>],
+        merged: &mut Vec<OutEntry>,
+        next_seq: &mut u64,
+        ctx: &EpochCtx<'_>,
+    ) {
+        merged.clear();
+        for s in guards.iter_mut() {
+            merged.append(&mut s.outbox);
+        }
+        merged.sort_unstable_by_key(|e| (e.at_ev, e.phase, e.sec, e.k));
+        for e in merged.iter() {
+            let g = *next_seq;
+            *next_seq += 1;
+            let own = ctx.owner[e.child.index()];
+            route_entry(&mut guards[own as usize], e, g);
+            let parent = ctx.d3g.parent_of(e.child, e.update.item).unwrap_or(SOURCE);
+            let pm = ctx.owner[parent.index()];
+            if pm != own {
+                route_entry(&mut guards[pm as usize], e, g);
+            }
+        }
+        merged.clear();
+    }
 }
 
 /// Entry point from [`Prepared::run`]: runs the sharded drive when the
@@ -337,7 +363,19 @@ pub(crate) fn run_sharded(prepared: &Prepared) -> Option<RunReport> {
 
 /// The epoch loop proper: drives every shard until no event remains.
 /// Returns the shard states and the owner map they ran on.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "epoch barriers and per-shard Mutexes are the sharded drive's determinism mechanism; exchanges are barrier-ordered"
+)]
+#[expect(
+    clippy::unwrap_used,
+    reason = "lock()/into_inner() unwraps only propagate a worker panic that already poisoned the run"
+)]
 fn drive(prepared: &Prepared, n_shards: usize, w: u64) -> (Vec<ShardState>, Vec<u32>) {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::{Barrier, Mutex, MutexGuard};
+
     let cfg = prepared.config();
     let d3g = &prepared.d3g;
     let n_nodes = d3g.n_nodes();
@@ -375,7 +413,7 @@ fn drive(prepared: &Prepared, n_shards: usize, w: u64) -> (Vec<ShardState>, Vec<
                 fid: FidelityTracker::new(&wl, &prepared.initial_values, 0),
                 metrics: Metrics::default(),
                 busy_until_us: vec![0u64; n_nodes],
-                queue: HeapQueue::with_capacity(1 << 12),
+                queue: ShardQueue::with_capacity(1 << 12),
                 tags: TagTable::default(),
                 tag_cache: vec![
                     (u64::MAX, u64::MAX, EventKind::source_change(ItemId(0), 0.0));
@@ -411,10 +449,7 @@ fn drive(prepared: &Prepared, n_shards: usize, w: u64) -> (Vec<ShardState>, Vec<
                 finish.wait();
             });
         }
-        // The coordinator: every cross-shard effect happens here, with
-        // all workers parked at the start barrier — one deterministic
-        // single-threaded stretch per epoch, whatever the scheduler
-        // does to the worker threads.
+        // The coordinator: every cross-shard effect happens here.
         let mut merged: Vec<OutEntry> = Vec::new();
         let mut next_seq = 0u64;
         loop {

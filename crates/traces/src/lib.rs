@@ -27,6 +27,14 @@
 //! assert!(stats.min > 0.0 && stats.max >= stats.min);
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::undocumented_unsafe_blocks,
+    reason = "P001 and U001: library code documents every panic and every unsafe block"
+)]
+
 pub mod generator;
 pub mod model;
 pub mod profiles;
