@@ -22,9 +22,9 @@ cargo doc --workspace --no-deps
 
 echo "== hot-file size ratchet =="
 # The five files that hold the event semantics and its drives (ROADMAP
-# open item 3 wants them at 4.5 k lines). The total only goes down:
+# open item 3 wants them at 3.8 k lines). The total only goes down:
 # a PR that shrinks them lowers HOT_LOC_MAX to the total it prints.
-HOT_LOC_MAX=5503
+HOT_LOC_MAX=4764
 hot_line="HOT_LOC"
 hot_total=0
 for f in crates/sim/src/session.rs crates/core/src/dissemination/mod.rs \

@@ -70,8 +70,8 @@
 //!   the queue's strictly-capped `pop_lt` / `pop_run` primitives. A
 //!   million seeded changes at paper scale thus cost two sequential
 //!   array reads each instead of two transits of a multi-megabyte
-//!   overflow heap — the queue holds only the in-flight arrivals
-//!   (thousands), keeping both backends cache-resident.
+//!   queue — the queue holds only the in-flight arrivals (thousands),
+//!   keeping both backends cache-resident.
 //! * Queue traffic is sized and batched for memory bandwidth: the
 //!   payload is packed to 16 bytes ([`EventKind`], with centralized
 //!   tags NaN-boxed through a [`TagTable`] side table), a heap slot
@@ -79,8 +79,9 @@
 //!   compile-time asserts below), the session's transmit enqueues each
 //!   send group with one
 //!   [`push_batch`](crate::queue::EventQueue::push_batch), and its
-//!   drain pops reorder-free runs with one
-//!   [`pop_run`](crate::queue::EventQueue::pop_run) inside the
+//!   drain pops reorder-free runs with
+//!   [`pop_run`](crate::queue::EventQueue::pop_run) (both provided
+//!   methods written on the scalar push and capped pop) inside the
 //!   `comp_delay + min link delay` safety window, then processes the
 //!   run one event at a time while prefetching the row and pair state
 //!   of the arrival four events ahead. See [`crate::queue`], whose
@@ -417,7 +418,10 @@ impl Engine {
 }
 
 impl<Q: EventQueue<EventKind>> Engine<Q> {
-    /// [`Engine::new`] with an explicit scheduler backend:
+    /// [`Engine::new`] with an explicit scheduler backend. The only other
+    /// backend is the reference [`CalendarQueue`](crate::CalendarQueue)
+    /// that the drive-agreement tests and `d3t-bench`'s
+    /// `engine.oracle_drive` run:
     /// `Engine::<CalendarQueue<EventKind>>::with_queue(...)`.
     ///
     /// # Panics

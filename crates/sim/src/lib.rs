@@ -174,7 +174,7 @@ pub use observer::{
 pub use prepared::{Prepared, Retargeted};
 pub use queue::{CalendarQueue, EventQueue, HeapQueue};
 pub use report::RunReport;
-pub use session::{PhaseCounter, PhaseStats, Session, SnapshotStats};
+pub use session::{PhaseCounter, PhaseStats, Session};
 pub use snapshot::Snapshot;
 
 /// The one `std::sync` type the sequential drive uses.

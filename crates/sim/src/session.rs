@@ -60,9 +60,9 @@
 //! * **Whole-run prefetch at pop time** — floods the line-fill buffers;
 //!   the in-loop distance-4 stream wins by ~8 %.
 //! * **Sorting a run's sends by arrival time before the bulk push** —
-//!   pop-order invisible but ~15 % slower: event-order send groups
-//!   already mostly hit `push_batch`'s append path, and the sorted order
-//!   degrades the calendar's adaptation signals.
+//!   pop-order invisible but ~15 % slower, measured when the drive still
+//!   scheduled on an adaptive calendar queue: event-order send groups
+//!   already mostly appended at their bucket's back.
 //! * **A five-pass batched pipeline** — gather a run into SoA touches,
 //!   sort by item, one decision sweep, one fidelity sweep, an ordered
 //!   scatter. It ran at **0.68×** this plain loop *without prefetch* at
@@ -87,8 +87,7 @@
 //! *suffix* plus one prefix instead of N× the whole run. The shared
 //! immutable inputs (delay matrix, packed source stream) are `Arc`s
 //! cloned per session, so warm branches and sweep cells don't re-derive
-//! them; capture/restore wall and byte telemetry land in
-//! [`PhaseStats::snapshot`] ([`SnapshotStats`]).
+//! them.
 
 use d3t_core::digest::Fnv1a;
 use d3t_core::dissemination::{Disseminator, ForwardScratch, Target, Update};
@@ -220,12 +219,6 @@ pub struct PhaseStats {
     pub transmit: PhaseCounter,
     /// Runs popped (`process.ops / runs` is the mean run size).
     pub runs: u64,
-    /// Snapshot-path telemetry (capture/restore cost, captured bytes).
-    /// Deliberately **not** one of the [`PhaseStats::named`] drain
-    /// phases: that contract — exactly four entries whose cycles
-    /// partition the drain — is what `d3t-bench`'s `session.*_s` split
-    /// reads and `tests/session_properties.rs` pins.
-    pub snapshot: SnapshotStats,
 }
 
 /// Indices into [`PhaseClock::split`].
@@ -262,24 +255,6 @@ impl PhaseClock {
         phases.fidelity.cycles = share(FIDELITY);
         phases.transmit.cycles = share(TRANSMIT);
     }
-}
-
-/// Telemetry for the snapshot capture/restore path, accumulated on the
-/// session the operation ran against (capture on the source session,
-/// restore on the resumed one). Cycles are TSC reads like the drain
-/// phases — scale against a measured wall clock for time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SnapshotStats {
-    /// Owned bytes of the most recently captured snapshot.
-    pub bytes: u64,
-    /// TSC cycles spent in [`Session::snapshot`], accumulated.
-    pub capture_cycles: u64,
-    /// TSC cycles spent restoring from a snapshot, accumulated.
-    pub restore_cycles: u64,
-    /// Captures performed.
-    pub captures: u64,
-    /// Restores performed.
-    pub restores: u64,
 }
 
 impl PhaseStats {
@@ -481,15 +456,14 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
     /// session whose run-to-end is bit-identical to this session run
     /// uninterrupted.
     ///
-    /// `&mut` only for telemetry: capture cost and size land in
-    /// [`PhaseStats::snapshot`]; no simulation state changes.
+    /// Changes nothing: the receiver stays `&mut` only for source
+    /// compatibility.
     ///
     /// [`Prepared::resume`]: crate::Prepared::resume
     pub fn snapshot(&mut self) -> Snapshot {
-        let t0 = cycles();
         let mut queue_events = Vec::with_capacity(self.queue.len());
         self.queue.snapshot_events(&mut queue_events);
-        let snap = Snapshot {
+        Snapshot {
             now_us: self.now_us,
             end_us: self.end_us,
             stream_cursor: self.stream_cursor,
@@ -500,11 +474,7 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
             tags: self.tags.clone(),
             queue_events,
             faults: self.faults.clone(),
-        };
-        self.phases.snapshot.captures += 1;
-        self.phases.snapshot.capture_cycles += cycles().wrapping_sub(t0);
-        self.phases.snapshot.bytes = snap.size_bytes() as u64;
-        snap
+        }
     }
 
     /// Overwrites this freshly built session's mutable state with the
@@ -518,7 +488,6 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
     ///
     /// [`Prepared::resume`]: crate::Prepared::resume
     pub(crate) fn restore_from(&mut self, snap: &Snapshot) {
-        let t0 = cycles();
         debug_assert_eq!(self.end_us, snap.end_us, "snapshot from a different horizon");
         debug_assert_eq!(
             self.busy_until_us.len(),
@@ -541,9 +510,6 @@ impl<Q: EventQueue<EventKind>, O: Observer> Session<Q, O> {
         for (repo, item, started_us) in fidelity.open_violations() {
             observer.on_violation_open(started_us, repo, item);
         }
-        self.phases.snapshot.restores += 1;
-        self.phases.snapshot.restore_cycles += cycles().wrapping_sub(t0);
-        self.phases.snapshot.bytes = snap.size_bytes() as u64;
     }
 
     /// Seeded FNV-1a over the session's canonical state — O(state) to

@@ -8,8 +8,8 @@
 //! merge.
 //!
 //! The design premise is that the engine's state is already **flat**:
-//! CSR row/edge tables, 16-byte fidelity pair records, a `Vec` of
-//! pending events per queue tier, plain counter structs. Capture is
+//! CSR row/edge tables, 16-byte fidelity pair records, one ordered
+//! `Vec` of pending events, plain counter structs. Capture is
 //! therefore bulk `Vec` clones plus one ordered queue walk — no
 //! per-element encoding, no graph chasing — which keeps checkpoint
 //! cost in milliseconds at paper scale (see the cost model in

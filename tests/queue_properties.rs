@@ -1,19 +1,19 @@
-//! Adversarial oracle properties of the slim-slot calendar queue.
+//! Adversarial ordering properties of both event queues.
 //!
-//! The calendar tier dropped its 8-byte `seq` tie-breaker: FIFO bucket
-//! insertion now *is* the tie-breaker, valid because the [`EventQueue`]
-//! push contract requires strictly increasing creation stamps. These
-//! tests attack exactly the paths where that implicit ordering could
-//! break — dense equal-timestamp storms, year-advance migrations through
-//! the overflow tier (which still stores `seq`), boundary-snap ties split
-//! across the tiers, rebuild demotions with their synthesized negative
-//! stamps, and the bulk `push_batch` / `pop_run` operations interleaved
-//! with scalar pushes and pops — always against two references at once:
-//! the [`HeapQueue`] oracle (explicit `(at_us, seq)` slots) and a sorted
-//! stable model.
+//! Neither backend's pop order may depend on anything but `(at_us,
+//! creation)`. The calendar stores no tie-breaker: push order inside a
+//! bucket *is* the tie order, valid because the [`EventQueue`] push
+//! contract requires strictly increasing creation stamps. These tests
+//! attack the paths where an ordering could break — dense
+//! equal-timestamp storms, tie groups calendar years apart, one bucket
+//! holding thousands of twins, out-of-order tie echoes, and the
+//! provided `push_batch` / `pop_run` operations interleaved with scalar
+//! pushes and pops — always against two references at once: the
+//! [`HeapQueue`] (explicit `(at_us, seq)` slots) and a sorted stable
+//! model.
 //!
 //! The in-crate tests (`d3t_sim::queue`) cover the basic distributions;
-//! this file is the adversarial extension the seq-drop demanded.
+//! this file is the adversarial extension.
 
 use d3t::sim::{CalendarQueue, EventQueue, HeapQueue};
 use rand::rngs::StdRng;
@@ -52,9 +52,9 @@ fn assert_three_way_agreement(keys: &[u64]) {
 
 #[test]
 fn equal_timestamp_storms_drain_in_creation_order() {
-    // Whole-queue ties at a handful of timestamps, interleaved so every
-    // bucket sees repeated FIFO appends between pops, across sizes that
-    // straddle the overload threshold (64) and the migration cap.
+    // Whole-queue ties at a handful of timestamps, so every bucket in
+    // use sees repeated FIFO appends, across sizes from a few events to
+    // thousands of twins per timestamp.
     for &n in &[10usize, 64, 65, 500, 5_000] {
         let mut rng = StdRng::seed_from_u64(n as u64 | 1);
         let keys: Vec<u64> = (0..n).map(|_| below(&mut rng, 4) * 1_000_003).collect();
@@ -66,9 +66,9 @@ fn equal_timestamp_storms_drain_in_creation_order() {
 
 #[test]
 fn year_advance_migrations_preserve_ties() {
-    // Tie groups spread across far-apart years: every group transits the
-    // overflow tier (explicit seq) and migrates into FIFO buckets at its
-    // year advance; the handoff must preserve creation order.
+    // Tie groups spread thousands of calendar years apart: every pop
+    // between groups misses a whole year and takes the smallest bucket
+    // front; creation order must hold within each group.
     let mut keys = Vec::new();
     for year in 0..20u64 {
         let base = year * 1_000_000_000_000;
@@ -81,11 +81,10 @@ fn year_advance_migrations_preserve_ties() {
 
 #[test]
 fn boundary_snap_ties_split_across_tiers_stay_ordered() {
-    // A huge burst of identical keys far in the future forces the
-    // migration cap (4× bucket count) to cut a year mid-tie-group: the
-    // admitted twins sit in the calendar at `at == boundary` while the
-    // rest stay in overflow. Pop order must still be creation order.
-    let mut keys = vec![0u64]; // anchors the first year near zero
+    // A huge burst of identical keys far in the future, years after the
+    // first event: one bucket holds all 3 000 twins, which must pop in
+    // creation order.
+    let mut keys = vec![0u64]; // one event near zero
     keys.extend(std::iter::repeat_n(5_000_000_000u64, 3_000));
     // A second distinct tie group right behind the first.
     keys.extend(std::iter::repeat_n(5_000_000_001u64, 3_000));
@@ -94,9 +93,9 @@ fn boundary_snap_ties_split_across_tiers_stay_ordered() {
 
 #[test]
 fn overload_rebuild_demotions_keep_negative_stamp_order() {
-    // Dense distinct timestamps overload one startup-width day (forcing
-    // width-shrink rebuilds whose demotions synthesize tie-breakers),
-    // with tie echoes pushed both before and after the rebuilds.
+    // Dense distinct timestamps inside one day, with equal-key echoes
+    // pushed in reverse time order between rounds: every echo is a
+    // mid-bucket insert that must land behind its earlier twins.
     let mut keys = Vec::new();
     for round in 0..3u64 {
         for i in 0..300u64 {
@@ -174,8 +173,8 @@ fn epoch_merge_restamping_survives_tie_storms() {
     }
 }
 
-/// The bulk operations interleaved with scalar ones must be
-/// observationally identical to the heap oracle driven scalar-only:
+/// The provided bulk operations interleaved with scalar ones must be
+/// observationally identical to the heap driven scalar-only:
 /// `push_batch` groups vs loose pushes, `pop_run` runs vs single pops,
 /// with random windows, caps, and run lengths.
 #[test]
@@ -202,7 +201,7 @@ fn run_interleaved_round(rng: &mut StdRng) {
                 seq += 1;
             }
             // push_batch of a send group (jittered near-monotone times,
-            // occasional boundary-crossing outlier, frequent ties).
+            // occasional outlier years ahead, frequent ties).
             4..=5 => {
                 let base = gen_key(rng);
                 let group: Vec<(u64, u64)> = (0..1 + below(rng, 12))
